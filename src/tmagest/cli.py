@@ -6,7 +6,7 @@ Subcommands:
     train      extract windows, fit normalization, train, write a model file
     run        replay a recording (or stdin rows) through the engine, JSONL out
     eval       score a model against a labeled recording
-    bench      microbenchmark of the single-prediction path
+    bench      latency of strides that classify and of strides that do not
 
 Configuration comes from an optional JSON file (--config) with individual
 flag overrides on top.
@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     budget_us = config.map_stride / config.sample_rate * 1e6
     print(f"stride budget {budget_us:.0f} us; "
           f"mean uses {timings.mean() / budget_us * 100:.1f}% of it")
+    # Second pass over the same noise with a threshold nothing crosses: every
+    # stride is quiet (filter, ring, features, difference, detector only).
+    quiet_engine = Engine(model, config, threshold=float("inf"))
+    quiet = []
+    for batch in iter_batches(noise, config.map_stride):
+        start = time.perf_counter_ns()
+        quiet_engine.step(batch)
+        quiet.append((time.perf_counter_ns() - start) / 1000.0)
+    quiet = np.array(quiet[-args.iterations:])
+    print(f"quiet strides: {quiet.size}")
+    print(f"quiet p50 {np.percentile(quiet, 50):10.1f} us")
+    print(f"quiet p95 {np.percentile(quiet, 95):10.1f} us")
     return 0
 
 
@@ -342,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", type=Path, default=None, help="report JSON path")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="latency microbenchmark of one prediction")
+    p = sub.add_parser("bench", help="latency microbenchmark of one stride")
     _add_config_args(p)
     p.add_argument("--model", required=True, type=Path)
     p.add_argument("--iterations", type=int, default=200)

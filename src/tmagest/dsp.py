@@ -6,11 +6,34 @@ underlying muscle activity. It is obtained here in two causal steps:
 1. full-wave rectification, ``|x[n]|``
 2. low-pass filtering with a second-order Butterworth biquad
 
-The filter runs as a direct-form-II-transposed recursion so it can be stepped
-sample by sample in a real-time loop. Zero-phase (forward-backward) filtering
-is deliberately not offered: it needs future samples and therefore cannot run
-streaming. The price is the filter's group delay, which downstream onset
-timing simply inherits.
+The biquad is the direct-form-II-transposed recursion with state
+``z = (z1, z2)`` per channel, run in the exact block state-space form of
+Parhi & Messerschmitt (*Pipeline interleaving and parallelism in recursive
+digital filters*, IEEE Trans. ASSP, 1989). Over a block ``X`` of ``S``
+samples the outputs and the next state are one linear map of the block and
+the current state::
+
+    Y  = T X + Gamma z
+    z' = Phi z + Psi X
+
+``T`` is the lower-triangular Toeplitz matrix of the impulse response,
+``Gamma`` maps the state onto each output, ``Phi`` is the ``S``-step state
+transition and ``Psi`` carries each input into the next state. The matrices
+are built once per filter, so a block costs one small matrix product instead
+of ``S`` interpreted steps. The product sums in another order than the
+per-sample recursion, so the two agree to rounding, not bit for bit.
+
+Block boundaries fall every ``S`` samples from the first sample of each
+:meth:`EnvelopeFilter.process` call; a short final block of ``r`` samples
+uses the ``r``-step matrices. The streaming engine passes one stride of
+``S = map_stride`` samples per call and offline code filters whole
+recordings with the same ``S``, so both meet every block with the same
+matrix and the same arithmetic: offline envelopes equal the streaming ones
+bit for bit.
+
+Zero-phase (forward-backward) filtering is deliberately not offered: it needs
+future samples and therefore cannot run streaming. The price is the filter's
+group delay, which downstream onset timing simply inherits.
 
 All arithmetic is 64-bit.
 """
@@ -25,6 +48,9 @@ import numpy as np
 from .errors import ConfigError, StructuralError
 
 _SQRT2 = math.sqrt(2.0)
+
+# Block length when none is given: the reference map stride (0.1 s at 200 Hz).
+DEFAULT_BLOCK_SIZE = 20
 
 
 @dataclass
@@ -130,33 +156,69 @@ def rectify(sample: RawSample) -> RawSample:
 
 
 class EnvelopeFilter:
-    """Per-channel streaming biquad bank (direct form II transposed).
+    """Per-channel streaming biquad bank in block state-space form.
+
+    :meth:`process` walks its input in blocks of ``block_size`` samples from
+    the input's first sample; a short final block of ``r`` samples uses the
+    ``r``-step matrices (the leading ``r`` rows of ``T`` and ``Gamma``,
+    ``Phi = A^r`` and the last ``r`` columns of ``Psi``). Successive calls
+    whose lengths are multiples of ``block_size`` (the last may be shorter)
+    therefore give the same outputs, bit for bit, as one call over the
+    concatenated input; this is what keeps the engine's stride-by-stride
+    envelopes equal to :func:`envelope_stream`.
 
     One instance owns the filter memory of one logical stream and must be
     stepped by a single caller in sample order. Coefficients are immutable
     and may be shared between instances.
     """
 
-    def __init__(self, coeffs: BiquadCoefficients, channels: int):
+    def __init__(self, coeffs: BiquadCoefficients, channels: int,
+                 block_size: int = DEFAULT_BLOCK_SIZE):
         if channels < 1:
             raise ConfigError(f"channels must be >= 1, got {channels}")
+        if block_size < 1:
+            raise ConfigError(f"block_size must be >= 1, got {block_size}")
         self.coeffs = coeffs
         self.channels = channels
-        self._z1 = np.zeros(channels)
-        self._z2 = np.zeros(channels)
+        self.block_size = block_size
+        c, S = coeffs, block_size
+        # z' = A z + B x, y = C z + D x with C = [1, 0] and D = b0
+        a = np.array([[-c.a1, 1.0], [-c.a2, 0.0]])
+        b = np.array([c.b1 - c.a1 * c.b0, c.b2 - c.a2 * c.b0])
+        powers = np.empty((S + 1, 2, 2))
+        powers[0] = np.eye(2)
+        for k in range(1, S + 1):
+            powers[k] = a @ powers[k - 1]
+        carried = powers[:S] @ b                 # row k: A^k B
+        impulse = np.concatenate([[c.b0], carried[:S - 1, 0]])
+        lag = np.subtract.outer(np.arange(S), np.arange(S))
+        # Rows 0-1 map to the next state, rows 2.. to the outputs; columns
+        # 0-1 take the state, columns 2.. the input block.
+        full = np.zeros((S + 2, S + 2))
+        full[:2, :2] = powers[S]                 # Phi
+        full[:2, 2:] = carried[::-1].T           # Psi: column j is A^(S-1-j) B
+        full[2:, :2] = powers[:S, 0]             # Gamma: row i is C A^i
+        full[2:, 2:] = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)  # T
+        self._powers = powers
+        self._full = full
+        # Rows 0-1 hold the state between calls; the block is copied below it
+        # so one product advances both.
+        self._work = np.zeros((S + 2, channels))
+
+    def _matrix(self, r: int) -> np.ndarray:
+        """The (r + 2)-square block matrix for a block of r <= S samples."""
+        S = self.block_size
+        if r == S:
+            return self._full
+        m = np.empty((r + 2, r + 2))
+        m[:2, :2] = self._powers[r]
+        m[:2, 2:] = self._full[:2, 2 + S - r:]
+        m[2:] = self._full[2:r + 2, :r + 2]
+        return m
 
     def reset(self) -> None:
         """Return to zero state (as at construction)."""
-        self._z1[:] = 0.0
-        self._z2[:] = 0.0
-
-    def step_values(self, x: np.ndarray) -> np.ndarray:
-        """Advance the recursion by one sample for every channel."""
-        c = self.coeffs
-        y = c.b0 * x + self._z1
-        self._z1 = c.b1 * x - c.a1 * y + self._z2
-        self._z2 = c.b2 * x - c.a2 * y
-        return y
+        self._work[:2] = 0.0
 
     def filter_step(self, rectified: RawSample) -> EnvelopeFrame:
         """One filter update on an already rectified sample.
@@ -164,38 +226,38 @@ class EnvelopeFilter:
         Raises:
             StructuralError: If the channel count does not match the state.
         """
-        if rectified.channels.shape[0] != self.channels:
-            raise StructuralError(
-                f"expected {self.channels} channels, got {rectified.channels.shape[0]}"
-            )
-        return EnvelopeFrame(t=rectified.t, values=self.step_values(rectified.channels))
+        return EnvelopeFrame(t=rectified.t,
+                             values=self.process(rectified.channels[None, :])[0])
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter a (samples, channels) block in time order.
 
-        Identical arithmetic to repeated :meth:`step_values` calls; exists so
-        offline consumers share the streaming code path exactly.
+        Raises:
+            StructuralError: If the block is not (n, channels).
         """
         block = np.asarray(block, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self.channels:
             raise StructuralError(
                 f"expected a (n, {self.channels}) block, got {block.shape}"
             )
-        c = self.coeffs
-        z1, z2 = self._z1, self._z2
+        work, S = self._work, self.block_size
         out = np.empty_like(block)
-        for i in range(block.shape[0]):
-            x = block[i]
-            y = c.b0 * x + z1
-            z1 = c.b1 * x - c.a1 * y + z2
-            z2 = c.b2 * x - c.a2 * y
-            out[i] = y
-        self._z1, self._z2 = z1, z2
+        for start in range(0, block.shape[0], S):
+            r = min(S, block.shape[0] - start)
+            work[2:r + 2] = block[start:start + r]
+            res = np.dot(self._matrix(r), work[:r + 2])
+            work[:2] = res[:2]
+            out[start:start + r] = res[2:]
         return out
 
 
-def envelope_stream(raw: np.ndarray, coeffs: BiquadCoefficients) -> np.ndarray:
-    """Rectify and filter a whole (samples, channels) recording from zero state."""
+def envelope_stream(raw: np.ndarray, coeffs: BiquadCoefficients,
+                    block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
+    """Rectify and filter a whole (samples, channels) recording from zero state.
+
+    With ``block_size`` equal to the engine's map stride the result equals,
+    bit for bit, the envelopes the engine computes stride by stride.
+    """
     raw = np.asarray(raw, dtype=np.float64)
-    filt = EnvelopeFilter(coeffs, raw.shape[1])
+    filt = EnvelopeFilter(coeffs, raw.shape[1], block_size)
     return filt.process(np.abs(raw))

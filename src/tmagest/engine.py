@@ -97,8 +97,9 @@ class Engine:
                                    else suppress_alternate)
         coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
                                             config.sample_rate)
-        self._filter = EnvelopeFilter(coeffs, config.channels)
-        self._ring = FrameRing(config.map_width, config.channels)
+        self._filter = EnvelopeFilter(coeffs, config.channels, config.map_stride)
+        self._ring = FrameRing(config.map_width, config.channels,
+                               config.map_stride)
         self._detector = OnsetDetector(self.threshold, config.refractory,
                                        warmup_end=config.warmup_samples)
         self._prev_map: TmaMap | None = None
@@ -115,7 +116,9 @@ class Engine:
         Returns a :class:`Prediction`, a :class:`SuppressedOnset`, or None.
 
         Raises:
-            StructuralError: If the batch is not (map_stride, channels).
+            StructuralError: If the batch is not (map_stride, channels), or
+                holds a NaN or infinite value. A rejected batch leaves the
+                engine as it was, so the caller may go on with the next one.
         """
         t0 = time.perf_counter_ns()
         cfg = self.config
@@ -125,10 +128,15 @@ class Engine:
                 f"expected a ({cfg.map_stride}, {cfg.channels}) batch, "
                 f"got {batch.shape}"
             )
-        env = self._filter.process(np.abs(batch))
-        for i in range(env.shape[0]):
-            self._ring.push_values(self._count + i, env[i])
-        self._count += env.shape[0]
+        rectified = np.abs(batch)
+        if not rectified.max() < np.inf:    # also false for NaN
+            row = int(np.flatnonzero(~np.isfinite(batch).all(axis=1))[0])
+            raise StructuralError(
+                f"stride starting at sample {self._count} holds a non-finite "
+                f"value at sample {self._count + row}"
+            )
+        self._ring.push_values(self._count, self._filter.process(rectified))
+        self._count += cfg.map_stride
         newest = self._count - 1
 
         if not self._ring.is_full:

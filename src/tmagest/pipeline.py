@@ -1,10 +1,11 @@
 """Offline orchestration: training-set extraction and batch evaluation.
 
 Extraction mirrors how the classifier is used online: the envelope stream is
-computed causally (bit-identical to the streaming filter), and one activation
-map is taken at every sample time inside a window centered on each labeled
-onset. Evaluation replays a recording through the very same engine code path
-used live and scores the emitted events against the ground truth.
+computed causally in filter blocks of ``map_stride`` samples, the engine's
+stride, and is therefore bit-identical to the streaming envelopes; one
+activation map is taken at every sample time inside a window centered on each
+labeled onset. Evaluation replays a recording through the very same engine
+code path used live and scores the emitted events against the ground truth.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ MATCH_TOLERANCE_S = 1.0
 def _envelopes(recording: Recording, config: SessionConfig) -> np.ndarray:
     coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
                                         config.sample_rate)
-    return envelope_stream(recording.samples, coeffs)
+    return envelope_stream(recording.samples, coeffs, config.map_stride)
 
 
 def extract_training_set(recording: Recording,

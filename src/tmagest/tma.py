@@ -18,6 +18,7 @@ Maps are treated as immutable once assembled and may be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,9 +42,17 @@ def channels_for_rows(rows: int) -> int:
     return L
 
 
+@lru_cache(maxsize=32)
 def pair_indices(channels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i <= j, in the column order used by feature vectors."""
-    return np.triu_indices(channels)
+    """Index pairs (i, j), i <= j, in the column order used by feature vectors.
+
+    Computed once per channel count; the arrays are shared by every caller and
+    therefore read-only.
+    """
+    iu, ju = np.triu_indices(channels)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
 
 
 def build_feature_vector(values: np.ndarray) -> np.ndarray:
@@ -91,53 +100,72 @@ class TmaMap:
 
 
 class FrameRing:
-    """Fixed-capacity ring of the most recent envelope frames.
+    """The most recent envelope frames, kept contiguous in time order.
 
-    Pushes are O(1); assembly snapshots the window in time order. Frames must
-    arrive with consecutive sample indices. Single-owner, sequential use.
+    Frames arrive in blocks of at most ``stride`` rows with consecutive sample
+    indices. The buffer holds ``map_width + stride`` rows; a push that would
+    run past its end first moves the newest ``map_width`` rows to the front,
+    so the window is always one contiguous slice. Single-owner, sequential
+    use.
     """
 
-    def __init__(self, map_width: int, channels: int):
+    def __init__(self, map_width: int, channels: int, stride: int = 1):
         if map_width < 1:
             raise ConfigError(f"map_width must be >= 1, got {map_width}")
-        self._buf = np.zeros((map_width, channels))
-        self._head = 0          # slot for the next push
+        if stride < 1:
+            raise ConfigError(f"stride must be >= 1, got {stride}")
+        self._width = map_width
+        self._buf = np.zeros((map_width + stride, channels))
+        self._end = 0           # rows in use; the newest frame is row _end - 1
         self._count = 0
         self._last_t: int | None = None
 
     @property
     def is_full(self) -> bool:
-        return self._count == self._buf.shape[0]
+        return self._count == self._width
 
     @property
     def newest_index(self) -> int | None:
         return self._last_t
 
     def push(self, frame: EnvelopeFrame) -> None:
-        if frame.values.shape[0] != self._buf.shape[1]:
-            raise StructuralError(
-                f"expected {self._buf.shape[1]} channels, got {frame.values.shape[0]}"
-            )
-        self.push_values(frame.t, frame.values)
+        self.push_values(frame.t, frame.values[None, :])
 
     def push_values(self, t: int, values: np.ndarray) -> None:
-        """Unwrapped push for the streaming hot path."""
+        """Append a (k, channels) block of frames, k <= stride; ``t`` is the
+        sample index of its first row."""
+        buf = self._buf
+        if values.ndim != 2 or values.shape[1] != buf.shape[1]:
+            raise StructuralError(
+                f"expected (k, {buf.shape[1]}) frames, got {values.shape}"
+            )
+        k = values.shape[0]
+        if k > buf.shape[0] - self._width:
+            raise StructuralError(
+                f"{k} frames exceed the stride of {buf.shape[0] - self._width}"
+            )
         if self._last_t is not None and t != self._last_t + 1:
             raise StructuralError(
                 f"frame index {t} does not follow {self._last_t}"
             )
-        self._buf[self._head] = values
-        self._head = (self._head + 1) % self._buf.shape[0]
-        self._count = min(self._count + 1, self._buf.shape[0])
-        self._last_t = t
+        if self._end + k > buf.shape[0]:
+            buf[:self._width] = buf[self._end - self._width:self._end]
+            self._end = self._width
+        buf[self._end:self._end + k] = values
+        self._end += k
+        self._count = min(self._count + k, self._width)
+        self._last_t = t + k - 1
 
     def window(self) -> np.ndarray:
-        """The (map_width, channels) window, oldest row first."""
+        """The (map_width, channels) window, oldest row first.
+
+        A view into the ring's buffer: valid until the next push.
+        """
         if not self.is_full:
             raise NotReadyError(
-                f"ring holds {self._count} of {self._buf.shape[0]} frames"
+                f"ring holds {self._count} of {self._width} frames"
             )
-        return np.roll(self._buf, -self._head, axis=0)
+        return self._buf[self._end - self._width:self._end]
 
 
 def assemble_map(ring: FrameRing) -> TmaMap:

@@ -194,3 +194,8 @@ class TestBench:
         assert rc == 0
         out = capsys.readouterr().out
         assert "mean" in out and "p95" in out and "budget" in out
+        assert "quiet strides: 30" in out
+        quiet = {line.split()[1]: float(line.split()[2])
+                 for line in out.splitlines() if line.startswith("quiet p")}
+        assert set(quiet) == {"p50", "p95"}
+        assert 0 < quiet["p50"] <= quiet["p95"]

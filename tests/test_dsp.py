@@ -129,22 +129,27 @@ class TestFilterStep:
         with pytest.raises(StructuralError):
             filt.filter_step(RawSample(t=0, channels=np.zeros(7)))
 
-    def test_block_equals_stepwise(self, rng):
+    def test_strides_equal_one_call_and_envelope_stream(self, rng):
+        # 303 samples: a short final block follows the whole ones
         c = design_butterworth_lowpass(2.0, 200.0)
-        x = rng.normal(size=(300, 3))
-        block = EnvelopeFilter(c, 3).process(x)
-        stepper = EnvelopeFilter(c, 3)
-        steps = np.array([stepper.step_values(row) for row in x])
-        np.testing.assert_array_equal(block, steps)
+        x = rng.normal(size=(303, 3))
+        for size in (1, 7, 20):
+            whole = EnvelopeFilter(c, 3, size).process(np.abs(x))
+            stepper = EnvelopeFilter(c, 3, size)
+            strides = np.concatenate([stepper.process(np.abs(x[i:i + size]))
+                                      for i in range(0, len(x), size)])
+            np.testing.assert_array_equal(strides, whole)
+            np.testing.assert_array_equal(envelope_stream(x, c, size), whole)
 
     def test_matches_scipy_lfilter(self, rng):
         # independent oracle for the recursion itself
         c = design_butterworth_lowpass(2.0, 200.0)
         b, a = [c.b0, c.b1, c.b2], [1.0, c.a1, c.a2]
         x = np.abs(rng.normal(size=(4000, 2)))
-        mine = EnvelopeFilter(c, 2).process(x)
         ref = sp_signal.lfilter(b, a, x, axis=0)
-        np.testing.assert_allclose(mine, ref, rtol=1e-9, atol=1e-12)
+        for size in (1, 20, 64):   # 4000 = 62 * 64 + 32: a short last block
+            mine = EnvelopeFilter(c, 2, size).process(x)
+            np.testing.assert_allclose(mine, ref, rtol=1e-9, atol=1e-12)
 
 
 class TestInvariants:

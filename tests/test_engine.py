@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from tmagest import engine as engine_mod
+from tmagest.dsp import design_butterworth_lowpass, envelope_stream
 from tmagest.engine import (
     Engine,
     Prediction,
@@ -13,6 +15,7 @@ from tmagest.engine import (
 )
 from tmagest.errors import ConfigError, StructuralError, UsageError
 from tmagest.recording import Recording
+from tmagest.tma import feature_matrix
 
 
 def drive(engine, samples):
@@ -93,6 +96,51 @@ class TestStep:
         engine = Engine(trained_setup.model, config)
         events = drive(engine, x)
         assert all(e.n >= config.warmup_samples for e in events)
+
+
+    def test_non_finite_stride_rejected_and_state_kept(self, trained_setup):
+        # a NaN or infinite stride inserted mid-recording raises and leaves
+        # the engine as it was: the events equal those of the clean stream
+        config = trained_setup.config
+        samples = trained_setup.eval_recording.samples
+        at = samples.shape[0] // config.map_stride // 2 * config.map_stride
+        clean = drive(Engine(trained_setup.model, config), samples)
+        engine = Engine(trained_setup.model, config)
+        events = drive(engine, samples[:at])
+        for value in (np.nan, np.inf):
+            bad = samples[at:at + config.map_stride].copy()
+            bad[3, 1] = value
+            with pytest.raises(StructuralError,
+                               match=f"stride starting at sample {at} "):
+                engine.step(bad)
+        events += drive(engine, samples[at:])
+        assert any(e.n >= at for e in clean)
+        assert [event_to_dict(e, include_timing=False) for e in events] == \
+               [event_to_dict(e, include_timing=False) for e in clean]
+
+    def test_classified_maps_equal_offline_slices(self, trained_setup,
+                                                  monkeypatch):
+        config = trained_setup.config
+        samples = trained_setup.eval_recording.samples
+        maps = []
+        predict = engine_mod.predict
+
+        def capture(model, current):
+            maps.append(current)
+            return predict(model, current)
+
+        monkeypatch.setattr(engine_mod, "predict", capture)
+        engine = Engine(trained_setup.model, config, suppress_alternate=False)
+        drive(engine, samples)
+        assert len(maps) >= 4
+        coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
+                                            config.sample_rate)
+        feats = feature_matrix(envelope_stream(samples, coeffs,
+                                               config.map_stride))
+        w = config.map_width
+        for m in maps:
+            n = m.end_index
+            np.testing.assert_array_equal(m.data, feats[:, n - w + 1:n + 1])
 
 
 class TestReplay:

@@ -16,6 +16,7 @@ from tmagest.tma import (
     feature_rows,
     fit_normalization,
     normalize,
+    pair_indices,
 )
 
 
@@ -59,6 +60,18 @@ class TestFeatureVector:
                 assert abs(v[k] - x[i] * x[j]) < 1e-12
                 k += 1
 
+    def test_pair_indices_cached_and_read_only(self):
+        for L in (1, 3, 8):
+            iu, ju = pair_indices(L)
+            ref_i, ref_j = np.triu_indices(L)
+            np.testing.assert_array_equal(iu, ref_i)
+            np.testing.assert_array_equal(ju, ref_j)
+            assert pair_indices(L)[0] is iu
+            with pytest.raises(ValueError):
+                iu[0] = 1
+            with pytest.raises(ValueError):
+                ju[0] = 1
+
     def test_feature_matrix_matches_per_frame(self, rng):
         block = rng.random((7, 5))
         mat = feature_matrix(block)
@@ -94,6 +107,27 @@ class TestFrameRing:
         ring.push(frame(0, [1.0]))
         with pytest.raises(StructuralError):
             ring.push(frame(2, [1.0]))
+
+    def test_stride_pushes_equal_frame_pushes(self, rng):
+        block = rng.random((50, 3))
+        by_frame = FrameRing(map_width=12, channels=3)
+        by_stride = FrameRing(map_width=12, channels=3, stride=5)
+        for t in range(0, 50, 5):
+            for i in range(t, t + 5):
+                by_frame.push(frame(i, block[i]))
+            by_stride.push_values(t, block[t:t + 5])
+            assert by_stride.newest_index == t + 4
+            if by_frame.is_full:
+                np.testing.assert_array_equal(by_stride.window(),
+                                              by_frame.window())
+                np.testing.assert_array_equal(by_stride.window(),
+                                              block[t - 7:t + 5])
+        assert by_stride.is_full
+
+    def test_rejects_push_longer_than_stride(self):
+        ring = FrameRing(map_width=4, channels=2, stride=3)
+        with pytest.raises(StructuralError):
+            ring.push_values(0, np.zeros((4, 2)))
 
     def test_rejects_channel_mismatch(self):
         ring = FrameRing(map_width=3, channels=2)
