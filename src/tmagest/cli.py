@@ -6,7 +6,8 @@ Subcommands:
     train      extract windows, fit normalization, train, write a model file
     run        replay a recording (or stdin rows) through the engine, JSONL out
     eval       score a model against a labeled recording
-    bench      latency of strides that classify and of strides that do not
+    bench      latency of strides that classify and of strides that do not,
+               one SGD step and the forward pass alone and batched
 
 Configuration comes from an optional JSON file (--config) with individual
 flag overrides on top.
@@ -281,7 +282,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"quiet strides: {quiet.size}")
     print(f"quiet p50 {np.percentile(quiet, 50):10.1f} us")
     print(f"quiet p95 {np.percentile(quiet, 95):10.1f} us")
+    # The network alone on seeded random maps: one SGD step of batch_size
+    # maps, and the forward cost per map alone and in a batch of 256.
+    arch = model.architecture
+    maps = rng.random((256, arch.input_rows, arch.input_cols))
+    labels = rng.integers(0, arch.num_classes, maps.shape[0])
+    size = config.batch_size
+    sgd_us = _median_us(lambda: cnn.batch_loss_and_gradients(
+        model.params, arch, maps[:size], labels[:size]), repeats=5)
+    single_us = _median_us(lambda: cnn.forward(model, maps[0]), repeats=50)
+    batched_us = _median_us(lambda: cnn.forward_batch(model, maps), repeats=3)
+    print(f"sgd batch {size} {sgd_us / 1000:10.2f} ms fwd+bwd")
+    print(f"forward B=1   {single_us:10.1f} us/map")
+    print(f"forward B={maps.shape[0]} {batched_us / maps.shape[0]:10.1f} us/map")
     return 0
+
+
+def _median_us(call, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter_ns()
+        call()
+        times.append((time.perf_counter_ns() - start) / 1000.0)
+    return float(np.median(times))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", type=Path, default=None, help="report JSON path")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="latency microbenchmark of one stride")
+    p = sub.add_parser("bench", help="latency of one stride, an SGD step "
+                       "and the forward pass")
     _add_config_args(p)
     p.add_argument("--model", required=True, type=Path)
     p.add_argument("--iterations", type=int, default=200)

@@ -7,11 +7,13 @@ output. For the default 44x80 maps with 8 and 16 filters the shapes run::
     44x80 -> conv 42x78x8 -> pool 21x39x8 -> conv 19x37x16 -> pool 9x18x16
           -> flatten 2592 -> fc 100 -> fc 20 -> softmax over classes
 
-Everything is plain numpy in 64-bit: convolutions are im2col + GEMM,
-activations are stored channels-last, and max pooling routes gradients to the
-first maximum of each window. Training is plain SGD over seeded shuffled
-mini-batches; identical seeds give bit-identical models. Gradients are exact,
-which the finite-difference tests rely on.
+Everything is plain numpy in 64-bit. conv1 is one GEMM over the 4x4 input
+patch of each pooling window, conv2 is nine GEMMs on shifted views of its
+input, and max pooling routes gradients to the first maximum of each window
+through a stored argmax. An SGD step runs the conv layers in chunks of a few
+maps so their arrays stay in cache. Training is plain SGD over seeded
+shuffled mini-batches; identical seeds give bit-identical models. Gradients
+are exact, which the finite-difference tests rely on.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .config import SessionConfig
 from .errors import StructuralError, TrainingError, UsageError
@@ -183,166 +186,258 @@ def zero_params(arch: CnnArchitecture) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# layer primitives (channels-last activations)
+# layer primitives
 # ---------------------------------------------------------------------------
-# Patch matrices are built by nine shifted block copies rather than a strided
-# 6-D gather, and GEMM operands are laid out so BLAS sees plain or transposed
-# contiguous matrices; on the 44x80 maps this path is memory-bound, so every
-# avoided pass over an activation-sized array counts.
+# On the 44x80 maps every layer is memory-bound, so the layout is chosen to
+# avoid passes over activation-sized arrays:
+# - conv activations are channel-major, (C, B*h*w), so bias, ReLU and
+#   reductions run along long contiguous rows; only the (B, h*w*C) flat
+#   vector of the dense layers is channels-last;
+# - conv1 is evaluated separately at the four positions of each 2x2 pooling
+#   window, so pooling is an elementwise max over four arrays and the
+#   row/column that pooling drops is never computed;
+# - conv2 is nine GEMMs on flat-shifted views of its input (Anderson et al.,
+#   "Low-memory GEMM-based convolution algorithms for deep neural networks",
+#   arXiv:1709.03395), computed on the whole pooled grid and then sliced;
+# - ReLU masks and conv bias gradients are taken at pooled resolution, which
+#   is exact: a window's first maximum equals its pooled value, and a window
+#   whose maximum is not positive passes no gradient.
 
-def _im2col_single(x: np.ndarray) -> np.ndarray:
-    """(B, H, W) single-channel input -> (9, B*(H-2)*(W-2)) patch matrix."""
-    b, h, w = x.shape
-    ho, wo = h - 2, w - 2
-    col_t = np.empty((9, b, ho, wo))
-    for di in range(3):
-        for dj in range(3):
-            col_t[di * 3 + dj] = x[:, di:di + ho, dj:dj + wo]
-    return col_t.reshape(9, -1)
-
-
-def _im2col_multi(x: np.ndarray) -> np.ndarray:
-    """(B, H, W, C) -> (B*(H-2)*(W-2), 9*C) patches, offset-major order."""
-    b, h, w, c = x.shape
-    ho, wo = h - 2, w - 2
-    col = np.empty((b, ho, wo, 9, c))
-    for di in range(3):
-        for dj in range(3):
-            col[:, :, :, di * 3 + dj, :] = x[:, di:di + ho, dj:dj + wo, :]
-    return col.reshape(b * ho * wo, 9 * c)
+# Maps per chunk of the conv layers. At 44x80 one chunk's largest arrays
+# (conv1 output 0.8 MB, conv2 output and its tap buffer 0.4 MB each) fit a
+# 2 MiB per-core L2 together; a whole batch of 32 needs 7-13 MB per array.
+# On a 2-core Xeon with OpenBLAS a 32-map SGD step took 30, 28, 33 and 51 ms
+# with chunks of 2, 4, 8 and 16 maps.
+CHUNK_MAPS = 4
 
 
-def _kernel_matrix(w: np.ndarray) -> np.ndarray:
-    """(F, C, 3, 3) weights -> (F, 9*C) rows matching _im2col_multi order."""
-    return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(w.shape[0], -1)
+def _conv1_inputs(x: np.ndarray, arch: CnnArchitecture) -> np.ndarray:
+    """(B, H, W) maps -> (16, B*h*w) inputs of conv1, (h, w) = pool1 shape.
 
-
-def _kernel_unmatrix(wm: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    f, c = shape[0], shape[1]
-    return np.ascontiguousarray(wm.reshape(f, 3, 3, c).transpose(0, 3, 1, 2))
-
-
-def _pool_forward(x):
-    ho, wo = x.shape[1] // 2, x.shape[2] // 2
-    t = x[:, :ho * 2, :wo * 2, :]
-    return np.maximum(np.maximum(t[:, 0::2, 0::2], t[:, 0::2, 1::2]),
-                      np.maximum(t[:, 1::2, 0::2], t[:, 1::2, 1::2]))
-
-
-def _pool_backward(x, pooled, g):
-    # Routes each window's gradient to its first maximum (row-major order);
-    # rows/cols beyond the even extent were never pooled and get zero.
-    b, h, w, c = x.shape
-    ho, wo = pooled.shape[1], pooled.shape[2]
-    blocks = x[:, :ho * 2, :wo * 2, :].reshape(b, ho, 2, wo, 2, c)
-    hit = blocks == pooled[:, :, None, :, None, :]
-    # first-wins in window order (0,0), (0,1), (1,0), (1,1)
-    hit[:, :, 0, :, 1, :] &= ~hit[:, :, 0, :, 0, :]
-    taken = hit[:, :, 0, :, 0, :] | hit[:, :, 0, :, 1, :]
-    hit[:, :, 1, :, 0, :] &= ~taken
-    hit[:, :, 1, :, 1, :] &= ~(taken | hit[:, :, 1, :, 0, :])
-    dx_blocks = hit * g[:, :, None, :, None, :]
-    if 2 * ho == h and 2 * wo == w:
-        return dx_blocks.reshape(x.shape)
-    dx = np.zeros_like(x)
-    dx[:, :ho * 2, :wo * 2, :] = dx_blocks.reshape(b, ho * 2, wo * 2, c)
-    return dx
-
-
-def _forward_batch(params, arch: CnnArchitecture, x: np.ndarray):
-    """Forward pass on a (B, rows, cols) batch; returns probs and the cache.
-
-    ReLU is applied in place on the convolution outputs; the backward pass
-    recovers the masks from the activations (post-ReLU a > 0 iff pre > 0).
+    Row 4u + v holds x[b, 2i+u, 2j+v]: the 4x4 input patch of pooling window
+    (i, j), which covers the 3x3 patches of its four conv1 outputs. The view
+    reads at most row 2h+1 <= H-1 and column 2w+1 <= W-1.
     """
-    bsz = x.shape[0]
-    f1, f2 = params["conv1_w"].shape[0], params["conv2_w"].shape[0]
-    h1, w1 = arch.conv1_shape
-    h2, w2 = arch.conv2_shape
+    b = x.shape[0]
+    if x.shape[1:] != (arch.input_rows, arch.input_cols):
+        raise StructuralError(
+            f"map shape {x.shape[1:]} does not match architecture "
+            f"({arch.input_rows}, {arch.input_cols})"
+        )
+    h, w = arch.pool1_shape
+    sb, sr, sc = x.strides
+    patches = as_strided(x, (4, 4, b, h, w), (sr, sc, sb, 2 * sr, 2 * sc),
+                         writeable=False)
+    return np.ascontiguousarray(patches, dtype=np.float64).reshape(16, -1)
 
-    col1 = _im2col_single(x)                       # (9, B*h1*w1)
-    a1 = col1.T @ params["conv1_w"].reshape(f1, 9).T
-    a1 += params["conv1_b"]
-    a1 = a1.reshape(bsz, h1, w1, f1)
-    np.maximum(a1, 0.0, out=a1)
-    p1 = _pool_forward(a1)
 
-    col2 = _im2col_multi(p1)                       # (B*h2*w2, 9*f1)
-    k2 = _kernel_matrix(params["conv2_w"])
-    a2 = col2 @ k2.T
-    a2 += params["conv2_b"]
-    a2 = a2.reshape(bsz, h2, w2, f2)
-    np.maximum(a2, 0.0, out=a2)
-    p2 = _pool_forward(a2)
+def _conv1_kernel(params) -> np.ndarray:
+    """conv1 weights as a (4*f1, 16) matrix over _conv1_inputs' rows.
 
-    flat = p2.reshape(bsz, -1)
+    Row block k = 2*pi + pj is the 3x3 kernel placed at offset (pi, pj) of
+    the 4x4 patch, i.e. conv1 at position k of every pooling window.
+    """
+    w = params["conv1_w"][:, 0]
+    k = np.zeros((2, 2, w.shape[0], 4, 4))
+    for pi in (0, 1):
+        for pj in (0, 1):
+            k[pi, pj, :, pi:pi + 3, pj:pj + 3] = w
+    return k.reshape(-1, 16)
+
+
+def _conv1(params, inputs: np.ndarray) -> np.ndarray:
+    """conv1 pre-activations at the four window positions: (4, f1, B*h*w)."""
+    a = (_conv1_kernel(params) @ inputs).reshape(4, -1, inputs.shape[1])
+    a += params["conv1_b"][:, None]
+    return a
+
+
+def _conv2_taps(params, arch: CnnArchitecture):
+    """conv2's nine (flat shift, (f2, f1) kernel slice) pairs on p1's grid."""
+    w = arch.pool1_shape[1]
+    k = np.ascontiguousarray(params["conv2_w"].transpose(2, 3, 0, 1))
+    return [(di * w + dj, k[di, dj]) for di in range(3) for dj in range(3)]
+
+
+def _conv2(params, arch: CnnArchitecture, p1: np.ndarray) -> np.ndarray:
+    """conv2 pre-activations on the whole pooled grid: (f2, B, h, w).
+
+    Tap s adds column r + s of ``K_s @ p1`` to column r. Columns inside the
+    valid (h-2, w-2) corner of each map read only that map; the others hold
+    sums across map and row edges and are never pooled. The shifted adds run
+    on the flattened arrays, where they are one contiguous pass each.
+    """
+    taps = _conv2_taps(params, arch)
+    out = taps[0][1] @ p1
+    tmp = np.empty_like(out)
+    flat_out, flat_tmp = out.reshape(-1), tmp.reshape(-1)
+    for s, k in taps[1:]:
+        np.matmul(k, p1, out=tmp)
+        flat_out[:-s] += flat_tmp[s:]
+    out += params["conv2_b"][:, None]
+    return out.reshape(out.shape[0], -1, *arch.pool1_shape)
+
+
+def _windows(a: np.ndarray, pooled_shape: tuple[int, int]) -> list[np.ndarray]:
+    """The four positions of the 2x2 pooling windows of a (C, B, H, W) grid."""
+    h, w = pooled_shape
+    return [a[:, :, pi:2 * h:2, pj:2 * w:2] for pi in (0, 1) for pj in (0, 1)]
+
+
+def _pool_relu(views) -> np.ndarray:
+    """ReLU of the window maxima (max and ReLU commute)."""
+    a, b, c, d = views
+    pooled = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return np.maximum(pooled, 0.0, out=pooled)
+
+
+def _pool_relu_argmax(views):
+    """ReLU'd window maxima and the int8 position of each window's first
+    maximum in row-major order, where the backward pass routes gradients."""
+    a, b, c, d = views
+    right = b > a                     # a later position wins only if greater
+    lower_right = d > c
+    top = np.maximum(a, b)
+    bottom = np.maximum(c, d)
+    lower = bottom > top
+    pooled = np.maximum(top, bottom, out=top)
+    np.maximum(pooled, 0.0, out=pooled)
+    right ^= (right ^ lower_right) & lower
+    arg = lower.view(np.int8) << 1
+    arg |= right.view(np.int8)
+    return pooled, arg
+
+
+def _unpool(g: np.ndarray, arg: np.ndarray, views) -> None:
+    """Write each window's gradient to its recorded position in ``views``."""
+    for k, v in enumerate(views):
+        np.multiply(g, arg == k, out=v)
+
+
+def _flatten(p2: np.ndarray) -> np.ndarray:
+    """(f2, B, h, w) -> the (B, h*w*f2) channels-last input of fc1."""
+    return p2.transpose(1, 2, 3, 0).reshape(p2.shape[1], -1)
+
+
+def _dense_forward(params, flat: np.ndarray):
+    """fc1, fc2 and the output layer; returns (a3, a4, log_probs)."""
     a3 = flat @ params["fc1_w"] + params["fc1_b"]
     np.maximum(a3, 0.0, out=a3)
     a4 = a3 @ params["fc2_w"] + params["fc2_b"]
     np.maximum(a4, 0.0, out=a4)
     logits = a4 @ params["out_w"] + params["out_b"]
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_norm
-    probs = np.exp(log_probs)
-    cache = dict(col1=col1, a1=a1, p1=p1, col2=col2, k2=k2, a2=a2, p2=p2,
-                 flat=flat, a3=a3, a4=a4, log_probs=log_probs, probs=probs)
-    return probs, cache
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return a3, a4, log_probs
 
 
-def _backward_batch(params, arch: CnnArchitecture, cache, y_idx: np.ndarray):
-    """Exact gradients of the mean cross-entropy w.r.t. every parameter."""
-    probs = cache["probs"]
-    bsz = probs.shape[0]
-    f1, f2 = params["conv1_w"].shape[0], params["conv2_w"].shape[0]
-    h2p, w2p = arch.pool1_shape
-    dlogits = probs.copy()
-    dlogits[np.arange(bsz), y_idx] -= 1.0
-    dlogits /= bsz
+def _chunks(n: int) -> list[slice]:
+    return [slice(s, s + CHUNK_MAPS) for s in range(0, n, CHUNK_MAPS)]
 
-    grads: dict[str, np.ndarray] = {}
-    grads["out_w"] = cache["a4"].T @ dlogits
+
+def _forward_probs(params, arch: CnnArchitecture, x: np.ndarray) -> np.ndarray:
+    """Class probabilities for a (B, rows, cols) batch; keeps no cache."""
+    flat = np.empty((x.shape[0], arch.flat_size))
+    for c in _chunks(x.shape[0]):
+        p1 = _pool_relu(_conv1(params, _conv1_inputs(x[c], arch)))
+        p2 = _pool_relu(_windows(_conv2(params, arch, p1), arch.pool2_shape))
+        flat[c] = _flatten(p2)
+    return np.exp(_dense_forward(params, flat)[2])
+
+
+def _conv_forward(params, arch: CnnArchitecture, x: np.ndarray) -> dict:
+    """Training forward pass of the conv layers on a (B, rows, cols) chunk.
+
+    Keeps only pooled-resolution arrays: p1 (f1, B*h*w), p2 (f2, B, h, w)
+    and the window positions of both pools.
+    """
+    p1, arg1 = _pool_relu_argmax(_conv1(params, _conv1_inputs(x, arch)))
+    p2, arg2 = _pool_relu_argmax(
+        _windows(_conv2(params, arch, p1), arch.pool2_shape))
+    return dict(p1=p1, arg1=arg1, p2=p2, arg2=arg2)
+
+
+def _conv_backward(params, arch: CnnArchitecture, x: np.ndarray, cache,
+                   dflat: np.ndarray, grads: dict) -> None:
+    """Add a chunk's conv-layer gradients into ``grads``, given d loss/d flat."""
+    p1, p2 = cache["p1"], cache["p2"]
+    f1, f2 = p1.shape[0], p2.shape[0]
+    dp2 = np.empty_like(p2)
+    np.multiply(dflat.reshape(*p2.shape[1:], f2).transpose(3, 0, 1, 2),
+                p2 > 0.0, out=dp2)
+    grads["conv2_b"] += dp2.reshape(f2, -1).sum(axis=1)
+    n = p1.shape[1]
+    da2 = np.zeros((f2, n))
+    _unpool(dp2, cache["arg2"],
+            _windows(da2.reshape(f2, -1, *arch.pool1_shape), arch.pool2_shape))
+
+    # da2 is zero outside the valid corner, so the columns that the
+    # flattened shifted adds carry across rows add exact zeros
+    dp1 = np.zeros_like(p1)
+    tmp = np.empty_like(p1)
+    flat_dp1, flat_tmp = dp1.reshape(-1), tmp.reshape(-1)
+    dk2 = np.empty((3, 3, f2, f1))
+    for (s, k), dk in zip(_conv2_taps(params, arch), dk2.reshape(9, f2, f1)):
+        np.matmul(da2[:, :n - s], p1[:, s:].T, out=dk)
+        np.matmul(k.T, da2, out=tmp)
+        flat_dp1[s:] += flat_tmp[:flat_tmp.size - s]
+    grads["conv2_w"] += dk2.transpose(2, 3, 0, 1)
+
+    dp1 *= p1 > 0.0
+    grads["conv1_b"] += dp1.sum(axis=1)
+    da1 = np.empty((4, f1, n))
+    _unpool(dp1, cache["arg1"], da1)
+    dk1 = (da1.reshape(4 * f1, n) @ _conv1_inputs(x, arch).T).reshape(2, 2, f1, 4, 4)
+    dw1 = grads["conv1_w"][:, 0]
+    for pi in (0, 1):
+        for pj in (0, 1):
+            dw1 += dk1[pi, pj, :, pi:pi + 3, pj:pj + 3]
+
+
+def _dense_backward(params, flat, a3, a4, dlogits, grads: dict) -> np.ndarray:
+    """Dense-layer gradients into ``grads``; returns d loss/d flat."""
+    grads["out_w"] = a4.T @ dlogits
     grads["out_b"] = dlogits.sum(axis=0)
     da4 = dlogits @ params["out_w"].T
-    da4 *= cache["a4"] > 0.0
-    grads["fc2_w"] = cache["a3"].T @ da4
+    da4 *= a4 > 0.0
+    grads["fc2_w"] = a3.T @ da4
     grads["fc2_b"] = da4.sum(axis=0)
     da3 = da4 @ params["fc2_w"].T
-    da3 *= cache["a3"] > 0.0
-    grads["fc1_w"] = cache["flat"].T @ da3
+    da3 *= a3 > 0.0
+    grads["fc1_w"] = flat.T @ da3
     grads["fc1_b"] = da3.sum(axis=0)
-    dflat = da3 @ params["fc1_w"].T
-
-    dp2 = dflat.reshape(cache["p2"].shape)
-    da2 = _pool_backward(cache["a2"], cache["p2"], dp2)
-    da2 *= cache["a2"] > 0.0
-    dy2 = da2.reshape(-1, f2)                       # (B*h2*w2, f2)
-    grads["conv2_w"] = _kernel_unmatrix(dy2.T @ cache["col2"],
-                                        params["conv2_w"].shape)
-    grads["conv2_b"] = dy2.sum(axis=0)
-    # input gradient of conv2 as nine shifted rank-f2 updates
-    h2, w2 = arch.conv2_shape
-    k2_blocks = cache["k2"].reshape(f2, 9, f1)
-    dp1 = np.zeros((bsz, h2p, w2p, f1))
-    for di in range(3):
-        for dj in range(3):
-            contrib = dy2 @ k2_blocks[:, di * 3 + dj, :]
-            dp1[:, di:di + h2, dj:dj + w2, :] += contrib.reshape(bsz, h2, w2, f1)
-
-    da1 = _pool_backward(cache["a1"], cache["p1"], dp1)
-    da1 *= cache["a1"] > 0.0
-    dy1 = da1.reshape(-1, f1)                       # (B*h1*w1, f1)
-    grads["conv1_w"] = (dy1.T @ cache["col1"].T).reshape(f1, 1, 3, 3)
-    grads["conv1_b"] = dy1.sum(axis=0)
-    return grads
+    return da3 @ params["fc1_w"].T
 
 
 def batch_loss_and_gradients(params, arch: CnnArchitecture,
                              x: np.ndarray, y_idx: np.ndarray):
-    """Mean cross-entropy and its gradients for a (B, rows, cols) batch."""
-    probs, cache = _forward_batch(params, arch, x)
-    loss = float(-cache["log_probs"][np.arange(x.shape[0]), y_idx].mean())
-    return loss, _backward_batch(params, arch, cache, y_idx)
+    """Mean cross-entropy and its gradients for a (B, rows, cols) batch.
+
+    The conv layers run forward and backward in chunks of ``CHUNK_MAPS``
+    maps, keeping only pooled-resolution arrays between the passes; the
+    dense layers run on the whole batch. Chunk gradients are summed in chunk
+    order, so a batch always gives the same bits.
+    """
+    bsz = x.shape[0]
+    chunks = _chunks(bsz)
+    caches = [_conv_forward(params, arch, x[c]) for c in chunks]
+    flat = np.empty((bsz, arch.flat_size))
+    for c, cache in zip(chunks, caches):
+        flat[c] = _flatten(cache["p2"])
+    a3, a4, log_probs = _dense_forward(params, flat)
+    rows = np.arange(bsz)
+    loss = float(-log_probs[rows, y_idx].mean())
+
+    dlogits = np.exp(log_probs)
+    dlogits[rows, y_idx] -= 1.0
+    dlogits /= bsz
+    grads: dict[str, np.ndarray] = {}
+    dflat = _dense_backward(params, flat, a3, a4, dlogits, grads)
+    for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b"):
+        grads[name] = np.zeros(params[name].shape)
+    for c, cache in zip(chunks, caches):
+        _conv_backward(params, arch, x[c], cache, dflat[c], grads)
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +450,20 @@ def _map_data(m) -> np.ndarray:
 
 def forward(model: CnnModel, normalized_map) -> np.ndarray:
     """Class probabilities (sum to 1) for one already-normalized map."""
-    data = _map_data(normalized_map)
-    arch = model.architecture
-    if data.shape != (arch.input_rows, arch.input_cols):
-        raise StructuralError(
-            f"map shape {data.shape} does not match architecture "
-            f"({arch.input_rows}, {arch.input_cols})"
-        )
-    probs, _ = _forward_batch(model.params, arch, data[None, :, :])
-    return probs[0]
+    return forward_batch(model, _map_data(normalized_map)[None])[0]
+
+
+def forward_batch(model: CnnModel, normalized_maps: np.ndarray) -> np.ndarray:
+    """(B, classes) probabilities for a (B, rows, cols) stack of normalized
+    maps; row i equals ``forward`` of map i up to rounding.
+
+    Raises:
+        StructuralError: If the maps' shape does not match the architecture.
+    """
+    data = np.asarray(normalized_maps, dtype=np.float64)
+    if data.ndim != 3:
+        raise StructuralError(f"expected a (B, rows, cols) stack, got shape {data.shape}")
+    return _forward_probs(model.params, model.architecture, data)
 
 
 def loss_and_gradients(model: CnnModel, batch: list[TrainingExample]):
@@ -386,10 +486,10 @@ def loss_and_gradients(model: CnnModel, batch: list[TrainingExample]):
     return batch_loss_and_gradients(model.params, model.architecture, x, y_idx)
 
 
-def _canonical_order(x: np.ndarray, y_idx: np.ndarray) -> np.ndarray:
+def _canonical_order(maps: list[np.ndarray], y_idx: np.ndarray) -> np.ndarray:
     """Content-derived ordering so training ignores dataset order."""
-    digests = [hashlib.sha256(x[i].tobytes()).digest() for i in range(x.shape[0])]
-    return np.array(sorted(range(x.shape[0]),
+    digests = [hashlib.sha256(np.ascontiguousarray(m)).digest() for m in maps]
+    return np.array(sorted(range(len(maps)),
                            key=lambda i: (int(y_idx[i]), digests[i])))
 
 
@@ -402,7 +502,8 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
     The dataset is first put into a content-derived canonical order, so any
     permutation of the same examples trains the identical model for a given
     seed. Weight init and epoch shuffles come from dedicated child streams of
-    the master seed.
+    the master seed. Each mini-batch is gathered from the examples' own
+    arrays; the dataset is never copied as a whole.
 
     Args:
         dataset: Normalized examples covering every configured gesture.
@@ -412,8 +513,8 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
         log_epoch: Optional callback ``(epoch, mean_loss)`` per epoch.
 
     Raises:
-        TrainingError: On an empty dataset or a configured gesture with no
-            examples.
+        TrainingError: On an empty dataset, maps of differing shapes or a
+            configured gesture with no examples.
     """
     if not dataset:
         raise TrainingError("training dataset is empty")
@@ -428,30 +529,35 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
     if missing:
         raise TrainingError(f"no training examples for gestures: {missing}")
 
-    sample = _map_data(dataset[0].map)
+    maps = [_map_data(ex.map) for ex in dataset]
+    shape = maps[0].shape
+    odd = next((i for i, m in enumerate(maps) if m.shape != shape), None)
+    if odd is not None:
+        raise TrainingError(
+            f"example {odd} has map shape {maps[odd].shape}, expected {shape}")
     arch = CnnArchitecture(
-        input_rows=sample.shape[0],
-        input_cols=sample.shape[1],
+        input_rows=shape[0],
+        input_cols=shape[1],
         conv1_filters=config.conv1_filters,
         conv2_filters=config.conv2_filters,
         num_classes=len(labels),
     )
-    x = np.stack([_map_data(ex.map) for ex in dataset])
-    order = _canonical_order(x, y_idx)
-    x, y_idx = x[order], y_idx[order]
+    order = _canonical_order(maps, y_idx)
 
     params = initial_params(arch, derive_rng(config.seed, "init"))
     shuffle_rng = derive_rng(config.seed, "shuffle")
-    n = x.shape[0]
+    n = len(maps)
     final_loss = float("nan")
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            loss, grads = batch_loss_and_gradients(params, arch, x[idx], y_idx[idx])
+            idx = order[perm[start:start + config.batch_size]]
+            x = np.stack([maps[i] for i in idx])
+            loss, grads = batch_loss_and_gradients(params, arch, x, y_idx[idx])
             for name in PARAM_ORDER:
-                params[name] -= config.learning_rate * grads[name]
+                grads[name] *= config.learning_rate
+                params[name] -= grads[name]
             total += loss * idx.size
         final_loss = total / n
         if log_epoch is not None:

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+
+_INT_FIELDS = ("channels", "map_width", "map_stride", "refractory",
+               "extraction_width", "conv1_filters", "conv2_filters",
+               "batch_size", "epochs", "seed")
+_REAL_FIELDS = ("sample_rate", "envelope_cutoff_hz", "threshold_multiplier",
+                "learning_rate")
 
 DEFAULT_GESTURES: tuple[str, ...] = (
     "middle-flexion",
@@ -68,6 +75,7 @@ class SessionConfig:
     suppress_alternate_onsets: bool = True
 
     def __post_init__(self):
+        self._check_types()
         self.gestures = tuple(self.gestures)
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
@@ -106,6 +114,27 @@ class SessionConfig:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+
+    def _check_types(self) -> None:
+        # bool is an int subclass, and a str is a sequence of labels; both
+        # would otherwise pass the range checks below
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.suppress_alternate_onsets, bool):
+            raise ConfigError("suppress_alternate_onsets must be true or false, "
+                              f"got {self.suppress_alternate_onsets!r}")
+        if not isinstance(self.gestures, (list, tuple)) or not all(
+                isinstance(g, str) and g for g in self.gestures):
+            raise ConfigError("gestures must be a list of non-empty strings, "
+                              f"got {self.gestures!r}")
 
     @property
     def num_classes(self) -> int:

@@ -75,8 +75,8 @@ def read_recording(path: str | Path, sample_rate: float,
 
     Raises:
         RecordingParseError: On a malformed header or row, a column-count
-            mismatch, or non-consecutive sample indices; the error names the
-            offending line.
+            mismatch, non-consecutive sample indices or a NaN or infinite
+            value; the error names the offending line.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -109,6 +109,12 @@ def read_recording(path: str | Path, sample_rate: float,
             raise RecordingParseError(
                 f"sample index {t} does not follow {prev_t}", line=i)
         prev_t = t
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise RecordingParseError(
+            f"ch{col} is {rows[row, col]}, expected a finite value",
+            line=int(row) + 2)
     annotations = []
     side = annotations_path(path)
     if side.exists():

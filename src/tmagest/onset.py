@@ -136,8 +136,9 @@ def calibrate_threshold(segments: list[tuple[str, np.ndarray]],
     the per-gesture spreads.
 
     Raises:
-        CalibrationError: On empty input, a segment with fewer than 2 points,
-            or (when ``expected_gestures`` is given) a gesture with no data.
+        CalibrationError: On empty input, a segment with fewer than 2 points
+            or a NaN or infinite value, or (when ``expected_gestures`` is
+            given) a gesture with no data.
     """
     if not segments:
         raise CalibrationError("no calibration segments supplied")
@@ -148,6 +149,10 @@ def calibrate_threshold(segments: list[tuple[str, np.ndarray]],
             raise CalibrationError(
                 f"gesture '{gesture}': series has {series.size} points, need >= 2"
             )
+        if not np.isfinite(series).all():
+            raise CalibrationError(
+                f"gesture '{gesture}': series value "
+                f"{int(np.argmin(np.isfinite(series)))} is not finite")
         pools.setdefault(gesture, []).append(series)
     if expected_gestures is not None:
         missing = [g for g in expected_gestures if g not in pools]

@@ -199,3 +199,12 @@ class TestBench:
                  for line in out.splitlines() if line.startswith("quiet p")}
         assert set(quiet) == {"p50", "p95"}
         assert 0 < quiet["p50"] <= quiet["p95"]
+        rows = [line.split() for line in out.splitlines()
+                if line.startswith(("sgd batch ", "forward B="))]
+        assert [row[:2] for row in rows] == [
+            ["sgd", "batch"], ["forward", "B=1"], ["forward", "B=256"]]
+        sgd, single, batched = rows
+        assert sgd[2] == "16" and float(sgd[3]) > 0
+        assert sgd[4:] == ["ms", "fwd+bwd"]
+        for row in (single, batched):
+            assert float(row[2]) > 0 and row[3] == "us/map"

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from tmagest.cnn import (
+    CHUNK_MAPS,
     CnnArchitecture,
     CnnModel,
     TrainingExample,
+    _conv_forward,
+    _pool_relu_argmax,
+    _unpool,
+    _windows,
     batch_loss_and_gradients,
     derive_rng,
     forward,
+    forward_batch,
     initial_params,
     loss_and_gradients,
     predict,
@@ -23,6 +29,10 @@ from tmagest.tma import NormalizationBounds, TmaMap
 TINY = CnnArchitecture(input_rows=10, input_cols=12, conv1_filters=2,
                        conv2_filters=3, num_classes=3, fc1_units=7,
                        fc2_units=5)
+# conv extents 11x15 and 3x5: every pooling drops a last row and column
+ODD = CnnArchitecture(input_rows=13, input_cols=17, conv1_filters=2,
+                      conv2_filters=3, num_classes=3, fc1_units=7,
+                      fc2_units=5)
 
 
 def tiny_model(params=None, bounds=True, labels=("a", "b", "c")):
@@ -88,18 +98,26 @@ class TestForward:
                                    atol=1e-12)
 
     def test_conv_translation(self, rng):
-        # shifting the input right by one column shifts the first conv
-        # activation map by one column in the shared interior
+        # shifting the input right by two columns shifts the pooled first
+        # conv layer by one column in the shared interior
         params = initial_params(TINY, rng)
         x = np.zeros((10, 12))
         x[:, 2:9] = rng.random((10, 7))
         x_shift = np.zeros((10, 12))
-        x_shift[:, 1:] = x[:, :-1]
-        from tmagest.cnn import _forward_batch
-        _, c1 = _forward_batch(params, TINY, x[None])
-        _, c2 = _forward_batch(params, TINY, x_shift[None])
-        a, b = c1["a1"][0], c2["a1"][0]
-        np.testing.assert_allclose(b[:, 1:, :], a[:, :-1, :], atol=1e-12)
+        x_shift[:, 2:] = x[:, :-2]
+        h, w = TINY.pool1_shape
+        a = _conv_forward(params, TINY, x[None])["p1"].reshape(-1, h, w)
+        b = _conv_forward(params, TINY, x_shift[None])["p1"].reshape(-1, h, w)
+        np.testing.assert_allclose(b[:, :, 1:], a[:, :, :-1], atol=1e-12)
+
+    @pytest.mark.parametrize("arch", [TINY, ODD], ids=["even", "odd"])
+    def test_single_map_equals_batch_row(self, rng, arch):
+        model = CnnModel(architecture=arch, params=initial_params(arch, rng))
+        maps = rng.random((2 * CHUNK_MAPS + 1, arch.input_rows, arch.input_cols))
+        batch = forward_batch(model, maps)
+        for i, m in enumerate(maps):
+            np.testing.assert_allclose(forward(model, m), batch[i], rtol=0,
+                                       atol=1e-12)
 
 
 class TestLoss:
@@ -132,6 +150,46 @@ class TestLoss:
             loss_and_gradients(tiny_model(), [])
 
 
+def assert_gradients_match_central_differences(params, arch, x, y):
+    _, grads = batch_loss_and_gradients(params, arch, x, y)
+    eps = 1e-6
+    for name, p in params.items():
+        it = np.nditer(p, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            orig = p[idx]
+            p[idx] = orig + eps
+            lp, _ = batch_loss_and_gradients(params, arch, x, y)
+            p[idx] = orig - eps
+            lm, _ = batch_loss_and_gradients(params, arch, x, y)
+            p[idx] = orig
+            num = (lp - lm) / (2 * eps)
+            ana = grads[name][idx]
+            denom = max(abs(num), abs(ana), 1e-8)
+            assert abs(num - ana) / denom < 1e-5, (name, idx)
+            it.iternext()
+
+
+def mask_chain_pool_backward(a, g):
+    """Reference pool backward on ReLU'd (C, B, H, W) activations: a chain of
+    four masks routes each window's gradient to its first maximum in
+    row-major order, then the ReLU mask applies."""
+    c, b, ho, wo = g.shape
+    pooled = np.maximum(
+        np.maximum(a[:, :, 0:2 * ho:2, 0:2 * wo:2], a[:, :, 0:2 * ho:2, 1:2 * wo:2]),
+        np.maximum(a[:, :, 1:2 * ho:2, 0:2 * wo:2], a[:, :, 1:2 * ho:2, 1:2 * wo:2]))
+    blocks = a[:, :, :ho * 2, :wo * 2].reshape(c, b, ho, 2, wo, 2)
+    hit = blocks == pooled[:, :, :, None, :, None]
+    hit[:, :, :, 0, :, 1] &= ~hit[:, :, :, 0, :, 0]
+    taken = hit[:, :, :, 0, :, 0] | hit[:, :, :, 0, :, 1]
+    hit[:, :, :, 1, :, 0] &= ~taken
+    hit[:, :, :, 1, :, 1] &= ~(taken | hit[:, :, :, 1, :, 0])
+    da = np.zeros_like(a)
+    da[:, :, :ho * 2, :wo * 2] = (hit * g[:, :, :, None, :, None]).reshape(
+        c, b, ho * 2, wo * 2)
+    return da * (a > 0.0)
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_analytic_matches_central_differences(self, seed):
@@ -139,23 +197,28 @@ class TestGradients:
         params = initial_params(TINY, rng)
         x = rng.random((3, 10, 12))
         y = rng.integers(0, 3, 3)
-        _, grads = batch_loss_and_gradients(params, TINY, x, y)
-        eps = 1e-6
-        for name, p in params.items():
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + eps
-                lp, _ = batch_loss_and_gradients(params, TINY, x, y)
-                p[idx] = orig - eps
-                lm, _ = batch_loss_and_gradients(params, TINY, x, y)
-                p[idx] = orig
-                num = (lp - lm) / (2 * eps)
-                ana = grads[name][idx]
-                denom = max(abs(num), abs(ana), 1e-8)
-                assert abs(num - ana) / denom < 1e-5, (name, idx)
-                it.iternext()
+        assert_gradients_match_central_differences(params, TINY, x, y)
+
+    @pytest.mark.parametrize("batch", [1, CHUNK_MAPS + 1])
+    def test_chunk_boundaries_with_odd_extents(self, batch):
+        rng = np.random.default_rng(batch)
+        params = initial_params(ODD, rng)
+        x = rng.random((batch, ODD.input_rows, ODD.input_cols))
+        y = rng.integers(0, 3, batch)
+        assert_gradients_match_central_differences(params, ODD, x, y)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (5, 7)])
+    def test_pool_ties_route_to_first_maximum(self, rng, shape):
+        # few distinct values: most windows tie, some only at or below zero
+        pre = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(3, 2, *shape))
+        pooled_shape = (shape[0] // 2, shape[1] // 2)
+        pooled, arg = _pool_relu_argmax(_windows(pre, pooled_shape))
+        relu = np.maximum(pre, 0.0)
+        g = rng.normal(size=pooled.shape)
+        da = np.zeros_like(pre)
+        _unpool(g * (pooled > 0.0), arg, _windows(da, pooled_shape))
+        np.testing.assert_array_equal(da, mask_chain_pool_backward(relu, g))
+        assert (arg > 0).any()
 
 
 class TestTrain:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tmagest.cnn import CnnArchitecture
@@ -61,10 +62,32 @@ class TestValidation:
         dict(learning_rate=0.0),
         dict(epochs=-1),
         dict(batch_size=0),
+        dict(map_width=80.0),
+        dict(batch_size=32.5),
+        dict(epochs=True),
+        dict(seed=None),
+        dict(channels="8"),
+        dict(gestures="abcde"),
+        dict(gestures=("a", "")),
+        dict(gestures=("a", 3)),
+        dict(sample_rate="200"),
+        dict(learning_rate=float("nan")),
+        dict(threshold_multiplier=True),
+        dict(suppress_alternate_onsets="no"),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             SessionConfig(**kwargs)
+
+    def test_json_types_checked(self):
+        with pytest.raises(ConfigError, match="channels"):
+            SessionConfig.from_dict({"channels": "8"})
+
+    def test_accepts_numpy_integers_and_integral_reals(self):
+        config = SessionConfig(channels=np.int64(4), sample_rate=250,
+                               gestures=["a", "b"])
+        assert type(config.channels) is int and config.channels == 4
+        assert config.gestures == ("a", "b")
 
 
 class TestSerialization:

@@ -92,6 +92,14 @@ class TestRecordingCsv:
             read_recording(path, sample_rate=200.0)
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "poisoned.csv"
+        path.write_text(f"t,ch0,ch1\n0,1.0,2.0\n1,3.0,{value}\n2,{value},4.0\n")
+        with pytest.raises(RecordingParseError) as err:
+            read_recording(path, sample_rate=200.0)
+        assert "line 3" in str(err.value) and "ch1" in str(err.value)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "void.csv"
         path.write_text("")

@@ -150,6 +150,12 @@ class TestCalibrate:
         with pytest.raises(CalibrationError):
             calibrate_threshold([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(CalibrationError, match="value 2 is not finite"):
+            calibrate_threshold([("a", np.array([1.0, 2.0])),
+                                 ("b", np.array([1.0, 2.0, bad, 3.0]))])
+
 
 def feed(detector, values, start=0, spacing=20):
     events = []
