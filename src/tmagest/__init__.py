@@ -4,11 +4,8 @@ from .config import SessionConfig
 from .dsp import (
     BiquadCoefficients,
     EnvelopeFilter,
-    EnvelopeFrame,
-    RawSample,
     design_butterworth_lowpass,
     envelope_stream,
-    rectify,
 )
 from .engine import Engine, Prediction, SuppressedOnset, run_replay
 from .errors import TmagestError
@@ -37,10 +34,7 @@ from .tma import (
     FrameRing,
     NormalizationBounds,
     TmaMap,
-    assemble_map,
-    build_feature_vector,
     fit_normalization,
-    normalize,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +47,6 @@ __all__ = [
     "DifferencePoint",
     "Engine",
     "EnvelopeFilter",
-    "EnvelopeFrame",
     "EvaluationReport",
     "FrameRing",
     "GestureTemplate",
@@ -61,7 +54,6 @@ __all__ = [
     "OnsetDetector",
     "OnsetEvent",
     "Prediction",
-    "RawSample",
     "Recording",
     "SessionConfig",
     "SessionScript",
@@ -70,8 +62,6 @@ __all__ = [
     "TmaMap",
     "TmagestError",
     "TrainingExample",
-    "assemble_map",
-    "build_feature_vector",
     "calibrate_threshold",
     "default_template_set",
     "design_butterworth_lowpass",
@@ -84,9 +74,7 @@ __all__ = [
     "forward",
     "generate",
     "loss_and_gradients",
-    "normalize",
     "predict",
-    "rectify",
     "run_replay",
     "train",
 ]

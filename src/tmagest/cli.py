@@ -27,7 +27,7 @@ import numpy as np
 from . import cnn, io, pipeline, synth
 from .config import SessionConfig
 from .engine import Engine, event_to_dict, iter_batches, run_replay
-from .errors import RecordingParseError, TmagestError
+from .errors import TmagestError
 from .onset import ThresholdCalibration, calibrate_threshold
 from .recording import Recording
 from .tma import fit_normalization, normalize_array
@@ -140,27 +140,16 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     cal = _calibration_from_recordings(recordings, config)
     _print_calibration(cal)
     if args.out:
-        io_dict = {"per_gesture_sigma": cal.per_gesture_sigma,
-                   "threshold": cal.threshold, "multiplier": cal.multiplier,
-                   "degenerate": cal.degenerate}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(io_dict, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        io.write_calibration(cal, args.out)
         print(f"wrote calibration -> {args.out}")
     return 0
-
-
-def _load_calibration(path) -> ThresholdCalibration:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return ThresholdCalibration(**data)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
     recordings = _read_recordings(args.recordings, config)
     if args.calibration:
-        calibration = _load_calibration(args.calibration)
+        calibration = io.read_calibration(args.calibration)
     else:
         calibration = _calibration_from_recordings(recordings, config)
 
@@ -186,29 +175,26 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _stdin_events(model, config: SessionConfig, suppress):
-    """Incremental engine over stdin rows: one stride in, events out."""
+    """Incremental engine over stdin rows: one stride in, events out.
+
+    Rows obey the checks of a recording file; blank and header lines are
+    skipped, and a partial last stride is checked, then dropped."""
     engine = Engine(model, config, suppress_alternate=suppress)
     batch = np.empty((config.map_stride, config.channels))
-    filled = 0
+    lines, numbers, prev_t = [], [], None
     for i, line in enumerate(sys.stdin, start=1):
         line = line.strip()
         if not line or line.startswith("t,"):
             continue
-        parts = line.split(",")
-        if len(parts) != config.channels + 1:
-            raise RecordingParseError(
-                f"row has {len(parts)} columns, expected "
-                f"{config.channels + 1}", line=i)
-        try:
-            batch[filled] = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise RecordingParseError(str(exc), line=i) from exc
-        filled += 1
-        if filled == config.map_stride:
-            filled = 0
+        lines.append(line)
+        numbers.append(i)
+        if len(lines) == config.map_stride:
+            prev_t = io.parse_rows(lines, numbers, batch, prev_t)
+            lines, numbers = [], []
             event = engine.step(batch)
             if event is not None:
                 yield event
+    io.parse_rows(lines, numbers, batch, prev_t)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

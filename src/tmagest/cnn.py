@@ -181,10 +181,6 @@ def initial_params(arch: CnnArchitecture, rng: np.random.Generator) -> dict[str,
     return params
 
 
-def zero_params(arch: CnnArchitecture) -> dict[str, np.ndarray]:
-    return {name: np.zeros(shape) for name, shape in arch.param_shapes().items()}
-
-
 # ---------------------------------------------------------------------------
 # layer primitives
 # ---------------------------------------------------------------------------

@@ -53,37 +53,6 @@ _SQRT2 = math.sqrt(2.0)
 DEFAULT_BLOCK_SIZE = 20
 
 
-@dataclass
-class RawSample:
-    """One multi-channel sample of the raw signal.
-
-    Attributes:
-        t: Sample index (consecutive integers at the sampling rate).
-        channels: Signed amplitudes, one per electrode.
-    """
-
-    t: int
-    channels: np.ndarray
-
-    def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.float64)
-        if self.channels.ndim != 1:
-            raise StructuralError("sample channels must be a 1-D vector")
-
-
-@dataclass
-class EnvelopeFrame:
-    """One time step of the envelope stream (same index as its raw sample).
-
-    Individual values may transiently undershoot zero: a causal IIR filter is
-    free to overshoot on steps. Only the steady-state response to non-negative
-    input is guaranteed non-negative.
-    """
-
-    t: int
-    values: np.ndarray
-
-
 @dataclass(frozen=True)
 class BiquadCoefficients:
     """Normalized (a0 = 1) coefficients of one second-order section.
@@ -150,11 +119,6 @@ def design_butterworth_lowpass(cutoff_hz: float, sample_rate: float) -> BiquadCo
     )
 
 
-def rectify(sample: RawSample) -> RawSample:
-    """Full-wave rectification: every channel replaced by its absolute value."""
-    return RawSample(t=sample.t, channels=np.abs(sample.channels))
-
-
 class EnvelopeFilter:
     """Per-channel streaming biquad bank in block state-space form.
 
@@ -215,19 +179,6 @@ class EnvelopeFilter:
         m[:2, 2:] = self._full[:2, 2 + S - r:]
         m[2:] = self._full[2:r + 2, :r + 2]
         return m
-
-    def reset(self) -> None:
-        """Return to zero state (as at construction)."""
-        self._work[:2] = 0.0
-
-    def filter_step(self, rectified: RawSample) -> EnvelopeFrame:
-        """One filter update on an already rectified sample.
-
-        Raises:
-            StructuralError: If the channel count does not match the state.
-        """
-        return EnvelopeFrame(t=rectified.t,
-                             values=self.process(rectified.channels[None, :])[0])
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter a (samples, channels) block in time order.

@@ -1,9 +1,10 @@
-"""File formats: recordings (CSV), models (binary container), exports.
+"""File formats: recordings (CSV), calibrations (JSON), models (binary container).
 
 Recordings are human-inspectable CSV with header ``t,ch0,...,ch{L-1}``; the
 channel values are rendered with shortest round-trip precision so write/read
 is value-exact. Annotations ride in a sidecar CSV (``n,gesture,phase``)
-derived from the recording path.
+derived from the recording path; rows piped on stdin obey the same checks.
+A calibration is a JSON object, which the model header embeds.
 
 Models use a small versioned binary container: magic bytes, version, a JSON
 header (architecture, normalization bounds, label table, calibration,
@@ -14,8 +15,12 @@ manifest order. Weights round-trip bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .cnn import (
 )
 from .config import SessionConfig
 from .errors import (
+    CalibrationError,
     ConfigError,
     ModelFormatError,
     ModelIOError,
@@ -35,7 +41,7 @@ from .errors import (
     RecordingParseError,
     StructuralError,
 )
-from .onset import DifferencePoint, ThresholdCalibration
+from .onset import ThresholdCalibration
 from .recording import PHASES, Annotation, Recording
 from .tma import NormalizationBounds
 
@@ -93,34 +99,49 @@ def read_recording(path: str | Path, sample_rate: float,
             f"file has {channels} channels, expected {expected_channels}",
             line=1)
     rows = np.empty((len(lines) - 1, channels))
-    prev_t = None
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != channels + 1:
-            raise RecordingParseError(
-                f"row has {len(parts)} columns, expected {channels + 1}",
-                line=i)
-        try:
-            t = int(parts[0])
-            rows[i - 2] = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise RecordingParseError(str(exc), line=i) from exc
-        if prev_t is not None and t != prev_t + 1:
-            raise RecordingParseError(
-                f"sample index {t} does not follow {prev_t}", line=i)
-        prev_t = t
-    finite = np.isfinite(rows)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise RecordingParseError(
-            f"ch{col} is {rows[row, col]}, expected a finite value",
-            line=int(row) + 2)
+    parse_rows(lines[1:], range(2, len(lines) + 1), rows)
     annotations = []
     side = annotations_path(path)
     if side.exists():
         annotations = read_annotations(side)
     return Recording(sample_rate=sample_rate, samples=rows,
                      annotations=annotations)
+
+
+def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
+               out: np.ndarray, prev_t: int | None = None) -> int | None:
+    """Parse ``t,ch0,...`` rows into ``out[:len(lines)]``; returns the last t.
+
+    Each row needs ``out.shape[1] + 1`` columns, an integer ``t`` one above
+    the previous row's (``prev_t`` carries it from an earlier block) and
+    finite values. A :class:`RecordingParseError` names the first bad row by
+    its entry in ``line_numbers``.
+    """
+    width = out.shape[1] + 1
+    for k, line in enumerate(lines):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise RecordingParseError(
+                f"row has {len(parts)} columns, expected {width}",
+                line=line_numbers[k])
+        try:
+            t = int(parts[0])
+            out[k] = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise RecordingParseError(str(exc), line=line_numbers[k]) from exc
+        if prev_t is not None and t != prev_t + 1:
+            raise RecordingParseError(
+                f"sample index {t} does not follow {prev_t}",
+                line=line_numbers[k])
+        prev_t = t
+    block = out[:len(lines)]
+    finite = np.isfinite(block)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise RecordingParseError(
+            f"ch{col} is {block[row, col]}, expected a finite value",
+            line=line_numbers[row])
+    return prev_t
 
 
 def read_annotations(path: str | Path) -> list[Annotation]:
@@ -144,12 +165,51 @@ def read_annotations(path: str | Path) -> list[Annotation]:
     return out
 
 
-def write_difference_csv(points: list[DifferencePoint], path: str | Path) -> None:
-    """Difference-signal trace as ``n,d`` rows, for plotting."""
+# ---------------------------------------------------------------------------
+# calibration
+# ---------------------------------------------------------------------------
+
+def _calibration_from_dict(data) -> ThresholdCalibration:
+    """Inverse of ``asdict``; raises ValueError naming the first bad field."""
+    if not isinstance(data, dict):
+        raise ValueError("calibration must be a JSON object")
+    names = [f.name for f in dataclass_fields(ThresholdCalibration)]
+    for name in [*names, *data]:
+        if (name in names) != (name in data):
+            raise ValueError(f"calibration field {name!r} is "
+                             + ("missing" if name in names else "unknown"))
+    sigmas = data["per_gesture_sigma"]
+    if not isinstance(sigmas, dict):
+        raise ValueError("calibration field 'per_gesture_sigma' is not an object")
+    for name, value in [("threshold", data["threshold"]),
+                        ("multiplier", data["multiplier"]),
+                        *((f"per_gesture_sigma.{g}", v) for g, v in sigmas.items())]:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"calibration field {name!r} is {value!r}, "
+                             "expected a finite number")
+    if not isinstance(data["degenerate"], bool):
+        raise ValueError("calibration field 'degenerate' is not true or false")
+    return ThresholdCalibration(**data)
+
+
+def write_calibration(cal: ThresholdCalibration, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,d\n")
-        for p in points:
-            fh.write(f"{p.n},{_fmt(p.value)}\n")
+        json.dump(asdict(cal), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_calibration(path: str | Path) -> ThresholdCalibration:
+    """Load a :func:`write_calibration` file; a :class:`CalibrationError`
+    names the file and, unless the text is not JSON, the bad field."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return _calibration_from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise CalibrationError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise CalibrationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -157,52 +217,18 @@ def write_difference_csv(points: list[DifferencePoint], path: str | Path) -> Non
 # ---------------------------------------------------------------------------
 
 def _header_dict(model: CnnModel) -> dict:
-    arch = model.architecture
-    header: dict = {
-        "architecture": {
-            "input_rows": arch.input_rows,
-            "input_cols": arch.input_cols,
-            "conv1_filters": arch.conv1_filters,
-            "conv2_filters": arch.conv2_filters,
-            "num_classes": arch.num_classes,
-            "kernel": arch.kernel,
-            "fc1_units": arch.fc1_units,
-            "fc2_units": arch.fc2_units,
-        },
-        "bounds": None,
+    def fields(obj):
+        return asdict(obj) if obj is not None else None
+    return {
+        "architecture": asdict(model.architecture),
+        "bounds": fields(model.bounds),
         "labels": list(model.labels) if model.labels is not None else None,
-        "calibration": None,
-        "metadata": None,
+        "calibration": fields(model.calibration),
+        "metadata": fields(model.metadata),
         "config": model.config.to_dict() if model.config is not None else None,
         "tensors": [{"name": name, "shape": list(model.params[name].shape)}
                     for name in PARAM_ORDER],
     }
-    if model.bounds is not None:
-        b = model.bounds
-        header["bounds"] = {
-            "first_order_min": b.first_order_min,
-            "first_order_max": b.first_order_max,
-            "second_order_min": b.second_order_min,
-            "second_order_max": b.second_order_max,
-        }
-    if model.calibration is not None:
-        c = model.calibration
-        header["calibration"] = {
-            "per_gesture_sigma": dict(sorted(c.per_gesture_sigma.items())),
-            "threshold": c.threshold,
-            "multiplier": c.multiplier,
-            "degenerate": c.degenerate,
-        }
-    if model.metadata is not None:
-        m = model.metadata
-        header["metadata"] = {
-            "seed": m.seed,
-            "epochs": m.epochs,
-            "learning_rate": m.learning_rate,
-            "batch_size": m.batch_size,
-            "final_loss": m.final_loss,
-        }
-    return header
 
 
 def write_model(model: CnnModel, path: str | Path) -> None:
@@ -265,28 +291,18 @@ def read_model(path: str | Path) -> CnnModel:
         ).astype(np.float64).reshape(shape)
         offset += nbytes
 
+    def load(key, make):
+        return make(header[key]) if header.get(key) is not None else None
     try:
-        bounds = None
-        if header.get("bounds") is not None:
-            bounds = NormalizationBounds(**header["bounds"])
-        calibration = None
-        if header.get("calibration") is not None:
-            calibration = ThresholdCalibration(**header["calibration"])
-        metadata = None
-        if header.get("metadata") is not None:
-            metadata = TrainingMetadata(**header["metadata"])
-        config = None
-        if header.get("config") is not None:
-            config = SessionConfig.from_dict(header["config"])
         labels = header.get("labels")
         return CnnModel(
             architecture=arch,
             params=params,
-            bounds=bounds,
+            bounds=load("bounds", lambda d: NormalizationBounds(**d)),
             labels=tuple(labels) if labels is not None else None,
-            calibration=calibration,
-            metadata=metadata,
-            config=config,
+            calibration=load("calibration", _calibration_from_dict),
+            metadata=load("metadata", lambda d: TrainingMetadata(**d)),
+            config=load("config", SessionConfig.from_dict),
         )
     except (StructuralError, ConfigError, TypeError, ValueError) as exc:
         raise ModelIOError(f"{path}: malformed header: {exc}") from exc

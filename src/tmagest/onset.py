@@ -74,44 +74,38 @@ def difference(current: TmaMap, previous: TmaMap,
 
 
 def difference_series(envelopes: np.ndarray, map_width: int, map_stride: int,
-                      stride: int | None = None,
-                      min_index: int = 0) -> list[DifferencePoint]:
+                      min_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Difference signal over a whole envelope recording, vectorized.
 
     Equivalent to assembling maps at every evaluated index and calling
     :func:`difference`, but computed via per-column squared distances and a
-    cumulative sum so calibration over long recordings stays cheap.
+    cumulative sum so calibration over long recordings stays cheap. Points
+    fall every ``map_stride`` samples, the real-time loop's cadence, from
+    ``map_width + map_stride - 1``, the first index with two full maps.
 
     Args:
         envelopes: (samples, channels) envelope block.
         map_width: Activation-map window length.
         map_stride: Gap between the two maps being compared.
-        stride: Evaluation cadence; defaults to ``map_stride`` to mirror the
-            real-time loop.
         min_index: Skip points with n below this (e.g. the filter warm-up).
+
+    Returns:
+        ``(ns, values)``: int map indices and the difference at each.
     """
-    if stride is None:
-        stride = map_stride
-    n_samples = envelopes.shape[0]
     first = map_width + map_stride - 1
-    if first >= n_samples:
-        return []
+    start = max(first, min_index)
+    # align to the evaluation cadence: n = first + m*map_stride
+    start = first + -(-(start - first) // map_stride) * map_stride
+    ns = np.arange(start, envelopes.shape[0], map_stride)
+    if ns.size == 0:
+        return ns, np.empty(0)
     feats = feature_matrix(envelopes)
     delta = feats[:, map_stride:] - feats[:, :-map_stride]
     col_sq = np.einsum("ij,ij->j", delta, delta)  # index i <-> sample i + stride
     csum = np.concatenate([[0.0], np.cumsum(col_sq)])
-    points = []
-    start = max(first, min_index)
-    # align to the evaluation cadence: n = first + m*stride
-    if start > first:
-        m = -(-(start - first) // stride)
-        start = first + m * stride
-    for n in range(start, n_samples, stride):
-        hi = n - map_stride + 1          # col_sq indices [n-map_width-map_stride+1, n-map_stride]
-        lo = n - map_width - map_stride + 1
-        d2 = csum[hi] - csum[lo]
-        points.append(DifferencePoint(n=n, value=float(np.sqrt(max(d2, 0.0)))))
-    return points
+    # col_sq indices [n - map_width - map_stride + 1, n - map_stride]
+    d2 = csum[ns - map_stride + 1] - csum[ns - map_width - map_stride + 1]
+    return ns, np.sqrt(np.maximum(d2, 0.0))
 
 
 @dataclass

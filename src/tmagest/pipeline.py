@@ -116,12 +116,10 @@ def calibration_segments(recording: Recording, config: SessionConfig,
         onset_exclusion = (2 * config.map_stride,
                            config.map_width + 2 * config.map_stride)
     env = _envelopes(recording, config)
-    points = difference_series(env, config.map_width, config.map_stride,
-                               min_index=config.warmup_samples)
-    if not points:
+    ns, values = difference_series(env, config.map_width, config.map_stride,
+                                   min_index=config.warmup_samples)
+    if ns.size == 0:
         return []
-    ns = np.array([p.n for p in points])
-    values = np.array([p.value for p in points])
     keep = np.ones(ns.shape[0], dtype=bool)
     before, after = onset_exclusion
     for a in recording.annotations:

@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dsp import EnvelopeFrame
 from .errors import ConfigError, NotReadyError, StructuralError
 
 
@@ -44,7 +43,7 @@ def channels_for_rows(rows: int) -> int:
 
 @lru_cache(maxsize=32)
 def pair_indices(channels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i <= j, in the column order used by feature vectors.
+    """Index pairs (i, j), i <= j, in the row order of :func:`feature_matrix`.
 
     Computed once per channel count; the arrays are shared by every caller and
     therefore read-only.
@@ -55,22 +54,13 @@ def pair_indices(channels: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def build_feature_vector(values: np.ndarray) -> np.ndarray:
-    """Expand one envelope frame into its first- and second-order terms.
-
-    Ordering: ``x_0 .. x_{L-1}``, then ``x_i * x_j`` for ``i <= j`` in
-    lexicographic order (``x_0^2, x_0 x_1, ..., x_0 x_{L-1}, x_1^2, ...``).
-    """
-    x = np.asarray(values, dtype=np.float64)
-    iu, ju = pair_indices(x.shape[0])
-    return np.concatenate([x, x[iu] * x[ju]])
-
-
 def feature_matrix(frames: np.ndarray) -> np.ndarray:
-    """Column-wise :func:`build_feature_vector` for a (n, channels) block.
+    """Feature vectors of a (n, channels) block of envelope frames.
 
     Returns a (feature_rows, n) matrix; column ``t`` is the feature vector of
-    row ``t`` of the input.
+    row ``t`` of the input. Ordering within a column: ``x_0 .. x_{L-1}``,
+    then ``x_i * x_j`` for ``i <= j`` in lexicographic order
+    (``x_0^2, x_0 x_1, ..., x_0 x_{L-1}, x_1^2, ...``).
     """
     frames = np.asarray(frames, dtype=np.float64)
     first = frames.T
@@ -89,10 +79,6 @@ class TmaMap:
 
     end_index: int
     data: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
     @property
     def rows(self) -> int:
@@ -123,13 +109,6 @@ class FrameRing:
     @property
     def is_full(self) -> bool:
         return self._count == self._width
-
-    @property
-    def newest_index(self) -> int | None:
-        return self._last_t
-
-    def push(self, frame: EnvelopeFrame) -> None:
-        self.push_values(frame.t, frame.values[None, :])
 
     def push_values(self, t: int, values: np.ndarray) -> None:
         """Append a (k, channels) block of frames, k <= stride; ``t`` is the
@@ -166,16 +145,6 @@ class FrameRing:
                 f"ring holds {self._count} of {self._width} frames"
             )
         return self._buf[self._end - self._width:self._end]
-
-
-def assemble_map(ring: FrameRing) -> TmaMap:
-    """Build the activation map ending at the ring's newest frame.
-
-    Raises:
-        NotReadyError: Until the ring has seen a full window of frames.
-    """
-    window = ring.window()
-    return TmaMap(end_index=ring.newest_index, data=feature_matrix(window))
 
 
 @dataclass(frozen=True)
@@ -243,9 +212,3 @@ def normalize_array(data: np.ndarray, bounds: NormalizationBounds, channels: int
     np.clip(out, 0.0, 1.0, out=out)
     return out
 
-
-def normalize(m: TmaMap, bounds: NormalizationBounds) -> TmaMap:
-    """Return a normalized copy of a map; the input is left untouched."""
-    channels = channels_for_rows(m.rows)
-    return TmaMap(end_index=m.end_index,
-                  data=normalize_array(m.data, bounds, channels))

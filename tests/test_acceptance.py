@@ -214,21 +214,20 @@ def test_criterion_8_structural_invariants(trained_setup, tmp_path):
 
     # map shift property and second-order product consistency
     rng = np.random.default_rng(8)
-    from tmagest.tma import FrameRing, assemble_map, pair_indices
-    from tmagest.dsp import EnvelopeFrame
+    from tmagest.tma import FrameRing, feature_matrix, pair_indices
     ring = FrameRing(6, 3)
     maps = []
     for t in range(9):
-        ring.push(EnvelopeFrame(t=t, values=rng.random(3)))
+        ring.push_values(t, rng.random(3)[None])
         if ring.is_full:
-            maps.append(assemble_map(ring))
+            maps.append(feature_matrix(ring.window()))
     shift_ok = all(
-        np.array_equal(maps[i].data[:, 1:], maps[i + 1].data[:, :-1])
+        np.array_equal(maps[i][:, 1:], maps[i + 1][:, :-1])
         for i in range(len(maps) - 1))
     checks.append(("map shift", shift_ok))
     iu, ju = pair_indices(3)
     product_ok = all(
-        np.allclose(m.data[3:], m.data[iu] * m.data[ju], atol=1e-12)
+        np.allclose(m[3:], m[iu] * m[ju], atol=1e-12)
         for m in maps)
     checks.append(("pair products", product_ok))
 

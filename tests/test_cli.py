@@ -119,6 +119,23 @@ class TestTrain:
         assert rc == 0
         assert again.read_bytes() == workspace["model"].read_bytes()
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"threshold": 1.0}', "calibration field 'per_gesture_sigma' is missing"),
+        ("not json at all", "invalid JSON"),
+    ])
+    def test_bad_calibration_file_is_error_exit_1(self, workspace, capsys,
+                                                  text, message):
+        cal = workspace["root"] / "bad_cal.json"
+        cal.write_text(text)
+        rc = main(["train", *workspace["base"],
+                   "--recording", str(workspace["train_csv"]),
+                   "--calibration", str(cal),
+                   "--out", str(workspace["root"] / "unused.tma")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cal}: ")
+        assert message in err
+
 
 class TestRun:
     def test_jsonl_events(self, workspace, capsys):
@@ -170,6 +187,28 @@ class TestRun:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines  # events still fire from piped rows
+
+    @pytest.mark.parametrize("fault,message", [
+        ("gap", "sample index 501 does not follow 499"),
+        ("nan", "ch1 is nan"),
+        ("inf", "ch0 is inf"),
+    ])
+    def test_stdin_row_errors_name_the_line(self, workspace, capsys,
+                                            monkeypatch, fault, message):
+        # stdin rows obey the rules of a recording file; line 502 is t = 500
+        lines = workspace["eval_csv"].read_text().splitlines()
+        cols = lines[501].split(",")
+        if fault == "gap":
+            del lines[501]
+        elif fault == "nan":
+            lines[501] = ",".join(cols[:2] + ["nan"] + cols[3:])
+        else:
+            lines[501] = ",".join(cols[:1] + ["inf"] + cols[2:])
+        monkeypatch.setattr("sys.stdin", std_io.StringIO("\n".join(lines)))
+        rc = main(["run", *workspace["base"], "--model", str(workspace["model"]),
+                   "--input", "-"])
+        assert rc == 1
+        assert f"error: line 502: {message}" in capsys.readouterr().err
 
 
 class TestEval:

@@ -20,7 +20,6 @@ from tmagest.cnn import (
     loss_and_gradients,
     predict,
     train,
-    zero_params,
 )
 from tmagest.config import SessionConfig
 from tmagest.errors import StructuralError, TrainingError, UsageError
@@ -33,6 +32,10 @@ TINY = CnnArchitecture(input_rows=10, input_cols=12, conv1_filters=2,
 ODD = CnnArchitecture(input_rows=13, input_cols=17, conv1_filters=2,
                       conv2_filters=3, num_classes=3, fc1_units=7,
                       fc2_units=5)
+
+
+def zero_params(arch):
+    return {name: np.zeros(shape) for name, shape in arch.param_shapes().items()}
 
 
 def tiny_model(params=None, bounds=True, labels=("a", "b", "c")):

@@ -6,10 +6,8 @@ from scipy import signal as sp_signal
 
 from tmagest.dsp import (
     EnvelopeFilter,
-    RawSample,
     design_butterworth_lowpass,
     envelope_stream,
-    rectify,
 )
 from tmagest.errors import ConfigError, StructuralError
 
@@ -74,29 +72,42 @@ class TestDesign:
 
 
 class TestRectify:
+    """Full-wave rectification is the first step of :func:`envelope_stream`."""
+
     def test_example_values(self):
-        s = RawSample(t=0, channels=[-1, 2, 0, -0.5, 1, -3, 4, -2])
-        np.testing.assert_array_equal(rectify(s).channels,
-                                      [1, 2, 0, 0.5, 1, 3, 4, 2])
+        c = design_butterworth_lowpass(2.0, 200.0)
+        raw = np.array([[-1, 2, 0, -0.5, 1, -3, 4, -2]])
+        rectified = np.array([[1, 2, 0, 0.5, 1, 3, 4, 2]], dtype=np.float64)
+        np.testing.assert_array_equal(envelope_stream(raw, c),
+                                      EnvelopeFilter(c, 8).process(rectified))
 
     def test_zero_sample(self):
-        s = RawSample(t=3, channels=np.zeros(8))
-        assert not rectify(s).channels.any()
+        c = design_butterworth_lowpass(2.0, 200.0)
+        assert not envelope_stream(np.zeros((50, 8)), c).any()
 
     def test_idempotent_on_nonnegative(self, rng):
-        vals = rng.random(8)
-        s = RawSample(t=0, channels=vals)
-        np.testing.assert_array_equal(rectify(rectify(s)).channels, vals)
+        c = design_butterworth_lowpass(2.0, 200.0)
+        vals = rng.random((100, 8))
+        np.testing.assert_array_equal(envelope_stream(vals, c),
+                                      EnvelopeFilter(c, 8).process(vals))
+
+    def test_sign_blind_and_equal_to_filtered_abs(self, rng):
+        c = design_butterworth_lowpass(2.0, 200.0)
+        raw = rng.normal(size=(303, 3))
+        for size in (1, 20):
+            ref = EnvelopeFilter(c, 3, size).process(np.abs(raw))
+            np.testing.assert_array_equal(envelope_stream(raw, c, size), ref)
+            np.testing.assert_array_equal(envelope_stream(-raw, c, size), ref)
 
 
 class TestFilterStep:
     def test_zero_stream_stays_zero(self):
         c = design_butterworth_lowpass(2.0, 200.0)
         filt = EnvelopeFilter(c, 4)
-        for t in range(50):
-            out = filt.filter_step(RawSample(t=t, channels=np.zeros(4)))
-            assert not out.values.any()
-            assert out.t == t
+        for _ in range(50):
+            out = filt.process(np.zeros((1, 4)))
+            assert out.shape == (1, 4)
+            assert not out.any()
 
     def test_constant_input_converges_within_two_seconds(self):
         # simulate the recursion directly: after 2 s at fc=2 Hz the output
@@ -127,7 +138,7 @@ class TestFilterStep:
         c = design_butterworth_lowpass(2.0, 200.0)
         filt = EnvelopeFilter(c, 8)
         with pytest.raises(StructuralError):
-            filt.filter_step(RawSample(t=0, channels=np.zeros(7)))
+            filt.process(np.zeros((1, 7)))
 
     def test_strides_equal_one_call_and_envelope_stream(self, rng):
         # 303 samples: a short final block follows the whole ones

@@ -9,6 +9,7 @@ from tmagest.cnn import (
     initial_params,
 )
 from tmagest.errors import (
+    CalibrationError,
     ModelFormatError,
     ModelIOError,
     ModelTruncatedError,
@@ -17,13 +18,15 @@ from tmagest.errors import (
 )
 from tmagest.io import (
     annotations_path,
+    parse_rows,
+    read_calibration,
     read_model,
     read_recording,
-    write_difference_csv,
+    write_calibration,
     write_model,
     write_recording,
 )
-from tmagest.onset import DifferencePoint, ThresholdCalibration
+from tmagest.onset import ThresholdCalibration
 from tmagest.recording import Annotation, Recording
 from tmagest.tma import NormalizationBounds
 
@@ -192,13 +195,84 @@ class TestModelContainer:
             read_model(path)
 
 
-class TestDifferenceCsv:
-    def test_written_trace(self, tmp_path):
-        points = [DifferencePoint(n=99, value=0.5),
-                  DifferencePoint(n=119, value=1.25)]
-        path = tmp_path / "d.csv"
-        write_difference_csv(points, path)
-        assert path.read_text() == "n,d\n99,0.5\n119,1.25\n"
+class TestParseRows:
+    ROWS = ["0,1.5,2.5", "1,-3.0,4.0", "2,0.0,1e-300", "3,7.0,8.0"]
+
+    def test_blocks_equal_one_call(self):
+        whole = np.empty((4, 2))
+        assert parse_rows(self.ROWS, range(2, 6), whole) == 3
+        parts = np.empty((4, 2))
+        prev = parse_rows(self.ROWS[:3], [2, 3, 4], parts)
+        assert parse_rows(self.ROWS[3:], [5], parts[3:], prev) == 3
+        np.testing.assert_array_equal(parts, whole)
+        np.testing.assert_array_equal(whole[1], [-3.0, 4.0])
+
+    def test_gap_across_blocks_names_line(self):
+        out = np.empty((4, 2))
+        with pytest.raises(RecordingParseError, match="line 17: sample index 3"):
+            parse_rows(self.ROWS[3:], [17], out, prev_t=1)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_names_its_line_number(self, value):
+        rows = ["0,1.0,2.0", f"1,3.0,{value}"]
+        with pytest.raises(RecordingParseError, match=f"line 9: ch1 is {value}"):
+            parse_rows(rows, [4, 9], np.empty((2, 2)))
+
+    @pytest.mark.parametrize("row", ["0,1.0", "0,1.0,2.0,3.0", "x,1.0,2.0",
+                                     "0,1.0,abc", "0.5,1.0,2.0"])
+    def test_bad_row_names_its_line_number(self, row):
+        with pytest.raises(RecordingParseError, match="line 7: "):
+            parse_rows([row], [7], np.empty((1, 2)))
+
+
+class TestCalibrationJson:
+    CAL = ThresholdCalibration(per_gesture_sigma={"b": 2.5, "a": 0.1},
+                               threshold=5.2, multiplier=4.0)
+
+    def test_round_trip_and_format(self, tmp_path):
+        path = tmp_path / "cal.json"
+        write_calibration(self.CAL, path)
+        assert read_calibration(path) == self.CAL
+        assert path.read_text() == (
+            '{\n  "degenerate": false,\n  "multiplier": 4.0,\n'
+            '  "per_gesture_sigma": {\n    "a": 0.1,\n    "b": 2.5\n  },\n'
+            '  "threshold": 5.2\n}\n')
+
+    @pytest.mark.parametrize("text,field", [
+        ('{"threshold": 1.0}', "'per_gesture_sigma' is missing"),
+        ('{"per_gesture_sigma": {"a": 1.0}, "threshold": 1.0, '
+         '"multiplier": 4.0}', "'degenerate' is missing"),
+        ('{"per_gesture_sigma": {"a": 1.0}, "threshold": "high", '
+         '"multiplier": 4.0, "degenerate": false}', "'threshold'"),
+        ('{"per_gesture_sigma": {"a": NaN}, "threshold": 1.0, '
+         '"multiplier": 4.0, "degenerate": false}', "'per_gesture_sigma.a'"),
+        ('{"per_gesture_sigma": [1.0], "threshold": 1.0, '
+         '"multiplier": 4.0, "degenerate": false}', "'per_gesture_sigma'"),
+        ('{"per_gesture_sigma": {"a": 1.0}, "threshold": 1.0, '
+         '"multiplier": true, "degenerate": false}', "'multiplier'"),
+        ('{"per_gesture_sigma": {"a": 1.0}, "threshold": 1.0, '
+         '"multiplier": 4.0, "degenerate": 0}', "'degenerate'"),
+        ('{"per_gesture_sigma": {"a": 1.0}, "threshold": 1.0, '
+         '"multiplier": 4.0, "degenerate": false, "extra": 1}', "'extra'"),
+        ('[1.0]', "JSON object"),
+        ('threshold = 1.0', "invalid JSON"),
+    ])
+    def test_bad_file_names_file_and_field(self, tmp_path, text, field):
+        path = tmp_path / "cal.json"
+        path.write_text(text)
+        with pytest.raises(CalibrationError) as err:
+            read_calibration(path)
+        assert str(path) in str(err.value)
+        assert field in str(err.value)
+
+    def test_bad_calibration_in_model_header(self, tmp_path, rng):
+        path = tmp_path / "m.tma"
+        write_model(sample_model(rng), path)
+        blob = path.read_bytes()
+        assert blob.count(b'"threshold"') == 1
+        path.write_bytes(blob.replace(b'"threshold"', b'"threshald"'))
+        with pytest.raises(ModelIOError, match="threshold"):
+            read_model(path)
 
 
 class TestFuzzedMutations:

@@ -81,38 +81,68 @@ class TestDifferenceSeries:
     def test_matches_per_map_computation(self, rng):
         env = rng.random((400, 4))
         width, stride = 40, 10
-        points = difference_series(env, width, stride)
+        ns, values = difference_series(env, width, stride)
+        assert ns.size == values.size > 0
         feats = feature_matrix(env)
-        for p in points:
-            cur = make_map(feats[:, p.n - width + 1:p.n + 1], p.n)
+        for n, value in zip(ns.tolist(), values):
+            cur = make_map(feats[:, n - width + 1:n + 1], n)
             prev = make_map(
-                feats[:, p.n - stride - width + 1:p.n - stride + 1],
-                p.n - stride)
+                feats[:, n - stride - width + 1:n - stride + 1],
+                n - stride)
             want = difference(cur, prev, expected_spacing=stride).value
-            assert abs(p.value - want) <= 1e-9 * max(want, 1.0)
+            assert abs(value - want) <= 1e-9 * max(want, 1.0)
+
+    def test_equals_per_point_loop_bit_for_bit(self, rng):
+        # the per-point loop the vectorized form replaced, same arithmetic
+        env = rng.random((407, 3))
+        width, stride = 40, 10
+        feats = feature_matrix(env)
+        delta = feats[:, stride:] - feats[:, :-stride]
+        col_sq = np.einsum("ij,ij->j", delta, delta)
+        csum = np.concatenate([[0.0], np.cumsum(col_sq)])
+        first = width + stride - 1
+        for min_index in (0, 49, 50, 58, 59, 60, 400, 406, 407):
+            ns, values = difference_series(env, width, stride,
+                                           min_index=min_index)
+            start = max(first, min_index)
+            if start > first:
+                start = first + -(-(start - first) // stride) * stride
+            want_ns = list(range(start, len(env), stride))
+            want = []
+            for n in want_ns:
+                d2 = csum[n - stride + 1] - csum[n - width - stride + 1]
+                want.append(float(np.sqrt(max(d2, 0.0))))
+            assert ns.tolist() == want_ns
+            assert values.tolist() == want
 
     def test_cadence_and_first_index(self, rng):
         env = rng.random((300, 2))
-        points = difference_series(env, 40, 10)
-        assert points[0].n == 49
-        assert all(b.n - a.n == 10 for a, b in zip(points, points[1:]))
+        ns, _ = difference_series(env, 40, 10)
+        assert ns[0] == 49
+        assert (np.diff(ns) == 10).all()
+        assert ns[-1] == 299
 
     def test_min_index_skips_warmup(self, rng):
         env = rng.random((300, 2))
-        points = difference_series(env, 40, 10, min_index=100)
-        assert points[0].n >= 100
+        ns, values = difference_series(env, 40, 10, min_index=100)
+        assert ns[0] >= 100
         # still on the same cadence grid
-        assert (points[0].n - 49) % 10 == 0
+        assert (ns[0] - 49) % 10 == 0
+        full_ns, full_values = difference_series(env, 40, 10)
+        skipped = full_ns.size - ns.size
+        np.testing.assert_array_equal(full_ns[skipped:], ns)
+        np.testing.assert_array_equal(full_values[skipped:], values)
 
     def test_short_input_yields_empty(self, rng):
-        assert difference_series(rng.random((30, 2)), 40, 10) == []
+        ns, values = difference_series(rng.random((30, 2)), 40, 10)
+        assert ns.size == 0 and values.size == 0
 
     def test_stationarity_null(self):
         # constant envelopes: every map equals every other, d is 0
         env = np.full((500, 3), 2.5)
-        points = difference_series(env, 40, 10)
-        assert points
-        assert all(p.value < 1e-9 for p in points)
+        ns, values = difference_series(env, 40, 10)
+        assert ns.size
+        assert (values < 1e-9).all()
 
 
 class TestCalibrate:

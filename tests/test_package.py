@@ -1,0 +1,24 @@
+import tmagest
+
+# The per-sample object API that the block API replaced.
+DELETED = ("RawSample", "EnvelopeFrame", "rectify", "assemble_map",
+           "build_feature_vector", "normalize", "zero_params",
+           "write_difference_csv")
+
+
+def test_every_exported_name_resolves():
+    for name in tmagest.__all__:
+        assert getattr(tmagest, name) is not None, name
+    assert len(set(tmagest.__all__)) == len(tmagest.__all__)
+
+
+def test_per_sample_api_is_gone():
+    from tmagest import cnn, dsp, io, tma
+    for name in DELETED:
+        assert name not in tmagest.__all__
+        for module in (tmagest, cnn, dsp, io, tma):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(dsp.EnvelopeFilter, "filter_step")
+    assert not hasattr(dsp.EnvelopeFilter, "reset")
+    assert not hasattr(tma.FrameRing, "push")
+    assert not hasattr(tma.FrameRing, "newest_index")

@@ -3,37 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmagest.dsp import EnvelopeFrame
 from tmagest.errors import ConfigError, NotReadyError, StructuralError
 from tmagest.tma import (
     FrameRing,
     NormalizationBounds,
     TmaMap,
-    assemble_map,
-    build_feature_vector,
     channels_for_rows,
     feature_matrix,
     feature_rows,
     fit_normalization,
-    normalize,
+    normalize_array,
     pair_indices,
 )
 
 
-def frame(t, values):
-    return EnvelopeFrame(t=t, values=np.asarray(values, dtype=np.float64))
+def push(ring, t, values):
+    """Push one frame: a one-row block."""
+    ring.push_values(t, np.asarray(values, dtype=np.float64)[None])
+
+
+def feature_vector(values):
+    """The feature vector of one frame: a one-column feature matrix."""
+    return feature_matrix(np.asarray(values, dtype=np.float64)[None])[:, 0]
 
 
 class TestFeatureVector:
     def test_two_channel_expansion(self):
-        np.testing.assert_array_equal(build_feature_vector([2.0, 3.0]),
+        np.testing.assert_array_equal(feature_vector([2.0, 3.0]),
                                       [2, 3, 4, 6, 9])
 
     def test_eight_channel_length(self, rng):
-        assert build_feature_vector(rng.random(8)).shape == (44,)
+        assert feature_vector(rng.random(8)).shape == (44,)
 
     def test_zero_frame(self):
-        assert not build_feature_vector(np.zeros(8)).any()
+        assert not feature_vector(np.zeros(8)).any()
 
     def test_row_count_formula_exhaustive(self):
         for L in range(1, 17):
@@ -46,14 +49,14 @@ class TestFeatureVector:
 
     def test_ordering_is_lexicographic(self):
         # x0*x1 must precede x1^2: distinguishable via distinct primes
-        v = build_feature_vector([2.0, 3.0, 5.0])
+        v = feature_vector([2.0, 3.0, 5.0])
         np.testing.assert_array_equal(v, [2, 3, 5, 4, 6, 10, 9, 15, 25])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 2 ** 31 - 1))
     def test_product_consistency(self, channels, seed):
         x = np.random.default_rng(seed).uniform(-1, 1, channels)
-        v = build_feature_vector(x)
+        v = feature_vector(x)
         k = channels
         for i in range(channels):
             for j in range(i, channels):
@@ -75,22 +78,29 @@ class TestFeatureVector:
     def test_feature_matrix_matches_per_frame(self, rng):
         block = rng.random((7, 5))
         mat = feature_matrix(block)
+        iu, ju = np.triu_indices(5)
         for t in range(7):
-            np.testing.assert_array_equal(mat[:, t],
-                                          build_feature_vector(block[t]))
+            x = block[t]
+            np.testing.assert_array_equal(mat[:, t], feature_vector(x))
+            np.testing.assert_array_equal(
+                mat[:, t], np.concatenate([x, np.outer(x, x)[iu, ju]]))
 
 
 class TestFrameRing:
     def test_fifo_keeps_last_window(self):
         ring = FrameRing(map_width=3, channels=1)
         for t in range(5):
-            ring.push(frame(t, [float(t)]))
+            push(ring, t, [float(t)])
         np.testing.assert_array_equal(ring.window().ravel(), [2, 3, 4])
-        assert ring.newest_index == 4
+        # the newest index is 4: only 5 may follow
+        with pytest.raises(StructuralError):
+            push(ring, 6, [6.0])
+        push(ring, 5, [5.0])
+        np.testing.assert_array_equal(ring.window().ravel(), [3, 4, 5])
 
     def test_not_ready_until_full(self):
         ring = FrameRing(map_width=4, channels=2)
-        ring.push(frame(0, [1, 2]))
+        push(ring, 0, [1, 2])
         assert not ring.is_full
         with pytest.raises(NotReadyError):
             ring.window()
@@ -98,15 +108,15 @@ class TestFrameRing:
     def test_identical_frames_fill_columns(self):
         ring = FrameRing(map_width=3, channels=2)
         for t in range(3):
-            ring.push(frame(t, [5.0, 6.0]))
-        m = assemble_map(ring)
-        assert (m.data == m.data[:, :1]).all()
+            push(ring, t, [5.0, 6.0])
+        m = feature_matrix(ring.window())
+        assert (m == m[:, :1]).all()
 
     def test_rejects_gap_in_indices(self):
         ring = FrameRing(map_width=3, channels=1)
-        ring.push(frame(0, [1.0]))
+        push(ring, 0, [1.0])
         with pytest.raises(StructuralError):
-            ring.push(frame(2, [1.0]))
+            push(ring, 2, [1.0])
 
     def test_stride_pushes_equal_frame_pushes(self, rng):
         block = rng.random((50, 3))
@@ -114,15 +124,17 @@ class TestFrameRing:
         by_stride = FrameRing(map_width=12, channels=3, stride=5)
         for t in range(0, 50, 5):
             for i in range(t, t + 5):
-                by_frame.push(frame(i, block[i]))
+                push(by_frame, i, block[i])
+            # raises unless the previous stride's newest index was t - 1
             by_stride.push_values(t, block[t:t + 5])
-            assert by_stride.newest_index == t + 4
             if by_frame.is_full:
                 np.testing.assert_array_equal(by_stride.window(),
                                               by_frame.window())
                 np.testing.assert_array_equal(by_stride.window(),
                                               block[t - 7:t + 5])
         assert by_stride.is_full
+        with pytest.raises(StructuralError):
+            by_stride.push_values(51, block[:5])
 
     def test_rejects_push_longer_than_stride(self):
         ring = FrameRing(map_width=4, channels=2, stride=3)
@@ -132,38 +144,35 @@ class TestFrameRing:
     def test_rejects_channel_mismatch(self):
         ring = FrameRing(map_width=3, channels=2)
         with pytest.raises(StructuralError):
-            ring.push(frame(0, [1.0]))
+            push(ring, 0, [1.0])
 
 
 class TestAssemble:
     def test_hand_computed_two_by_two(self):
         # frames [1,0] then [0,1]: columns are the feature vectors
         ring = FrameRing(map_width=2, channels=2)
-        ring.push(frame(0, [1.0, 0.0]))
-        ring.push(frame(1, [0.0, 1.0]))
-        m = assemble_map(ring)
-        assert m.end_index == 1
+        push(ring, 0, [1.0, 0.0])
+        push(ring, 1, [0.0, 1.0])
+        m = feature_matrix(ring.window())
         np.testing.assert_array_equal(
-            m.data, [[1, 0], [0, 1], [1, 0], [0, 0], [0, 1]])
+            m, [[1, 0], [0, 1], [1, 0], [0, 0], [0, 1]])
 
     def test_default_geometry(self, rng):
         ring = FrameRing(map_width=80, channels=8)
         for t in range(80):
-            ring.push(frame(t, rng.random(8)))
-        m = assemble_map(ring)
-        assert m.data.shape == (44, 80)
+            push(ring, t, rng.random(8))
+        assert feature_matrix(ring.window()).shape == (44, 80)
 
     def test_shift_property(self, rng):
         block = rng.random((30, 4))
         ring = FrameRing(map_width=10, channels=4)
         maps = {}
         for t in range(30):
-            ring.push(frame(t, block[t]))
+            push(ring, t, block[t])
             if ring.is_full:
-                maps[t] = assemble_map(ring)
+                maps[t] = feature_matrix(ring.window())
         for t in range(10, 29):
-            np.testing.assert_array_equal(maps[t].data[:, 1:],
-                                          maps[t + 1].data[:, :-1])
+            np.testing.assert_array_equal(maps[t][:, 1:], maps[t + 1][:, :-1])
 
     def test_scale_property(self, rng):
         block = rng.random((12, 3))
@@ -178,6 +187,9 @@ class TestAssemble:
 class TestNormalization:
     def make_map(self, data, end_index=0):
         return TmaMap(end_index=end_index, data=np.asarray(data, dtype=np.float64))
+
+    def normalize(self, m, bounds):
+        return normalize_array(m.data, bounds, channels_for_rows(m.rows))
 
     def test_fit_single_map(self, rng):
         L = 2
@@ -213,38 +225,38 @@ class TestNormalization:
                          [2.0, 4.0], [3.0, 3.0], [2.5, 3.5]])
         m = self.make_map(data)
         b = fit_normalization([m])
-        out = normalize(m, b)
-        assert out.data[:2].min() == 0.0
-        assert out.data[:2].max() == 1.0
-        assert out.data[2:].min() == 0.0
-        assert out.data[2:].max() == 1.0
+        out = self.normalize(m, b)
+        assert out[:2].min() == 0.0
+        assert out[:2].max() == 1.0
+        assert out[2:].min() == 0.0
+        assert out[2:].max() == 1.0
 
     def test_out_of_range_clamps(self):
         b = NormalizationBounds(0.0, 1.0, 0.0, 1.0)
         m = self.make_map([[-5.0, 0.5], [2.0, 0.25],
                            [9.0, 0.1], [-1.0, 0.2], [0.5, 0.3]])
-        out = normalize(m, b)
-        assert out.data.min() == 0.0
-        assert out.data.max() == 1.0
+        out = self.normalize(m, b)
+        assert out.min() == 0.0
+        assert out.max() == 1.0
 
     def test_identity_bounds_idempotent(self, rng):
         b = NormalizationBounds(0.0, 1.0, 0.0, 1.0)
         m = self.make_map(rng.random((5, 4)))
-        once = normalize(m, b)
-        twice = normalize(once, b)
-        np.testing.assert_array_equal(once.data, twice.data)
+        once = self.normalize(m, b)
+        twice = self.normalize(self.make_map(once), b)
+        np.testing.assert_array_equal(once, twice)
 
     def test_original_untouched(self, rng):
         data = rng.random((5, 4)) * 10
         m = self.make_map(data)
         before = data.copy()
-        normalize(m, fit_normalization([m]))
+        self.normalize(m, fit_normalization([m]))
         np.testing.assert_array_equal(m.data, before)
 
     def test_normalized_range(self, rng):
         maps = [self.make_map(rng.random((44, 10)) * 7 - 1) for _ in range(4)]
         b = fit_normalization(maps)
         for m in maps:
-            out = normalize(m, b)
-            assert out.data.min() >= 0.0
-            assert out.data.max() <= 1.0
+            out = self.normalize(m, b)
+            assert out.min() >= 0.0
+            assert out.max() <= 1.0
