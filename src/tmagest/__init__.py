@@ -14,12 +14,10 @@ from .cnn import (
     CnnModel,
     TrainingExample,
     forward,
-    loss_and_gradients,
     predict,
     train,
 )
 from .onset import (
-    DifferencePoint,
     OnsetDetector,
     OnsetEvent,
     ThresholdCalibration,
@@ -44,7 +42,6 @@ __all__ = [
     "BiquadCoefficients",
     "CnnArchitecture",
     "CnnModel",
-    "DifferencePoint",
     "Engine",
     "EnvelopeFilter",
     "EvaluationReport",
@@ -73,7 +70,6 @@ __all__ = [
     "fit_normalization",
     "forward",
     "generate",
-    "loss_and_gradients",
     "predict",
     "run_replay",
     "train",

@@ -462,26 +462,6 @@ def forward_batch(model: CnnModel, normalized_maps: np.ndarray) -> np.ndarray:
     return _forward_probs(model.params, model.architecture, data)
 
 
-def loss_and_gradients(model: CnnModel, batch: list[TrainingExample]):
-    """Mean cross-entropy over a batch of examples plus exact gradients.
-
-    Raises:
-        TrainingError: On an empty batch or a label missing from the model's
-            label table.
-    """
-    if not batch:
-        raise TrainingError("batch is empty")
-    if model.labels is None:
-        raise TrainingError("model has no label table")
-    index = {label: i for i, label in enumerate(model.labels)}
-    try:
-        y_idx = np.array([index[ex.label] for ex in batch])
-    except KeyError as exc:
-        raise TrainingError(f"label {exc} is not in the model's label table") from exc
-    x = np.stack([_map_data(ex.map) for ex in batch])
-    return batch_loss_and_gradients(model.params, model.architecture, x, y_idx)
-
-
 def _canonical_order(maps: list[np.ndarray], y_idx: np.ndarray) -> np.ndarray:
     """Content-derived ordering so training ignores dataset order."""
     digests = [hashlib.sha256(np.ascontiguousarray(m)).digest() for m in maps]

@@ -1,16 +1,18 @@
 """The streaming recognition loop.
 
 Per iteration the engine waits for one stride of new raw samples, extends the
-envelopes, assembles the activation map ending at the newest sample, and
-compares it against the map from the previous iteration. When the difference
-crosses the calibrated threshold outside the refractory window, the map is
-classified - unless alternate-onset suppression is active and this onset is
-the expected return to neutral, in which case the onset is reported without
-classification.
+envelopes, builds the feature matrix of the window ending at the newest
+sample, and compares it against the previous iteration's with
+:func:`~tmagest.onset.difference`, whose value equals that of
+:func:`~tmagest.onset.difference_series` at the same index bit for bit. When
+the difference crosses the calibrated threshold outside the refractory
+window, the matrix is classified - unless alternate-onset suppression is
+active and this onset is the expected return to neutral, in which case the
+onset is reported without classification.
 
-The engine owns all mutable state (filter memory, frame ring, previous map,
-detector, suppression flag) and must be stepped by one caller in order.
-Emitted events are immutable values.
+The engine owns all mutable state (filter memory, frame ring, previous
+feature matrix, detector, suppression flag) and must be stepped by one caller
+in order. Emitted events are immutable values.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .dsp import EnvelopeFilter, design_butterworth_lowpass
 from .errors import ConfigError, StructuralError, UsageError
 from .onset import OnsetDetector, difference
 from .recording import Recording
-from .tma import FrameRing, TmaMap, feature_matrix
+from .tma import FrameRing, feature_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +68,15 @@ def event_to_dict(event, include_timing: bool = True) -> dict:
 
 
 class Engine:
-    """Streaming gesture recognizer over batches of raw samples."""
+    """Streaming gesture recognizer over batches of raw samples.
+
+    Raises:
+        ConfigError: If the config's map geometry does not fit the model, or
+            if the model records the config it was trained under and the
+            given one differs from it in sample rate, envelope cutoff or map
+            stride: the difference signal, and with it the calibrated
+            threshold, depends on all three.
+    """
 
     def __init__(self, model: CnnModel, config: SessionConfig,
                  threshold: float | None = None,
@@ -82,6 +92,14 @@ class Engine:
                 f"model expects {arch.input_cols} map columns, config "
                 f"map_width is {config.map_width}"
             )
+        if model.config is not None:
+            for name in ("sample_rate", "envelope_cutoff_hz", "map_stride"):
+                given, trained = getattr(config, name), getattr(model.config, name)
+                if given != trained:
+                    raise ConfigError(
+                        f"{name} is {given}, but the model was trained "
+                        f"with {trained}"
+                    )
         if threshold is None:
             if model.calibration is None:
                 raise UsageError(
@@ -102,7 +120,7 @@ class Engine:
                                config.map_stride)
         self._detector = OnsetDetector(self.threshold, config.refractory,
                                        warmup_end=config.warmup_samples)
-        self._prev_map: TmaMap | None = None
+        self._prev: np.ndarray | None = None
         self._expect_flexion = True
         self._count = 0
 
@@ -141,12 +159,11 @@ class Engine:
 
         if not self._ring.is_full:
             return None
-        current = TmaMap(end_index=newest, data=feature_matrix(self._ring.window()))
-        prev, self._prev_map = self._prev_map, current
+        current = feature_matrix(self._ring.window())
+        prev, self._prev = self._prev, current
         if prev is None:
             return None
-        point = difference(current, prev, expected_spacing=cfg.map_stride)
-        hit = self._detector.step(point)
+        hit = self._detector.step(newest, difference(current, prev))
         if hit is None:
             return None
         if self.suppress_alternate and not self._expect_flexion:

@@ -250,7 +250,8 @@ def read_model(path: str | Path) -> CnnModel:
         ModelFormatError: Wrong magic bytes.
         ModelVersionError: Unsupported container version.
         ModelTruncatedError: Fewer payload bytes than the manifest declares.
-        ModelIOError: Malformed header or tensor shapes inconsistent with
+        ModelIOError: Malformed header, an unknown or repeated tensor,
+            bytes after the last tensor, or tensor shapes inconsistent with
             the declared architecture.
     """
     with open(path, "rb") as fh:
@@ -283,6 +284,10 @@ def read_model(path: str | Path) -> CnnModel:
             count = int(np.prod(shape)) if shape else 1
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelIOError(f"{path}: malformed manifest: {exc}") from exc
+        if name not in PARAM_ORDER:
+            raise ModelIOError(f"{path}: unknown tensor {name!r}")
+        if name in params:
+            raise ModelIOError(f"{path}: tensor {name!r} appears twice")
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise ModelTruncatedError(f"{path}: tensor '{name}' cut short")
@@ -290,6 +295,9 @@ def read_model(path: str | Path) -> CnnModel:
             blob, dtype="<f8", count=count, offset=offset,
         ).astype(np.float64).reshape(shape)
         offset += nbytes
+    if offset != len(blob):
+        raise ModelIOError(
+            f"{path}: {len(blob) - offset} bytes after the last tensor")
 
     def load(key, make):
         return make(header[key]) if header.get(key) is not None else None

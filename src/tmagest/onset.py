@@ -6,6 +6,13 @@ difference. Gesture onsets show up as prominent peaks; detection is a strict
 threshold crossing followed by a refractory pause that blocks re-triggering
 while the same transition is still in flight.
 
+The norm is one arithmetic everywhere: the sum over the map's columns of
+each column's squared difference. The engine applies it to one pair of maps
+per stride (:func:`difference`); calibration applies it to a whole recording
+at the engine's cadence (:func:`difference_series`). Both give the same bits
+at the same index, so the threshold is fitted on the signal it is compared
+against.
+
 The threshold is calibrated from labeled recordings: the population standard
 deviation of the difference signal is computed per gesture (over all points
 of that gesture's recordings, active and rest alike), and the threshold is a
@@ -21,67 +28,52 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CalibrationError, StructuralError
-from .tma import TmaMap, feature_matrix
-
-
-@dataclass(frozen=True)
-class DifferencePoint:
-    """Difference-signal value at one map index."""
-
-    n: int
-    value: float
+from .tma import feature_matrix
 
 
 @dataclass(frozen=True)
 class OnsetEvent:
-    """A detected gesture onset.
-
-    ``suppressed`` marks onsets exempted from classification (the return to
-    neutral when alternate-onset suppression is active).
-    """
+    """A detected gesture onset."""
 
     n: int
     d_value: float
-    suppressed: bool = False
 
 
-def difference(current: TmaMap, previous: TmaMap,
-               expected_spacing: int | None = None) -> DifferencePoint:
+def difference(current: np.ndarray, previous: np.ndarray) -> float:
     """Frobenius norm of ``current - previous``.
 
+    Summed as in :func:`difference_series`: the squares of each column
+    first, then the column sums, so both give the same bits for one pair of
+    maps.
+
     Args:
-        current: Map at index n.
-        previous: Map at index n minus the map stride.
-        expected_spacing: When given, the index gap is validated against it.
+        current: (rows, width) map at index n.
+        previous: The map ``map_stride`` samples earlier.
 
     Raises:
-        StructuralError: On shape mismatch or wrong index spacing.
+        StructuralError: On shape mismatch.
     """
-    if current.data.shape != previous.data.shape:
+    if current.shape != previous.shape:
         raise StructuralError(
-            f"map shapes differ: {current.data.shape} vs {previous.data.shape}"
+            f"map shapes differ: {current.shape} vs {previous.shape}"
         )
-    gap = current.end_index - previous.end_index
-    if expected_spacing is not None and gap != expected_spacing:
-        raise StructuralError(
-            f"maps are {gap} samples apart, expected {expected_spacing}"
-        )
-    delta = current.data - previous.data
-    return DifferencePoint(n=current.end_index,
-                           value=float(np.sqrt(np.sum(delta * delta))))
+    delta = current - previous
+    return float(np.sqrt(np.einsum("ij,ij->j", delta, delta).sum()))
 
 
 def difference_series(envelopes: np.ndarray, map_width: int, map_stride: int,
                       min_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Difference signal over a whole envelope recording, vectorized.
 
-    Equivalent to assembling maps at every evaluated index and calling
-    :func:`difference`, but computed via per-column squared distances and a
-    cumulative sum so calibration over long recordings stays cheap. Points
-    fall every ``map_stride`` samples, the real-time loop's cadence, from
-    ``map_width + map_stride - 1``, the first index with two full maps.
+    Gives the values :func:`difference` gives for the maps the streaming
+    engine compares, bit for bit: the squared column differences are
+    computed once for the recording, and each point sums the ``map_width``
+    of them that its window covers. Points fall where the engine evaluates:
+    at the last sample of each stride (``n % map_stride == map_stride - 1``)
+    from ``map_width + map_stride - 1`` on, where two full maps exist.
 
     Args:
         envelopes: (samples, channels) envelope block.
@@ -92,20 +84,18 @@ def difference_series(envelopes: np.ndarray, map_width: int, map_stride: int,
     Returns:
         ``(ns, values)``: int map indices and the difference at each.
     """
-    first = map_width + map_stride - 1
-    start = max(first, min_index)
-    # align to the evaluation cadence: n = first + m*map_stride
-    start = first + -(-(start - first) // map_stride) * map_stride
+    start = max(map_width + map_stride - 1, min_index)
+    start += -(start + 1) % map_stride      # round up to a stride's last sample
     ns = np.arange(start, envelopes.shape[0], map_stride)
     if ns.size == 0:
         return ns, np.empty(0)
     feats = feature_matrix(envelopes)
     delta = feats[:, map_stride:] - feats[:, :-map_stride]
-    col_sq = np.einsum("ij,ij->j", delta, delta)  # index i <-> sample i + stride
-    csum = np.concatenate([[0.0], np.cumsum(col_sq)])
-    # col_sq indices [n - map_width - map_stride + 1, n - map_stride]
-    d2 = csum[ns - map_stride + 1] - csum[ns - map_width - map_stride + 1]
-    return ns, np.sqrt(np.maximum(d2, 0.0))
+    terms = np.einsum("ij,ij->j", delta, delta)    # term k: sample k + stride
+    # the map pair at n covers terms n - stride - width + 1 .. n - stride
+    first = start - map_stride - map_width + 1
+    windows = sliding_window_view(terms, map_width)[first::map_stride]
+    return ns, np.sqrt(windows.sum(axis=-1))
 
 
 @dataclass
@@ -164,7 +154,7 @@ def calibrate_threshold(segments: list[tuple[str, np.ndarray]],
 
 
 class OnsetDetector:
-    """Threshold detector with refractory pause over a difference-point stream.
+    """Threshold detector with refractory pause over the difference signal.
 
     Elapsed time is counted in sample indices of the incoming points, so
     replay at any wall-clock speed is deterministic. The detector starts
@@ -183,8 +173,9 @@ class OnsetDetector:
     def elapsed(self) -> int:
         return self._elapsed
 
-    def step(self, point: DifferencePoint) -> OnsetEvent | None:
-        """Feed one difference point; returns an event on detection.
+    def step(self, n: int, value: float) -> OnsetEvent | None:
+        """Feed the difference value at map index ``n``; returns an event on
+        detection.
 
         Detection requires value strictly above the threshold and at least a
         full refractory interval since the previous event. Emitting resets
@@ -194,16 +185,16 @@ class OnsetDetector:
             StructuralError: If points arrive out of order.
         """
         if self._last_n is not None:
-            if point.n <= self._last_n:
+            if n <= self._last_n:
                 raise StructuralError(
-                    f"difference point {point.n} not after {self._last_n}"
+                    f"difference point {n} not after {self._last_n}"
                 )
-            self._elapsed += point.n - self._last_n
-        self._last_n = point.n
-        if point.n < self.warmup_end:
+            self._elapsed += n - self._last_n
+        self._last_n = n
+        if n < self.warmup_end:
             self._elapsed = self.refractory
             return None
-        if point.value > self.threshold and self._elapsed >= self.refractory:
+        if value > self.threshold and self._elapsed >= self.refractory:
             self._elapsed = 0
-            return OnsetEvent(n=point.n, d_value=point.value, suppressed=False)
+            return OnsetEvent(n=n, d_value=value)
         return None

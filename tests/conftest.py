@@ -1,7 +1,13 @@
 import dataclasses
+import os
 from types import SimpleNamespace
 
-import numpy as np
+# One BLAS thread: a second one slows the small GEMMs of the SGD step while
+# doubling the CPU the suite takes. Read when numpy loads, so set before it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from tmagest import cnn, synth

@@ -25,14 +25,9 @@ from tmagest.cli import main
 from tmagest.config import SessionConfig
 from tmagest.dsp import EnvelopeFilter, design_butterworth_lowpass
 from tmagest.engine import Engine, Prediction, iter_batches, run_replay
-from tmagest.onset import (
-    DifferencePoint,
-    OnsetDetector,
-    calibrate_threshold,
-    difference,
-)
+from tmagest.onset import OnsetDetector, calibrate_threshold, difference
 from tmagest.pipeline import calibration_segments, evaluate, extract_training_set
-from tmagest.tma import TmaMap, feature_rows, fit_normalization, normalize_array
+from tmagest.tma import feature_rows, fit_normalization, normalize_array
 
 from conftest import SMALL_CONFIG_KWARGS
 
@@ -142,7 +137,7 @@ def test_criterion_5_frobenius_oracle_equivalence():
     for _ in range(1000):
         a = rng.random((44, 80))
         b = rng.random((44, 80))
-        got = difference(TmaMap(20, a), TmaMap(0, b)).value
+        got = difference(a, b)
         total = 0.0
         for i in range(44):
             row_a, row_b = a[i], b[i]
@@ -235,7 +230,7 @@ def test_criterion_8_structural_invariants(trained_setup, tmp_path):
     det = OnsetDetector(threshold=0.5, refractory=170)
     events = []
     for i, v in enumerate(rng.uniform(1.0, 9.0, 500)):
-        e = det.step(DifferencePoint(n=i * 20, value=float(v)))
+        e = det.step(i * 20, float(v))
         if e:
             events.append(e.n)
     gaps = np.diff(events)

@@ -179,6 +179,18 @@ class TestRun:
         assert lines
         assert json.loads(lines[0])["type"] == "prediction"
 
+    def test_flag_disagreeing_with_the_model_is_error_exit_1(self, workspace,
+                                                               capsys):
+        # the model was trained with a 2 Hz envelope cutoff; its threshold
+        # does not hold for the difference signal of another one
+        rc = main(["run", *workspace["base"], "--model", str(workspace["model"]),
+                   "--input", str(workspace["eval_csv"]), "--cutoff", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: envelope_cutoff_hz is 3.0, but the model was trained with 2.0")
+
     def test_stdin_rows(self, workspace, capsys, monkeypatch):
         text = workspace["eval_csv"].read_text()
         monkeypatch.setattr("sys.stdin", std_io.StringIO(text))

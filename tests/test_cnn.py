@@ -17,7 +17,6 @@ from tmagest.cnn import (
     forward,
     forward_batch,
     initial_params,
-    loss_and_gradients,
     predict,
     train,
 )
@@ -125,32 +124,19 @@ class TestForward:
 
 class TestLoss:
     def test_uniform_prediction_loss_is_log_g(self, rng):
-        batch = [TrainingExample(map=TmaMap(0, rng.random((10, 12))), label="a")
-                 for _ in range(4)]
         arch5 = CnnArchitecture(10, 12, 2, 3, 5, fc1_units=7, fc2_units=5)
-        model = CnnModel(architecture=arch5, params=zero_params(arch5),
-                         labels=("a", "b", "c", "d", "e"))
-        loss, _ = loss_and_gradients(model, batch)
+        x = rng.random((4, 10, 12))
+        loss, _ = batch_loss_and_gradients(zero_params(arch5), arch5, x,
+                                           np.zeros(4, dtype=int))
         assert loss == pytest.approx(math.log(5), abs=1e-12)
 
     def test_confident_correct_prediction_loss_near_zero(self, rng):
         params = zero_params(TINY)
         params["out_b"] = np.array([30.0, 0.0, 0.0])
-        model = tiny_model(params)
-        batch = [TrainingExample(map=TmaMap(0, rng.random((10, 12))), label="a")]
-        loss, _ = loss_and_gradients(model, batch)
+        loss, _ = batch_loss_and_gradients(params, TINY,
+                                           rng.random((1, 10, 12)),
+                                           np.array([0]))
         assert loss < 1e-9
-
-    def test_unknown_label(self, rng):
-        model = tiny_model()
-        batch = [TrainingExample(map=TmaMap(0, rng.random((10, 12))),
-                                 label="zzz")]
-        with pytest.raises(TrainingError):
-            loss_and_gradients(model, batch)
-
-    def test_empty_batch(self):
-        with pytest.raises(TrainingError):
-            loss_and_gradients(tiny_model(), [])
 
 
 def assert_gradients_match_central_differences(params, arch, x, y):
@@ -269,6 +255,12 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
             train([], toy_config())
+
+    def test_unknown_label_rejected(self, rng):
+        dataset = toy_dataset(rng, 5)
+        dataset[0] = TrainingExample(map=dataset[0].map, label="zzz")
+        with pytest.raises(TrainingError, match="zzz"):
+            train(dataset, toy_config())
 
     def test_epoch_loss_nonincreasing_on_separable_data(self, rng):
         losses = []

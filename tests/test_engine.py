@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from tmagest import engine as engine_mod
+from tmagest.cnn import CnnArchitecture, CnnModel, initial_params
 from tmagest.dsp import design_butterworth_lowpass, envelope_stream
 from tmagest.engine import (
     Engine,
@@ -14,6 +16,7 @@ from tmagest.engine import (
     run_replay,
 )
 from tmagest.errors import ConfigError, StructuralError, UsageError
+from tmagest.onset import OnsetDetector, difference_series
 from tmagest.recording import Recording
 from tmagest.tma import feature_matrix
 
@@ -131,16 +134,43 @@ class TestStep:
 
         monkeypatch.setattr(engine_mod, "predict", capture)
         engine = Engine(trained_setup.model, config, suppress_alternate=False)
-        drive(engine, samples)
-        assert len(maps) >= 4
+        events = drive(engine, samples)
+        assert len(maps) == len(events) >= 4
         coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
                                             config.sample_rate)
         feats = feature_matrix(envelope_stream(samples, coeffs,
                                                config.map_stride))
         w = config.map_width
-        for m in maps:
-            n = m.end_index
-            np.testing.assert_array_equal(m.data, feats[:, n - w + 1:n + 1])
+        for event, m in zip(events, maps):
+            n = event.n
+            np.testing.assert_array_equal(m, feats[:, n - w + 1:n + 1])
+
+    @pytest.mark.parametrize("width,stride", [(40, 10), (45, 10), (33, 7)])
+    def test_difference_equals_offline_series_bit_for_bit(
+            self, trained_setup, monkeypatch, width, stride):
+        # the (n, d) pairs the detector sees are the calibration signal,
+        # also when the stride does not divide the map width
+        config = dataclasses.replace(trained_setup.config, map_width=width,
+                                     map_stride=stride)
+        arch = CnnArchitecture(config.feature_rows, width, 2, 2,
+                               len(config.gestures))
+        model = CnnModel(arch, initial_params(arch, np.random.default_rng(0)))
+        seen = []
+        step = OnsetDetector.step
+
+        def record(detector, n, value):
+            seen.append((n, value))
+            return step(detector, n, value)
+
+        monkeypatch.setattr(OnsetDetector, "step", record)
+        samples = trained_setup.eval_recording.samples
+        drive(Engine(model, config, threshold=float("inf")), samples)
+        coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
+                                            config.sample_rate)
+        ns, values = difference_series(
+            envelope_stream(samples, coeffs, stride), width, stride)
+        assert len(seen) > 100
+        assert seen == list(zip(ns.tolist(), values.tolist()))
 
 
 class TestReplay:
@@ -204,6 +234,18 @@ class TestEngineConstruction:
         bad = dataclasses.replace(trained_setup.config, map_width=36)
         with pytest.raises(ConfigError):
             Engine(trained_setup.model, bad)
+
+    @pytest.mark.parametrize("field,value", [("sample_rate", 250.0),
+                                             ("envelope_cutoff_hz", 3.0),
+                                             ("map_stride", 20)])
+    def test_config_differing_from_the_trained_one_rejected(
+            self, trained_setup, field, value):
+        bad = dataclasses.replace(trained_setup.config, **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} is {value}"):
+            Engine(trained_setup.model, bad)
+        # settings the difference signal does not depend on may change
+        Engine(trained_setup.model,
+               dataclasses.replace(trained_setup.config, refractory=400))
 
 
 class TestEventJson:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,38 @@ class TestModelContainer:
         blob[12] = ord("X")  # break the JSON
         path.write_bytes(blob)
         with pytest.raises(ModelIOError):
+            read_model(path)
+
+    @staticmethod
+    def rewrite(path, manifest_extra=(), payload_extra=b""):
+        """Re-frame a written model with more manifest entries and bytes."""
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12:12 + header_len])
+        header["tensors"] += list(manifest_extra)
+        text = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
+                         + blob[12 + header_len:] + payload_extra)
+
+    def test_unknown_tensor_rejected(self, tmp_path, rng):
+        path = tmp_path / "m.tma"
+        write_model(sample_model(rng), path)
+        self.rewrite(path, [{"name": "extra_w", "shape": [2]}], bytes(16))
+        with pytest.raises(ModelIOError, match="unknown tensor 'extra_w'"):
+            read_model(path)
+
+    def test_duplicate_tensor_rejected(self, tmp_path, rng):
+        path = tmp_path / "m.tma"
+        write_model(sample_model(rng), path)
+        self.rewrite(path, [{"name": "out_b", "shape": [3]}], bytes(24))
+        with pytest.raises(ModelIOError, match="'out_b' appears twice"):
+            read_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = tmp_path / "m.tma"
+        write_model(sample_model(rng), path)
+        self.rewrite(path, payload_extra=bytes(8))
+        with pytest.raises(ModelIOError, match="8 bytes after the last tensor"):
             read_model(path)
 
 

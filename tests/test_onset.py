@@ -3,17 +3,12 @@ import pytest
 
 from tmagest.errors import CalibrationError, StructuralError
 from tmagest.onset import (
-    DifferencePoint,
     OnsetDetector,
     calibrate_threshold,
     difference,
     difference_series,
 )
-from tmagest.tma import TmaMap, feature_matrix
-
-
-def make_map(data, end_index=0):
-    return TmaMap(end_index=end_index, data=np.asarray(data, dtype=np.float64))
+from tmagest.tma import feature_matrix
 
 
 def brute_force_frobenius(a, b):
@@ -29,51 +24,40 @@ def brute_force_frobenius(a, b):
 class TestDifference:
     def test_identical_maps_give_zero(self, rng):
         data = rng.random((44, 80))
-        p = difference(make_map(data, 120), make_map(data.copy(), 100))
-        assert p.value == 0.0
-        assert p.n == 120
+        assert difference(data, data.copy()) == 0.0
 
     def test_single_entry_delta(self):
         a = np.zeros((5, 4))
         b = a.copy()
         b[2, 3] = -7.25
-        assert difference(make_map(a, 20), make_map(b, 0)).value == 7.25
+        assert difference(a, b) == 7.25
 
     def test_matches_brute_force_on_random_pairs(self, rng):
         for _ in range(20):
             a, b = rng.random((44, 80)), rng.random((44, 80))
-            got = difference(make_map(a, 20), make_map(b, 0)).value
+            got = difference(a, b)
             want = brute_force_frobenius(a, b)
             assert abs(got - want) <= 1e-12 * max(want, 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(StructuralError):
-            difference(make_map(np.zeros((5, 4))), make_map(np.zeros((5, 3))))
-
-    def test_spacing_validation(self, rng):
-        a = make_map(rng.random((5, 4)), end_index=50)
-        b = make_map(rng.random((5, 4)), end_index=35)
-        with pytest.raises(StructuralError):
-            difference(a, b, expected_spacing=20)
-        difference(a, b, expected_spacing=15)
+            difference(np.zeros((5, 4)), np.zeros((5, 3)))
 
     def test_index_shift_invariance(self, rng):
+        # adding the same offset to both maps leaves the difference alone
         da, db = rng.random((5, 4)), rng.random((5, 4))
-        v1 = difference(make_map(da, 100), make_map(db, 80)).value
-        v2 = difference(make_map(da, 1100), make_map(db, 1080)).value
-        assert v1 == v2
+        v1 = difference(da, db)
+        v2 = difference(da + 3.0, db + 3.0)
+        assert v2 == pytest.approx(v1, rel=1e-12)
 
     def test_triangle_inequality(self, rng):
         a, b, c = (rng.random((6, 7)) for _ in range(3))
-        d_ac = difference(make_map(a, 20), make_map(c, 0)).value
-        d_ab = difference(make_map(a, 20), make_map(b, 0)).value
-        d_bc = difference(make_map(b, 20), make_map(c, 0)).value
-        assert d_ac <= d_ab + d_bc + 1e-12
+        assert difference(a, c) <= difference(a, b) + difference(b, c) + 1e-12
 
     def test_scale(self, rng):
         a, b = rng.random((6, 7)), rng.random((6, 7))
-        base = difference(make_map(a, 20), make_map(b, 0)).value
-        scaled = difference(make_map(4 * a, 20), make_map(4 * b, 0)).value
+        base = difference(a, b)
+        scaled = difference(4 * a, 4 * b)
         assert scaled == pytest.approx(4 * base, rel=1e-12)
 
 
@@ -85,33 +69,25 @@ class TestDifferenceSeries:
         assert ns.size == values.size > 0
         feats = feature_matrix(env)
         for n, value in zip(ns.tolist(), values):
-            cur = make_map(feats[:, n - width + 1:n + 1], n)
-            prev = make_map(
-                feats[:, n - stride - width + 1:n - stride + 1],
-                n - stride)
-            want = difference(cur, prev, expected_spacing=stride).value
+            cur = feats[:, n - width + 1:n + 1]
+            prev = feats[:, n - stride - width + 1:n - stride + 1]
+            want = brute_force_frobenius(cur, prev)
             assert abs(value - want) <= 1e-9 * max(want, 1.0)
 
     def test_equals_per_point_loop_bit_for_bit(self, rng):
-        # the per-point loop the vectorized form replaced, same arithmetic
+        # one difference() call per point, on the maps the engine compares
         env = rng.random((407, 3))
         width, stride = 40, 10
         feats = feature_matrix(env)
-        delta = feats[:, stride:] - feats[:, :-stride]
-        col_sq = np.einsum("ij,ij->j", delta, delta)
-        csum = np.concatenate([[0.0], np.cumsum(col_sq)])
         first = width + stride - 1
         for min_index in (0, 49, 50, 58, 59, 60, 400, 406, 407):
             ns, values = difference_series(env, width, stride,
                                            min_index=min_index)
-            start = max(first, min_index)
-            if start > first:
-                start = first + -(-(start - first) // stride) * stride
-            want_ns = list(range(start, len(env), stride))
-            want = []
-            for n in want_ns:
-                d2 = csum[n - stride + 1] - csum[n - width - stride + 1]
-                want.append(float(np.sqrt(max(d2, 0.0))))
+            want_ns = [n for n in range(max(first, min_index), len(env))
+                       if n % stride == stride - 1]
+            want = [difference(feats[:, n - width + 1:n + 1],
+                               feats[:, n - stride - width + 1:n - stride + 1])
+                    for n in want_ns]
             assert ns.tolist() == want_ns
             assert values.tolist() == want
 
@@ -120,6 +96,15 @@ class TestDifferenceSeries:
         ns, _ = difference_series(env, 40, 10)
         assert ns[0] == 49
         assert (np.diff(ns) == 10).all()
+        assert ns[-1] == 299
+
+    def test_cadence_is_the_engines_when_stride_does_not_divide_width(
+            self, rng):
+        # the engine compares maps at the last sample of each stride once
+        # two full maps exist: 59, 69, ... for width 45 and stride 10
+        ns, _ = difference_series(rng.random((300, 2)), 45, 10)
+        assert ns[0] == 59
+        assert (ns % 10 == 9).all()
         assert ns[-1] == 299
 
     def test_min_index_skips_warmup(self, rng):
@@ -190,7 +175,7 @@ class TestCalibrate:
 def feed(detector, values, start=0, spacing=20):
     events = []
     for i, v in enumerate(values):
-        e = detector.step(DifferencePoint(n=start + i * spacing, value=v))
+        e = detector.step(start + i * spacing, v)
         if e is not None:
             events.append(e)
     return events
@@ -223,9 +208,9 @@ class TestDetector:
 
     def test_out_of_order_input_rejected(self):
         det = OnsetDetector(threshold=10.0, refractory=400)
-        det.step(DifferencePoint(n=100, value=0.0))
+        det.step(100, 0.0)
         with pytest.raises(StructuralError):
-            det.step(DifferencePoint(n=100, value=0.0))
+            det.step(100, 0.0)
 
     def test_refractory_spacing_on_adversarial_stream(self, rng):
         # every point crosses; emitted events must still be >= r apart
