@@ -257,7 +257,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"stride budget {budget_us:.0f} us; "
           f"mean uses {timings.mean() / budget_us * 100:.1f}% of it")
     # Second pass over the same noise with a threshold nothing crosses: every
-    # stride is quiet (filter, ring, features, difference, detector only).
+    # stride is quiet (filter, ring, the stride's own feature columns and
+    # difference terms, the window sum and the detector; no full map).
     quiet_engine = Engine(model, config, threshold=float("inf"))
     quiet = []
     for batch in iter_batches(noise, config.map_stride):

@@ -1,23 +1,27 @@
 """The streaming recognition loop.
 
-Per iteration the engine waits for one stride of new raw samples, extends the
-envelopes, builds the feature matrix of the window ending at the newest
-sample, and compares it against the previous iteration's with
-:func:`~tmagest.onset.difference`, whose value equals that of
-:func:`~tmagest.onset.difference_series` at the same index bit for bit. When
-the difference crosses the calibrated threshold outside the refractory
-window, the matrix is classified - unless alternate-onset suppression is
-active and this onset is the expected return to neutral, in which case the
-onset is reported without classification.
+Per iteration the engine waits for one stride of new raw samples and extends
+the envelopes. It builds the feature columns of the stride's new samples only
+and their column terms of the difference signal against the previous
+stride's columns (:func:`~tmagest.onset.difference`). The difference at the
+newest sample is the square root of the sum of the newest ``map_width``
+terms, which equals :func:`~tmagest.onset.difference_series` at the same
+index bit for bit. When the difference crosses the calibrated threshold
+outside the refractory window, the engine builds the full feature matrix of
+the window ending at the newest sample and classifies it - unless
+alternate-onset suppression is active and this onset is the expected return
+to neutral, in which case the onset is reported without classification and
+no matrix is built.
 
 The engine owns all mutable state (filter memory, frame ring, previous
-feature matrix, detector, suppression flag) and must be stepped by one caller
-in order. Emitted events are immutable values.
+stride's feature columns, column terms, detector, suppression flag) and must
+be stepped by one caller in order. Emitted events are immutable values.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -120,7 +124,11 @@ class Engine:
                                config.map_stride)
         self._detector = OnsetDetector(self.threshold, config.refractory,
                                        warmup_end=config.warmup_samples)
-        self._prev: np.ndarray | None = None
+        self._prev_cols: np.ndarray | None = None
+        # column terms, oldest first; the newest map_width end at _terms_end,
+        # and they move to the front only when a stride no longer fits
+        self._terms = np.empty(2 * config.map_width + config.map_stride)
+        self._terms_end = 0
         self._expect_flexion = True
         self._count = 0
 
@@ -153,17 +161,26 @@ class Engine:
                 f"stride starting at sample {self._count} holds a non-finite "
                 f"value at sample {self._count + row}"
             )
-        self._ring.push_values(self._count, self._filter.process(rectified))
+        frames = self._filter.process(rectified)
+        self._ring.push_values(self._count, frames)
         self._count += cfg.map_stride
         newest = self._count - 1
 
-        if not self._ring.is_full:
-            return None
-        current = feature_matrix(self._ring.window())
-        prev, self._prev = self._prev, current
+        cols = feature_matrix(frames)
+        prev, self._prev_cols = self._prev_cols, cols
         if prev is None:
             return None
-        hit = self._detector.step(newest, difference(current, prev))
+        terms, end, width = self._terms, self._terms_end, cfg.map_width
+        if end + cfg.map_stride > terms.size:
+            terms[:width] = terms[end - width:end]
+            end = width
+        terms[end:end + cfg.map_stride] = difference(cols, prev)
+        end += cfg.map_stride
+        self._terms_end = end
+        if end < width:
+            return None
+        hit = self._detector.step(newest,
+                                  math.sqrt(terms[end - width:end].sum()))
         if hit is None:
             return None
         if self.suppress_alternate and not self._expect_flexion:
@@ -173,7 +190,8 @@ class Engine:
                 compute_micros=(time.perf_counter_ns() - t0) / 1000.0)
         if self.suppress_alternate:
             self._expect_flexion = False
-        gesture, confidence = predict(self.model, current)
+        gesture, confidence = predict(self.model,
+                                      feature_matrix(self._ring.window()))
         return Prediction(
             n=hit.n, gesture=gesture, confidence=confidence,
             compute_micros=(time.perf_counter_ns() - t0) / 1000.0)

@@ -6,12 +6,16 @@ difference. Gesture onsets show up as prominent peaks; detection is a strict
 threshold crossing followed by a refractory pause that blocks re-triggering
 while the same transition is still in flight.
 
-The norm is one arithmetic everywhere: the sum over the map's columns of
-each column's squared difference. The engine applies it to one pair of maps
-per stride (:func:`difference`); calibration applies it to a whole recording
-at the engine's cadence (:func:`difference_series`). Both give the same bits
-at the same index, so the threshold is fitted on the signal it is compared
-against.
+The norm is one arithmetic everywhere. Its square is a sum of column terms,
+one per time step ``t`` of the window: ``g(t) = |f(t) - f(t - stride)|^2``,
+the squared difference of the feature column at ``t`` and the column one
+stride earlier, summed down the column (:func:`difference`). The value at
+``n`` is the square root of the pairwise sum of the ``map_width`` terms that
+end at ``n``. The engine computes the terms of each stride's new columns and
+sums the newest ``map_width`` of them; calibration computes the terms of a
+whole recording at once and sums each window at the engine's cadence
+(:func:`difference_series`). Both give the same bits at the same index, so
+the threshold is fitted on the signal it is compared against.
 
 The threshold is calibrated from labeled recordings: the population standard
 deviation of the difference signal is computed per gesture (over all points
@@ -42,16 +46,22 @@ class OnsetEvent:
     d_value: float
 
 
-def difference(current: np.ndarray, previous: np.ndarray) -> float:
-    """Frobenius norm of ``current - previous``.
+def difference(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Column terms of the difference signal: ``|current - previous|^2`` per
+    column.
 
-    Summed as in :func:`difference_series`: the squares of each column
-    first, then the column sums, so both give the same bits for one pair of
-    maps.
+    Column ``j`` of the result is the sum down column ``j`` of the squared
+    element-wise difference. A column's term does not depend on the other
+    columns passed with it, so the terms of a few new columns equal the
+    matching slice of a whole recording's terms, bit for bit. The Frobenius
+    norm of two maps is ``sqrt(difference(a, b).sum())``.
 
     Args:
-        current: (rows, width) map at index n.
-        previous: The map ``map_stride`` samples earlier.
+        current: (rows, k) block of feature columns.
+        previous: The (rows, k) block ``map_stride`` samples earlier.
+
+    Returns:
+        The k column terms.
 
     Raises:
         StructuralError: On shape mismatch.
@@ -61,17 +71,22 @@ def difference(current: np.ndarray, previous: np.ndarray) -> float:
             f"map shapes differ: {current.shape} vs {previous.shape}"
         )
     delta = current - previous
-    return float(np.sqrt(np.einsum("ij,ij->j", delta, delta).sum()))
+    k = delta.shape[1]
+    if k == 1:
+        # einsum sums a lone column in another order than a column of a
+        # wider block; sum a doubled one so that every column sums alike
+        delta = np.repeat(delta, 2, axis=1)
+    return np.einsum("ij,ij->j", delta, delta)[:k]
 
 
 def difference_series(envelopes: np.ndarray, map_width: int, map_stride: int,
                       min_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Difference signal over a whole envelope recording, vectorized.
 
-    Gives the values :func:`difference` gives for the maps the streaming
-    engine compares, bit for bit: the squared column differences are
-    computed once for the recording, and each point sums the ``map_width``
-    of them that its window covers. Points fall where the engine evaluates:
+    Gives the values the streaming engine compares against the threshold,
+    bit for bit: the column terms (:func:`difference`) are computed once for
+    the recording, and each point sums the ``map_width`` of them that its
+    window covers. Points fall where the engine evaluates:
     at the last sample of each stride (``n % map_stride == map_stride - 1``)
     from ``map_width + map_stride - 1`` on, where two full maps exist.
 
@@ -90,9 +105,9 @@ def difference_series(envelopes: np.ndarray, map_width: int, map_stride: int,
     if ns.size == 0:
         return ns, np.empty(0)
     feats = feature_matrix(envelopes)
-    delta = feats[:, map_stride:] - feats[:, :-map_stride]
-    terms = np.einsum("ij,ij->j", delta, delta)    # term k: sample k + stride
-    # the map pair at n covers terms n - stride - width + 1 .. n - stride
+    terms = difference(feats[:, map_stride:], feats[:, :-map_stride])
+    # term k is sample k + stride's; the map pair at n covers the terms
+    # n - stride - width + 1 .. n - stride
     first = start - map_stride - map_width + 1
     windows = sliding_window_view(terms, map_width)[first::map_stride]
     return ns, np.sqrt(windows.sum(axis=-1))

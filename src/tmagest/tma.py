@@ -63,9 +63,17 @@ def feature_matrix(frames: np.ndarray) -> np.ndarray:
     (``x_0^2, x_0 x_1, ..., x_0 x_{L-1}, x_1^2, ...``).
     """
     frames = np.asarray(frames, dtype=np.float64)
-    first = frames.T
-    iu, ju = pair_indices(frames.shape[1])
-    return np.concatenate([first, first[iu] * first[ju]], axis=0)
+    n, channels = frames.shape
+    iu, ju = pair_indices(channels)
+    out = np.empty((channels + iu.size, n))
+    first, second = out[:channels], out[channels:]
+    first[...] = frames.T
+    # x_i lands in place, then one multiply by x_j: a single (pairs, n)
+    # temporary. The indices are in range; mode "clip" lets take write
+    # into out without a buffered copy.
+    first.take(iu, axis=0, out=second, mode="clip")
+    np.multiply(second, first.take(ju, axis=0), out=second)
+    return out
 
 
 @dataclass

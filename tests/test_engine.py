@@ -145,7 +145,36 @@ class TestStep:
             n = event.n
             np.testing.assert_array_equal(m, feats[:, n - w + 1:n + 1])
 
-    @pytest.mark.parametrize("width,stride", [(40, 10), (45, 10), (33, 7)])
+    def test_full_map_built_only_for_classified_onsets(self, trained_setup,
+                                                       monkeypatch):
+        # a quiet or suppressed stride builds the features of its own
+        # samples only; a classifying stride also builds the whole window
+        config = trained_setup.config
+        built = []
+        build = engine_mod.feature_matrix
+
+        def record(frames):
+            built.append(frames.shape[0])
+            return build(frames)
+
+        monkeypatch.setattr(engine_mod, "feature_matrix", record)
+        engine = Engine(trained_setup.model, config)
+        events = []
+        for batch in iter_batches(trained_setup.eval_recording.samples,
+                                  config.map_stride):
+            built.clear()
+            event = engine.step(batch)
+            if isinstance(event, Prediction):
+                assert built == [config.map_stride, config.map_width]
+            else:
+                assert built == [config.map_stride]
+            events.append(event)
+        assert any(isinstance(e, Prediction) for e in events)
+        assert any(isinstance(e, SuppressedOnset) for e in events)
+        assert None in events
+
+    @pytest.mark.parametrize("width,stride", [(40, 10), (45, 10), (33, 7),
+                                              (80, 20), (20, 20), (20, 1)])
     def test_difference_equals_offline_series_bit_for_bit(
             self, trained_setup, monkeypatch, width, stride):
         # the (n, d) pairs the detector sees are the calibration signal,
@@ -187,11 +216,17 @@ class TestReplay:
                 assert (a.gesture, a.confidence) == (b.gesture, b.confidence)
 
     def test_fast_and_realtime_agree(self, trained_setup):
+        # realtime pacing sleeps through the recording, so replay only the
+        # whole strides up to the first event
         config = trained_setup.config
+        first = next(run_replay(trained_setup.eval_recording,
+                                trained_setup.model, config, "fast"))
+        end = (first.n // config.map_stride + 1) * config.map_stride
         short = Recording(sample_rate=config.sample_rate,
-                          samples=trained_setup.eval_recording.samples[:1200])
+                          samples=trained_setup.eval_recording.samples[:end])
         fast = list(run_replay(short, trained_setup.model, config, "fast"))
         real = list(run_replay(short, trained_setup.model, config, "realtime"))
+        assert fast
         assert [(type(e).__name__, e.n) for e in fast] == \
                [(type(e).__name__, e.n) for e in real]
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,21 +23,27 @@ def brute_force_frobenius(a, b):
     return total ** 0.5
 
 
+def frobenius(a, b):
+    """The Frobenius norm of ``a - b`` from its column terms."""
+    return math.sqrt(difference(a, b).sum())
+
+
 class TestDifference:
     def test_identical_maps_give_zero(self, rng):
         data = rng.random((44, 80))
-        assert difference(data, data.copy()) == 0.0
+        assert frobenius(data, data.copy()) == 0.0
 
     def test_single_entry_delta(self):
         a = np.zeros((5, 4))
         b = a.copy()
         b[2, 3] = -7.25
-        assert difference(a, b) == 7.25
+        assert difference(a, b).tolist() == [0.0, 0.0, 0.0, 7.25 ** 2]
+        assert frobenius(a, b) == 7.25
 
     def test_matches_brute_force_on_random_pairs(self, rng):
         for _ in range(20):
             a, b = rng.random((44, 80)), rng.random((44, 80))
-            got = difference(a, b)
+            got = frobenius(a, b)
             want = brute_force_frobenius(a, b)
             assert abs(got - want) <= 1e-12 * max(want, 1.0)
 
@@ -46,19 +54,31 @@ class TestDifference:
     def test_index_shift_invariance(self, rng):
         # adding the same offset to both maps leaves the difference alone
         da, db = rng.random((5, 4)), rng.random((5, 4))
-        v1 = difference(da, db)
-        v2 = difference(da + 3.0, db + 3.0)
+        v1 = frobenius(da, db)
+        v2 = frobenius(da + 3.0, db + 3.0)
         assert v2 == pytest.approx(v1, rel=1e-12)
 
     def test_triangle_inequality(self, rng):
         a, b, c = (rng.random((6, 7)) for _ in range(3))
-        assert difference(a, c) <= difference(a, b) + difference(b, c) + 1e-12
+        assert frobenius(a, c) <= frobenius(a, b) + frobenius(b, c) + 1e-12
 
     def test_scale(self, rng):
         a, b = rng.random((6, 7)), rng.random((6, 7))
-        base = difference(a, b)
-        scaled = difference(4 * a, 4 * b)
+        base = frobenius(a, b)
+        scaled = frobenius(4 * a, 4 * b)
         assert scaled == pytest.approx(4 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2, 7, 20])
+    def test_column_blocks_equal_the_whole_recordings_terms(self, rng,
+                                                            stride):
+        # the engine's per-stride terms are slices of the calibration's
+        feats = feature_matrix(rng.random((230, 8)))
+        whole = difference(feats[:, stride:], feats[:, :-stride])
+        for start in range(stride, feats.shape[1] - stride + 1, stride):
+            block = difference(feats[:, start:start + stride],
+                               feats[:, start - stride:start])
+            np.testing.assert_array_equal(
+                block, whole[start - stride:start])
 
 
 class TestDifferenceSeries:
@@ -85,8 +105,8 @@ class TestDifferenceSeries:
                                            min_index=min_index)
             want_ns = [n for n in range(max(first, min_index), len(env))
                        if n % stride == stride - 1]
-            want = [difference(feats[:, n - width + 1:n + 1],
-                               feats[:, n - stride - width + 1:n - stride + 1])
+            want = [frobenius(feats[:, n - width + 1:n + 1],
+                              feats[:, n - stride - width + 1:n - stride + 1])
                     for n in want_ns]
             assert ns.tolist() == want_ns
             assert values.tolist() == want

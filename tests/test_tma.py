@@ -85,6 +85,19 @@ class TestFeatureVector:
             np.testing.assert_array_equal(
                 mat[:, t], np.concatenate([x, np.outer(x, x)[iu, ju]]))
 
+    @pytest.mark.parametrize("channels", [1, 4, 8])
+    def test_blocks_equal_slices_of_the_whole(self, rng, channels):
+        # the engine builds a stride's columns alone; they must be the
+        # calibration's columns of the same samples, bit for bit
+        x = rng.normal(size=(300, channels))
+        whole = feature_matrix(x)
+        assert whole.flags.c_contiguous
+        for _ in range(30):
+            a = int(rng.integers(0, 300))
+            b = int(rng.integers(a + 1, 301))
+            np.testing.assert_array_equal(feature_matrix(x[a:b]),
+                                          whole[:, a:b])
+
 
 class TestFrameRing:
     def test_fifo_keeps_last_window(self):
