@@ -54,20 +54,21 @@ def annotations_path(recording_path: str | Path) -> Path:
     return p.with_name(p.stem + ".annotations.csv")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# Rows move through the CSV in blocks of this many: one string per block
+# bounds the text held at once, where a whole-file join or split would not.
+ROW_BLOCK = 4096
 
 
 def write_recording(recording: Recording, path: str | Path) -> None:
     """Write samples as CSV plus, if present, the annotation sidecar."""
     path = Path(path)
-    channels = recording.channels
-    header = "t," + ",".join(f"ch{i}" for i in range(channels))
+    header = "t," + ",".join(f"ch{i}" for i in range(recording.channels))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for t in range(recording.num_samples):
-            row = recording.samples[t]
-            fh.write(str(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, recording.num_samples, ROW_BLOCK):
+            rows = recording.samples[start:start + ROW_BLOCK].tolist()
+            fh.write("".join(f"{t},{','.join(map(repr, row))}\n"
+                             for t, row in enumerate(rows, start)))
     if recording.annotations:
         with open(annotations_path(path), "w", encoding="utf-8") as fh:
             fh.write("n,gesture,phase\n")
@@ -116,7 +117,65 @@ def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
     the previous row's (``prev_t`` carries it from an earlier block) and
     finite values. A :class:`RecordingParseError` names the first bad row by
     its entry in ``line_numbers``.
+
+    Rows go in blocks of :data:`ROW_BLOCK`. :func:`_parse_block` reads a
+    block of canonical rows in one pass; any other block goes through the
+    row loop, which defines the accepted language and the error text.
     """
+    for start in range(0, len(lines), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        t = _parse_block(lines[block], out[block], prev_t)
+        if t is None:
+            t = _parse_row_loop(lines[block], line_numbers[block], out[block],
+                                prev_t)
+        prev_t = t
+    # Checked once over all rows, so a structural error anywhere still
+    # takes precedence over a non-finite value before it.
+    rows = out[:len(lines)]
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise RecordingParseError(
+            f"ch{col} is {rows[row, col]}, expected a finite value",
+            line=line_numbers[row])
+    return prev_t
+
+
+def _parse_block(lines: Sequence[str], out: np.ndarray,
+                 prev_t: int | None) -> int | None:
+    """Read a block of canonical rows in one pass, or return None.
+
+    The block is taken only when every line has ``out.shape[1]`` commas, the
+    ``t`` fields read exactly ``str(prev_t + 1), str(prev_t + 2), ...`` (from
+    the first row's ``int()`` when ``prev_t`` is None) and every value parses
+    with ``float()``. The row loop would then split the same fields and give
+    the same bits. ``out`` is written only once the whole block has passed.
+    """
+    channels = out.shape[1]
+    if not all(line.count(",") == channels for line in lines):
+        return None
+    fields = ",".join(lines).split(",")
+    stamps = fields[::channels + 1]
+    if prev_t is None:
+        try:
+            prev_t = int(stamps[0]) - 1
+        except ValueError:
+            return None
+    last = prev_t + len(lines)
+    if stamps != list(map(str, range(prev_t + 1, last + 1))):
+        return None
+    del fields[::channels + 1]
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        return None
+    out[:len(lines)] = values.reshape(len(lines), channels)
+    return last
+
+
+def _parse_row_loop(lines: Sequence[str], line_numbers: Sequence[int],
+                    out: np.ndarray, prev_t: int | None) -> int | None:
+    """The row-by-row reference parse; leaves finiteness to the caller."""
     width = out.shape[1] + 1
     for k, line in enumerate(lines):
         parts = line.split(",")
@@ -134,13 +193,6 @@ def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
                 f"sample index {t} does not follow {prev_t}",
                 line=line_numbers[k])
         prev_t = t
-    block = out[:len(lines)]
-    finite = np.isfinite(block)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise RecordingParseError(
-            f"ch{col} is {block[row, col]}, expected a finite value",
-            line=line_numbers[row])
     return prev_t
 
 

@@ -3,7 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tmagest import io as tmio
 from tmagest.cnn import (
     CnnArchitecture,
     CnnModel,
@@ -110,6 +113,30 @@ class TestRecordingCsv:
         path = tmp_path / "void.csv"
         path.write_text("")
         with pytest.raises(RecordingParseError):
+            read_recording(path, sample_rate=200.0)
+
+    def test_bytes_equal_per_value_repr_across_blocks(self, tmp_path, rng):
+        specials = [-0.0, 5e-324, 1e-300, 1e16, 0.1, 1 / 3, 2.0,
+                    -1.7976931348623157e308]
+        samples = rng.normal(size=(tmio.ROW_BLOCK + 5, 8))
+        samples[0] = specials
+        samples[tmio.ROW_BLOCK] = specials[::-1]
+        path = tmp_path / "exact.csv"
+        write_recording(Recording(sample_rate=200.0, samples=samples), path)
+        header = "t," + ",".join(f"ch{i}" for i in range(8)) + "\n"
+        expected = header + "".join(
+            str(t) + "," + ",".join(repr(float(v)) for v in row) + "\n"
+            for t, row in enumerate(samples))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_structural_error_in_later_block_beats_earlier_nan(self, tmp_path):
+        rows = [f"{t},1.0,2.0" for t in range(6000)]
+        rows[1] = "1,nan,2.0"      # line 3, first block
+        rows[4998] = "4998,1.0"    # line 5000, second block
+        path = tmp_path / "two_faults.csv"
+        path.write_text("t,ch0,ch1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(RecordingParseError,
+                           match="line 5000: row has 2 columns, expected 3"):
             read_recording(path, sample_rate=200.0)
 
     def test_bad_annotation_phase_rejected(self, tmp_path, rng):
@@ -258,6 +285,91 @@ class TestParseRows:
     def test_bad_row_names_its_line_number(self, row):
         with pytest.raises(RecordingParseError, match="line 7: "):
             parse_rows([row], [7], np.empty((1, 2)))
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# Spellings int() and float() accept or reject that a canonical row never has.
+T_SPELLINGS = [lambda t: "+" + t, lambda t: "0" + t, lambda t: " " + t,
+               "_".join, lambda t: t + "_0", lambda t: t + ".0",
+               lambda t: t.translate(ARABIC_INDIC)]
+VALUE_SPELLINGS = ["1_0", " 1.5", "nan", "inf", "0x1p3", "-0", "", "1e999"]
+
+
+@st.composite
+def csv_rows(draw):
+    """Canonical rows, optionally mutated, with a prev_t, a split point and
+    a block size; returns (channels, lines, prev_t, cut, block)."""
+    channels = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    start = draw(st.integers(0, 120))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[str(start + k)]
+            + [repr(draw(values)) for _ in range(channels)]
+            for k in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["t", "value", "ragged", "gap", "blank"]))
+        if kind == "t":
+            rows[k][0] = draw(st.sampled_from(T_SPELLINGS))(rows[k][0])
+        elif kind == "value":
+            last = len(rows[k]) - 1
+            rows[k][draw(st.integers(min(1, last), last))] = draw(
+                st.sampled_from(VALUE_SPELLINGS))
+        elif kind == "ragged":
+            if len(rows[k]) > 1 and draw(st.booleans()):
+                rows[k].pop()
+            else:
+                rows[k].append("1.0")
+        elif kind == "gap":
+            rows[k][0] = str(start + k + draw(st.sampled_from([-1, 1, 2])))
+        else:
+            rows[k] = [""]
+    prev_t = draw(st.sampled_from([None, start - 1, start - 2, start]))
+    cut = draw(st.integers(0, n))
+    block = draw(st.sampled_from([1, 2, 3, tmio.ROW_BLOCK]))
+    return channels, [",".join(r) for r in rows], prev_t, cut, block
+
+
+def parse_outcome(lines, channels, prev_t, cut):
+    """Parse in two calls that carry ``prev_t``, as the stdin reader does;
+    returns (last t, array bytes) or (error text, error line)."""
+    out = np.zeros((len(lines), channels))
+    numbers = list(range(2, len(lines) + 2))
+    try:
+        t = parse_rows(lines[:cut], numbers[:cut], out[:cut], prev_t)
+        t = parse_rows(lines[cut:], numbers[cut:], out[cut:], t)
+    except RecordingParseError as exc:
+        return str(exc), exc.line
+    return t, out.tobytes()
+
+
+class TestBulkRows:
+    """The block parser must accept exactly what the row loop accepts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_rows())
+    def test_bulk_matches_row_loop(self, case):
+        channels, lines, prev_t, cut, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tmio, "_parse_block", lambda lines, out, prev_t: None)
+            reference = parse_outcome(lines, channels, prev_t, cut)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tmio, "ROW_BLOCK", block)
+            assert parse_outcome(lines, channels, prev_t, cut) == reference
+
+    def test_canonical_block_is_taken_in_one_pass(self):
+        out = np.empty((2, 2))
+        assert tmio._parse_block(["4,1.5,2.0", "5,-0.0,3e-9"], out, 3) == 5
+        np.testing.assert_array_equal(out, [[1.5, 2.0], [-0.0, 3e-9]])
+        assert tmio._parse_block(["7,1.5,2.0"], out, None) == 7
+
+    @pytest.mark.parametrize("lines,prev_t", [
+        (["+4,1.5,2.0"], 3), (["04,1.5,2.0"], None), (["4,1.5,2.0"], 4),
+        (["4,1.5", "5,2.0,3.0,4.0"], 3), (["4,1.5,x"], 3)])
+    def test_other_blocks_go_to_the_row_loop(self, lines, prev_t):
+        out = np.full((2, 2), 9.0)
+        assert tmio._parse_block(lines, out, prev_t) is None
+        assert (out == 9.0).all()
 
 
 class TestCalibrationJson:
