@@ -145,6 +145,10 @@ class CnnModel:
                     f"parameter {name} has shape {got}, expected {shape}"
                 )
         if self.labels is not None:
+            if not isinstance(self.labels, (list, tuple)) or not all(
+                    isinstance(label, str) for label in self.labels):
+                raise StructuralError(
+                    f"labels must be a list of strings, got {self.labels!r}")
             self.labels = tuple(self.labels)
             if len(self.labels) != self.architecture.num_classes:
                 raise StructuralError(
@@ -440,13 +444,9 @@ def batch_loss_and_gradients(params, arch: CnnArchitecture,
 # public surface
 # ---------------------------------------------------------------------------
 
-def _map_data(m) -> np.ndarray:
-    return m.data if isinstance(m, TmaMap) else np.asarray(m, dtype=np.float64)
-
-
-def forward(model: CnnModel, normalized_map) -> np.ndarray:
-    """Class probabilities (sum to 1) for one already-normalized map."""
-    return forward_batch(model, _map_data(normalized_map)[None])[0]
+def forward(model: CnnModel, normalized_map: np.ndarray) -> np.ndarray:
+    """Class probabilities (sum to 1) for one normalized (rows, cols) map."""
+    return forward_batch(model, np.asarray(normalized_map)[None])[0]
 
 
 def forward_batch(model: CnnModel, normalized_maps: np.ndarray) -> np.ndarray:
@@ -505,7 +505,7 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
     if missing:
         raise TrainingError(f"no training examples for gestures: {missing}")
 
-    maps = [_map_data(ex.map) for ex in dataset]
+    maps = [ex.map.data for ex in dataset]
     shape = maps[0].shape
     odd = next((i for i, m in enumerate(maps) if m.shape != shape), None)
     if odd is not None:
@@ -556,8 +556,8 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
     )
 
 
-def predict(model: CnnModel, raw_map) -> tuple[str, float]:
-    """Classify one unnormalized map.
+def predict(model: CnnModel, raw_map: np.ndarray) -> tuple[str, float]:
+    """Classify one unnormalized (rows, cols) map.
 
     Applies the model's stored bounds (clamping values outside the training
     range), runs the forward pass, and returns the argmax label with its
@@ -567,7 +567,7 @@ def predict(model: CnnModel, raw_map) -> tuple[str, float]:
         UsageError: If the model lacks bounds or a label table.
     """
     model.require_ready()
-    data = _map_data(raw_map)
+    data = np.asarray(raw_map, dtype=np.float64)
     channels = channels_for_rows(data.shape[0])
     normalized = normalize_array(data, model.bounds, channels)
     probs = forward(model, normalized)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -29,6 +30,12 @@ DEFAULT_GESTURES: tuple[str, ...] = (
     "hand-closure",
     "pointer",
 )
+
+
+def is_finite_real(value) -> bool:
+    """A real number, not a bool, inside the finite range of a float."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass
@@ -125,8 +132,7 @@ class SessionConfig:
             setattr(self, name, int(value))
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not is_finite_real(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.suppress_alternate_onsets, bool):
             raise ConfigError("suppress_alternate_onsets must be true or false, "
@@ -169,7 +175,7 @@ class SessionConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:    # also bytes that are not UTF-8
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config file must hold a JSON object")

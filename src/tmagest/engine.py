@@ -7,15 +7,15 @@ stride's columns (:func:`~tmagest.onset.difference`). The difference at the
 newest sample is the square root of the sum of the newest ``map_width``
 terms, which equals :func:`~tmagest.onset.difference_series` at the same
 index bit for bit. When the difference crosses the calibrated threshold
-outside the refractory window, the engine builds the full feature matrix of
-the window ending at the newest sample and classifies it - unless
+outside the refractory window, the engine classifies the newest
+``map_width`` feature columns, the map ending at the newest sample - unless
 alternate-onset suppression is active and this onset is the expected return
-to neutral, in which case the onset is reported without classification and
-no matrix is built.
+to neutral, in which case the onset is reported without classification.
 
-The engine owns all mutable state (filter memory, frame ring, previous
-stride's feature columns, column terms, detector, suppression flag) and must
-be stepped by one caller in order. Emitted events are immutable values.
+The engine owns all mutable state - the filter memory, a ring of the newest
+feature columns, a ring of their column terms, the previous stride's columns,
+the detector and the suppression flag - and must be stepped by one caller in
+order. Emitted events are immutable values.
 """
 
 from __future__ import annotations
@@ -120,15 +120,12 @@ class Engine:
         coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
                                             config.sample_rate)
         self._filter = EnvelopeFilter(coeffs, config.channels, config.map_stride)
-        self._ring = FrameRing(config.map_width, config.channels,
+        self._cols = FrameRing(config.map_width, config.feature_rows,
                                config.map_stride)
+        self._terms = FrameRing(config.map_width, 1, config.map_stride)
         self._detector = OnsetDetector(self.threshold, config.refractory,
                                        warmup_end=config.warmup_samples)
         self._prev_cols: np.ndarray | None = None
-        # column terms, oldest first; the newest map_width end at _terms_end,
-        # and they move to the front only when a stride no longer fits
-        self._terms = np.empty(2 * config.map_width + config.map_stride)
-        self._terms_end = 0
         self._expect_flexion = True
         self._count = 0
 
@@ -162,25 +159,18 @@ class Engine:
                 f"value at sample {self._count + row}"
             )
         frames = self._filter.process(rectified)
-        self._ring.push_values(self._count, frames)
+        t = self._count
         self._count += cfg.map_stride
-        newest = self._count - 1
-
         cols = feature_matrix(frames)
+        self._cols.push_values(t, cols.T)
         prev, self._prev_cols = self._prev_cols, cols
         if prev is None:
             return None
-        terms, end, width = self._terms, self._terms_end, cfg.map_width
-        if end + cfg.map_stride > terms.size:
-            terms[:width] = terms[end - width:end]
-            end = width
-        terms[end:end + cfg.map_stride] = difference(cols, prev)
-        end += cfg.map_stride
-        self._terms_end = end
-        if end < width:
+        self._terms.push_values(t, difference(cols, prev)[:, None])
+        if not self._terms.is_full:
             return None
-        hit = self._detector.step(newest,
-                                  math.sqrt(terms[end - width:end].sum()))
+        hit = self._detector.step(self._count - 1,
+                                  math.sqrt(self._terms.window().sum()))
         if hit is None:
             return None
         if self.suppress_alternate and not self._expect_flexion:
@@ -190,8 +180,7 @@ class Engine:
                 compute_micros=(time.perf_counter_ns() - t0) / 1000.0)
         if self.suppress_alternate:
             self._expect_flexion = False
-        gesture, confidence = predict(self.model,
-                                      feature_matrix(self._ring.window()))
+        gesture, confidence = predict(self.model, self._cols.window().T)
         return Prediction(
             n=hit.n, gesture=gesture, confidence=confidence,
             compute_micros=(time.perf_counter_ns() - t0) / 1000.0)

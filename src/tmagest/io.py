@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
@@ -30,7 +29,7 @@ from .cnn import (
     CnnModel,
     TrainingMetadata,
 )
-from .config import SessionConfig
+from .config import SessionConfig, is_finite_real
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -83,11 +82,11 @@ def read_recording(path: str | Path, sample_rate: float,
     Raises:
         RecordingParseError: On a malformed header or row, a column-count
             mismatch, non-consecutive sample indices or a NaN or infinite
-            value; the error names the offending line.
+            value, or bytes that are not UTF-8; the error names the
+            offending line.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise RecordingParseError("file is empty, expected a header", line=1)
     header = lines[0].split(",")
@@ -107,6 +106,19 @@ def read_recording(path: str | Path, sample_rate: float,
         annotations = read_annotations(side)
     return Recording(sample_rate=sample_rate, samples=rows,
                      annotations=annotations)
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file; a :class:`RecordingParseError` names
+    the line of the first byte that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object is all of it
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
+                                  line=line) from exc
 
 
 def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
@@ -197,8 +209,7 @@ def _parse_row_loop(lines: Sequence[str], line_numbers: Sequence[int],
 
 
 def read_annotations(path: str | Path) -> list[Annotation]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(Path(path))
     if not lines or lines[0] != "n,gesture,phase":
         raise RecordingParseError("bad annotation header", line=1)
     out = []
@@ -236,8 +247,7 @@ def _calibration_from_dict(data) -> ThresholdCalibration:
     for name, value in [("threshold", data["threshold"]),
                         ("multiplier", data["multiplier"]),
                         *((f"per_gesture_sigma.{g}", v) for g, v in sigmas.items())]:
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
+        if not is_finite_real(value):
             raise ValueError(f"calibration field {name!r} is {value!r}, "
                              "expected a finite number")
     if not isinstance(data["degenerate"], bool):
@@ -254,13 +264,12 @@ def write_calibration(cal: ThresholdCalibration, path: str | Path) -> None:
 def read_calibration(path: str | Path) -> ThresholdCalibration:
     """Load a :func:`write_calibration` file; a :class:`CalibrationError`
     names the file and, unless the text is not JSON, the bad field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return _calibration_from_dict(json.loads(text))
+        with open(path, "r", encoding="utf-8") as fh:
+            return _calibration_from_dict(json.load(fh))
     except json.JSONDecodeError as exc:
         raise CalibrationError(f"{path}: invalid JSON: {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:    # also a UnicodeDecodeError
         raise CalibrationError(f"{path}: {exc}") from exc
 
 
@@ -325,17 +334,23 @@ def read_model(path: str | Path) -> CnnModel:
     except (ValueError, KeyError, TypeError, StructuralError) as exc:
         raise ModelIOError(f"{path}: malformed header: {exc}") from exc
 
+    if not isinstance(manifest, list):
+        raise ModelIOError(
+            f"{path}: header field 'tensors' is {manifest!r}, expected a list")
+
     params: dict[str, np.ndarray] = {}
     offset = 12 + header_len
     for entry in manifest:
         try:
-            name = entry["name"]
-            shape = tuple(int(d) for d in entry["shape"])
-            if any(d < 1 for d in shape):
-                raise ValueError(f"tensor '{name}' has shape {shape}")
-            count = int(np.prod(shape)) if shape else 1
-        except (KeyError, TypeError, ValueError) as exc:
+            name, shape = entry["name"], entry["shape"]
+        except (KeyError, TypeError) as exc:
             raise ModelIOError(f"{path}: malformed manifest: {exc}") from exc
+        if not (isinstance(shape, list)
+                and all(type(d) is int and d >= 1 for d in shape)):
+            raise ModelIOError(
+                f"{path}: tensor {name!r} has shape {shape!r}, expected a "
+                "list of positive integers")
+        count = math.prod(shape)
         if name not in PARAM_ORDER:
             raise ModelIOError(f"{path}: unknown tensor {name!r}")
         if name in params:
@@ -354,12 +369,11 @@ def read_model(path: str | Path) -> CnnModel:
     def load(key, make):
         return make(header[key]) if header.get(key) is not None else None
     try:
-        labels = header.get("labels")
         return CnnModel(
             architecture=arch,
             params=params,
             bounds=load("bounds", lambda d: NormalizationBounds(**d)),
-            labels=tuple(labels) if labels is not None else None,
+            labels=header.get("labels"),
             calibration=load("calibration", _calibration_from_dict),
             metadata=load("metadata", lambda d: TrainingMetadata(**d)),
             config=load("config", SessionConfig.from_dict),

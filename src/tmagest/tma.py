@@ -94,13 +94,15 @@ class TmaMap:
 
 
 class FrameRing:
-    """The most recent envelope frames, kept contiguous in time order.
+    """The most recent row vectors of a stream, kept contiguous in time order.
 
-    Frames arrive in blocks of at most ``stride`` rows with consecutive sample
-    indices. The buffer holds ``map_width + stride`` rows; a push that would
-    run past its end first moves the newest ``map_width`` rows to the front,
-    so the window is always one contiguous slice. Single-owner, sequential
-    use.
+    A row is any fixed-length vector with one sample index: an envelope
+    frame, a feature column, a difference term. Rows arrive in blocks of at
+    most ``stride`` with consecutive sample indices. The buffer holds
+    ``2 * map_width + stride`` rows; a push that would run past its end first
+    moves the newest ``map_width`` rows to the front, which happens about once
+    every ``map_width / stride`` pushes, so the window is always one
+    contiguous slice. Single-owner, sequential use.
     """
 
     def __init__(self, map_width: int, channels: int, stride: int = 1):
@@ -109,8 +111,9 @@ class FrameRing:
         if stride < 1:
             raise ConfigError(f"stride must be >= 1, got {stride}")
         self._width = map_width
-        self._buf = np.zeros((map_width + stride, channels))
-        self._end = 0           # rows in use; the newest frame is row _end - 1
+        self._stride = stride
+        self._buf = np.zeros((2 * map_width + stride, channels))
+        self._end = 0           # rows in use; the newest row is row _end - 1
         self._count = 0
         self._last_t: int | None = None
 
@@ -119,21 +122,19 @@ class FrameRing:
         return self._count == self._width
 
     def push_values(self, t: int, values: np.ndarray) -> None:
-        """Append a (k, channels) block of frames, k <= stride; ``t`` is the
+        """Append a (k, channels) block of rows, k <= stride; ``t`` is the
         sample index of its first row."""
         buf = self._buf
         if values.ndim != 2 or values.shape[1] != buf.shape[1]:
             raise StructuralError(
-                f"expected (k, {buf.shape[1]}) frames, got {values.shape}"
+                f"expected (k, {buf.shape[1]}) rows, got {values.shape}"
             )
         k = values.shape[0]
-        if k > buf.shape[0] - self._width:
-            raise StructuralError(
-                f"{k} frames exceed the stride of {buf.shape[0] - self._width}"
-            )
+        if k > self._stride:
+            raise StructuralError(f"{k} rows exceed the stride of {self._stride}")
         if self._last_t is not None and t != self._last_t + 1:
             raise StructuralError(
-                f"frame index {t} does not follow {self._last_t}"
+                f"row index {t} does not follow {self._last_t}"
             )
         if self._end + k > buf.shape[0]:
             buf[:self._width] = buf[self._end - self._width:self._end]
@@ -150,7 +151,7 @@ class FrameRing:
         """
         if not self.is_full:
             raise NotReadyError(
-                f"ring holds {self._count} of {self._width} frames"
+                f"ring holds {self._count} of {self._width} rows"
             )
         return self._buf[self._end - self._width:self._end]
 

@@ -70,6 +70,30 @@ class TestUsage:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt,message", [
+        ("train.csv", "not UTF-8 text"),
+        ("train.annotations.csv", "not UTF-8 text"),
+        ("config.json", "can't decode"), ("cal.json", "can't decode"),
+    ])
+    def test_non_utf8_input_is_error_exit_1(self, workspace, capsys,
+                                            tmp_path, corrupt, message):
+        # train reads all four files; a byte that is not UTF-8 in any of
+        # them ends in one error line naming where it is
+        root = workspace["root"]
+        for name in ("train.csv", "train.annotations.csv", "config.json",
+                     "cal.json"):
+            (tmp_path / name).write_bytes((root / name).read_bytes())
+        with open(tmp_path / corrupt, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        rc = main(["train", "--config", str(tmp_path / "config.json"),
+                   "--recording", str(tmp_path / "train.csv"),
+                   "--calibration", str(tmp_path / "cal.json"),
+                   "--out", str(tmp_path / "unused.tma")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestSynth:
     def test_outputs_exist_with_annotations(self, workspace):

@@ -216,7 +216,8 @@ class TestTrain:
         dataset = toy_dataset(rng)
         model = train(dataset, config,
                       bounds=NormalizationBounds(0.0, 1.0, 0.0, 1.0))
-        correct = sum(predict(model, ex.map)[0] == ex.label for ex in dataset)
+        correct = sum(predict(model, ex.map.data)[0] == ex.label
+                      for ex in dataset)
         assert correct == len(dataset)
         assert model.metadata.final_loss < 0.5
 
@@ -225,7 +226,8 @@ class TestTrain:
         dataset = toy_dataset(rng, n_per_class=50)
         model = train(dataset, config,
                       bounds=NormalizationBounds(0.0, 1.0, 0.0, 1.0))
-        correct = sum(predict(model, ex.map)[0] == ex.label for ex in dataset)
+        correct = sum(predict(model, ex.map.data)[0] == ex.label
+                      for ex in dataset)
         assert 0.2 <= correct / len(dataset) <= 0.8
 
     def test_same_seed_bitwise_identical(self, rng):
@@ -288,7 +290,7 @@ class TestPredict:
         dataset = toy_dataset(rng, n_per_class=8)
         model = train(dataset, config,
                       bounds=NormalizationBounds(0.0, 1.0, 0.0, 1.0))
-        wild = TmaMap(0, dataset[0].map.data * 1e6)
+        wild = dataset[0].map.data * 1e6
         label, conf = predict(model, wild)
         assert label in config.gestures
         assert 0 < conf <= 1
@@ -298,18 +300,17 @@ class TestPredict:
         dataset = toy_dataset(rng)
         model = train(dataset, config,
                       bounds=NormalizationBounds(0.0, 1.0, 0.0, 1.0))
-        assert predict(model, dataset[0].map)[0] == dataset[0].label
+        assert predict(model, dataset[0].map.data)[0] == dataset[0].label
 
     def test_argmax_stable_under_small_perturbation(self, rng):
         config = toy_config()
         dataset = toy_dataset(rng)
         model = train(dataset, config,
                       bounds=NormalizationBounds(0.0, 1.0, 0.0, 1.0))
-        m = dataset[0].map
+        m = dataset[0].map.data
         base = predict(model, m)[0]
         for _ in range(5):
-            jitter = TmaMap(0, np.clip(
-                m.data + rng.normal(0, 0.01, m.data.shape), 0, 1))
+            jitter = np.clip(m + rng.normal(0, 0.01, m.shape), 0, 1)
             assert predict(model, jitter)[0] == base
 
     def test_unready_model_rejected(self, rng):

@@ -74,6 +74,7 @@ class TestValidation:
         dict(learning_rate=float("nan")),
         dict(threshold_multiplier=True),
         dict(suppress_alternate_onsets="no"),
+        dict(sample_rate=10 ** 400),            # beyond the float range
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -107,3 +108,10 @@ class TestSerialization:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             SessionConfig.load(path)
+
+    def test_non_utf8_file_names_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"gestures": ["\xff", "b"]}')
+        with pytest.raises(ConfigError, match="can't decode byte 0xff") as err:
+            SessionConfig.load(path)
+        assert str(path) in str(err.value)

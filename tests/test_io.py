@@ -14,6 +14,7 @@ from tmagest.cnn import (
     forward,
     initial_params,
 )
+from tmagest.config import SessionConfig
 from tmagest.errors import (
     CalibrationError,
     ModelFormatError,
@@ -139,6 +140,26 @@ class TestRecordingCsv:
                            match="line 5000: row has 2 columns, expected 3"):
             read_recording(path, sample_rate=200.0)
 
+    @pytest.mark.parametrize("bad_row", [1, 30000])
+    def test_non_utf8_bytes_name_their_line(self, tmp_path, bad_row):
+        # a bad byte on row 30000 lies far past the first read buffer
+        rows = [f"{t},1.0".encode() for t in range(30001)]
+        rows[bad_row] = f"{bad_row},\xff\xfe".encode("latin-1")
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"\n".join([b"t,ch0", *rows, b""]))
+        with pytest.raises(RecordingParseError, match="not UTF-8") as err:
+            read_recording(path, sample_rate=200.0)
+        assert err.value.line == bad_row + 2
+
+    def test_non_utf8_annotation_names_its_line(self, tmp_path, rng):
+        path = tmp_path / "r.csv"
+        write_recording(sample_recording(rng), path)
+        side = annotations_path(path)
+        side.write_bytes(b"n,gesture,phase\n10,gr\xe9p,onset\n")
+        with pytest.raises(RecordingParseError, match="not UTF-8") as err:
+            read_recording(path, sample_rate=200.0)
+        assert err.value.line == 2
+
     def test_bad_annotation_phase_rejected(self, tmp_path, rng):
         rec = sample_recording(rng, annotated=False)
         path = tmp_path / "s.csv"
@@ -163,6 +184,17 @@ def sample_model(rng):
         metadata=TrainingMetadata(seed=3, epochs=15, learning_rate=0.001,
                                   batch_size=32, final_loss=0.0123456789),
     )
+
+
+def rewrite_header(path, change):
+    """Re-frame a written model after ``change(header)`` edits its header."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + header_len])
+    change(header)
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
+                     + blob[12 + header_len:])
 
 
 class TestModelContainer:
@@ -255,6 +287,78 @@ class TestModelContainer:
         self.rewrite(path, payload_extra=bytes(8))
         with pytest.raises(ModelIOError, match="8 bytes after the last tensor"):
             read_model(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("tensors", 5, "'tensors' is 5"),
+        ("tensors", None, "'tensors' is None"),
+        ("labels", "abc", "labels must be a list of strings, got 'abc'"),
+        ("labels", ["a", 2, "c"], "labels must be a list of strings"),
+        ("labels", {"a": 0, "b": 1, "c": 2}, "labels must be a list of strings"),
+    ])
+    def test_malformed_header_field_named(self, tmp_path, rng, key, value,
+                                          message):
+        path = tmp_path / "m.tma"
+        write_model(sample_model(rng), path)
+        rewrite_header(path, lambda header: header.update({key: value}))
+        with pytest.raises(ModelIOError, match=message):
+            read_model(path)
+
+    @pytest.mark.parametrize("dim", [3.5, True, "3", 0])
+    def test_shape_entries_must_be_positive_integers(self, tmp_path, rng, dim):
+        path = tmp_path / "m.tma"
+        write_model(sample_model(rng), path)
+
+        def change(header):
+            header["tensors"][-1]["shape"] = [dim]   # out_b, 3 classes
+        rewrite_header(path, change)
+        with pytest.raises(ModelIOError,
+                           match="tensor 'out_b' has shape .*positive integers"):
+            read_model(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.integers(min_value=2 ** 1024),          # beyond the float range
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8)
+HEADER_KEYS = ("architecture", "bounds", "labels", "calibration", "metadata",
+               "config", "tensors")
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """A valid model file with every optional header field present."""
+    model = sample_model(np.random.default_rng(5))
+    model.config = SessionConfig(channels=4, map_width=12, map_stride=4)
+    path = tmp_path_factory.mktemp("model") / "m.tma"
+    write_model(model, path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(HEADER_KEYS), value=JSON_VALUES,
+       nested=st.booleans(), pick=st.integers(min_value=0))
+def test_arbitrary_header_values_load_or_raise_model_io_error(
+        model_file, key, value, nested, pick):
+    # any JSON value in a header key, or in one field of that key's valid
+    # value, either loads or raises a ModelIOError - never anything else
+    def change(header):
+        target = header[key]
+        if nested and isinstance(target, dict):
+            target[sorted(target)[pick % len(target)]] = value
+        elif nested and isinstance(target, list):
+            target[pick % len(target)] = value
+        else:
+            header[key] = value
+
+    path = model_file.with_name("fuzzed.tma")
+    path.write_bytes(model_file.read_bytes())
+    rewrite_header(path, change)
+    try:
+        read_model(path)
+    except ModelIOError:
+        pass
 
 
 class TestParseRows:
@@ -411,6 +515,20 @@ class TestCalibrationJson:
             read_calibration(path)
         assert str(path) in str(err.value)
         assert field in str(err.value)
+
+    def test_int_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "cal.json"
+        write_calibration(self.CAL, path)
+        path.write_text(path.read_text().replace("5.2", "1" + "0" * 400))
+        with pytest.raises(CalibrationError, match="'threshold'"):
+            read_calibration(path)
+
+    def test_non_utf8_file_names_file(self, tmp_path):
+        path = tmp_path / "cal.json"
+        path.write_bytes(b'{"threshold": "\xff"}')
+        with pytest.raises(CalibrationError, match="can't decode") as err:
+            read_calibration(path)
+        assert str(path) in str(err.value)
 
     def test_bad_calibration_in_model_header(self, tmp_path, rng):
         path = tmp_path / "m.tma"

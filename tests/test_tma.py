@@ -132,27 +132,32 @@ class TestFrameRing:
             push(ring, 2, [1.0])
 
     def test_stride_pushes_equal_frame_pushes(self, rng):
-        block = rng.random((50, 3))
-        by_frame = FrameRing(map_width=12, channels=3)
-        by_stride = FrameRing(map_width=12, channels=3, stride=5)
-        for t in range(0, 50, 5):
-            for i in range(t, t + 5):
-                push(by_frame, i, block[i])
-            # raises unless the previous stride's newest index was t - 1
-            by_stride.push_values(t, block[t:t + 5])
-            if by_frame.is_full:
-                np.testing.assert_array_equal(by_stride.window(),
-                                              by_frame.window())
-                np.testing.assert_array_equal(by_stride.window(),
-                                              block[t - 7:t + 5])
-        assert by_stride.is_full
-        with pytest.raises(StructuralError):
-            by_stride.push_values(51, block[:5])
+        # 30 strides cross several front moves of the strided ring, and the
+        # strides do not divide the widths
+        for width, stride in [(12, 5), (7, 3), (5, 4)]:
+            block = rng.random((30 * stride, 3))
+            by_frame = FrameRing(map_width=width, channels=3)
+            by_stride = FrameRing(map_width=width, channels=3, stride=stride)
+            for t in range(0, block.shape[0], stride):
+                for i in range(t, t + stride):
+                    push(by_frame, i, block[i])
+                # raises unless the previous stride's newest index was t - 1
+                by_stride.push_values(t, block[t:t + stride])
+                if by_frame.is_full:
+                    np.testing.assert_array_equal(by_stride.window(),
+                                                  by_frame.window())
+                    np.testing.assert_array_equal(
+                        by_stride.window(),
+                        block[t + stride - width:t + stride])
+            assert by_stride.is_full
+            with pytest.raises(StructuralError):
+                by_stride.push_values(block.shape[0] + 1, block[:stride])
 
     def test_rejects_push_longer_than_stride(self):
         ring = FrameRing(map_width=4, channels=2, stride=3)
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="exceed the stride of 3"):
             ring.push_values(0, np.zeros((4, 2)))
+        ring.push_values(0, np.zeros((3, 2)))
 
     def test_rejects_channel_mismatch(self):
         ring = FrameRing(map_width=3, channels=2)
