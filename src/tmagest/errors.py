@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import os
+
 
 class TmagestError(Exception):
     """Base class for all package-specific errors."""
@@ -32,14 +34,18 @@ class UsageError(TmagestError):
 class RecordingParseError(TmagestError):
     """A recording or annotation file failed to parse.
 
-    Carries the 1-based line number of the offending row when known.
+    Carries the 1-based line number of the offending row and the file's path
+    when known; the message starts with them (``a.csv: line 2: ...``).
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None,
+                 path: str | os.PathLike | None = None):
+        self.reason, self.line, self.path = message, line, path
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class ModelIOError(TmagestError):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
@@ -82,30 +83,42 @@ def read_recording(path: str | Path, sample_rate: float,
     Raises:
         RecordingParseError: On a malformed header or row, a column-count
             mismatch, non-consecutive sample indices or a NaN or infinite
-            value, or bytes that are not UTF-8; the error names the
-            offending line.
+            value, or bytes that are not UTF-8; the error names the file
+            (the recording or its sidecar) and the offending line.
     """
     path = Path(path)
-    lines = _read_lines(path)
-    if not lines:
-        raise RecordingParseError("file is empty, expected a header", line=1)
-    header = lines[0].split(",")
-    if header[0] != "t" or len(header) < 2:
-        raise RecordingParseError(
-            f"bad header {lines[0]!r}, expected 't,ch0,...'", line=1)
-    channels = len(header) - 1
-    if expected_channels is not None and channels != expected_channels:
-        raise RecordingParseError(
-            f"file has {channels} channels, expected {expected_channels}",
-            line=1)
-    rows = np.empty((len(lines) - 1, channels))
-    parse_rows(lines[1:], range(2, len(lines) + 1), rows)
+    with _naming(path):
+        lines = _read_lines(path)
+        if not lines:
+            raise RecordingParseError("file is empty, expected a header",
+                                      line=1)
+        header = lines[0].split(",")
+        if header[0] != "t" or len(header) < 2:
+            raise RecordingParseError(
+                f"bad header {lines[0]!r}, expected 't,ch0,...'", line=1)
+        channels = len(header) - 1
+        if expected_channels is not None and channels != expected_channels:
+            raise RecordingParseError(
+                f"file has {channels} channels, expected {expected_channels}",
+                line=1)
+        rows = np.empty((len(lines) - 1, channels))
+        parse_rows(lines[1:], range(2, len(lines) + 1), rows)
     annotations = []
     side = annotations_path(path)
     if side.exists():
         annotations = read_annotations(side)
     return Recording(sample_rate=sample_rate, samples=rows,
                      annotations=annotations)
+
+
+@contextmanager
+def _naming(path: Path):
+    """Re-raise a :class:`RecordingParseError` from the block with ``path``
+    in its message."""
+    try:
+        yield
+    except RecordingParseError as exc:
+        raise RecordingParseError(exc.reason, exc.line, path) from exc
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -209,22 +222,28 @@ def _parse_row_loop(lines: Sequence[str], line_numbers: Sequence[int],
 
 
 def read_annotations(path: str | Path) -> list[Annotation]:
-    lines = _read_lines(Path(path))
-    if not lines or lines[0] != "n,gesture,phase":
-        raise RecordingParseError("bad annotation header", line=1)
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise RecordingParseError(
-                f"annotation row has {len(parts)} columns, expected 3", line=i)
-        try:
-            n = int(parts[0])
-        except ValueError as exc:
-            raise RecordingParseError(str(exc), line=i) from exc
-        if parts[2] not in PHASES:
-            raise RecordingParseError(f"unknown phase {parts[2]!r}", line=i)
-        out.append(Annotation(n=n, gesture=parts[1], phase=parts[2]))
+    """Read an annotation sidecar; a :class:`RecordingParseError` names the
+    file and the offending line."""
+    path = Path(path)
+    with _naming(path):
+        lines = _read_lines(path)
+        if not lines or lines[0] != "n,gesture,phase":
+            raise RecordingParseError("bad annotation header", line=1)
+        out = []
+        for i, line in enumerate(lines[1:], start=2):
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise RecordingParseError(
+                    f"annotation row has {len(parts)} columns, expected 3",
+                    line=i)
+            try:
+                n = int(parts[0])
+            except ValueError as exc:
+                raise RecordingParseError(str(exc), line=i) from exc
+            if parts[2] not in PHASES:
+                raise RecordingParseError(f"unknown phase {parts[2]!r}",
+                                          line=i)
+            out.append(Annotation(n=n, gesture=parts[1], phase=parts[2]))
     return out
 
 
@@ -276,6 +295,35 @@ def read_calibration(path: str | Path) -> ThresholdCalibration:
 # ---------------------------------------------------------------------------
 # model container
 # ---------------------------------------------------------------------------
+
+_BOUND_FIELDS = ("first_order_min", "first_order_max",
+                 "second_order_min", "second_order_max")
+_METADATA_INTS = ("seed", "epochs", "batch_size")
+_METADATA_REALS = ("learning_rate", "final_loss")
+
+
+def _typed_fields(data, key: str, integers=(), reals=()):
+    """``data`` once each named field it holds is a JSON integer (not a
+    bool) or a finite number; a ValueError names the first that is not.
+
+    ``final_loss`` may also be NaN when ``epochs`` is 0: no epoch ran, and
+    that is what :func:`cnn.train` records.
+    """
+    if not isinstance(data, dict):
+        return data
+    for name in integers:
+        if name in data and type(data[name]) is not int:
+            raise ValueError(f"header field '{key}.{name}' is "
+                             f"{data[name]!r}, expected an integer")
+    for name in reals:
+        value = data.get(name)
+        untrained = (name == "final_loss" and data.get("epochs") == 0
+                     and isinstance(value, float) and math.isnan(value))
+        if name in data and not (is_finite_real(value) or untrained):
+            raise ValueError(f"header field '{key}.{name}' is {value!r}, "
+                             "expected a finite number")
+    return data
+
 
 def _header_dict(model: CnnModel) -> dict:
     def fields(obj):
@@ -372,10 +420,13 @@ def read_model(path: str | Path) -> CnnModel:
         return CnnModel(
             architecture=arch,
             params=params,
-            bounds=load("bounds", lambda d: NormalizationBounds(**d)),
+            bounds=load("bounds", lambda d: NormalizationBounds(
+                **_typed_fields(d, "bounds", reals=_BOUND_FIELDS))),
             labels=header.get("labels"),
             calibration=load("calibration", _calibration_from_dict),
-            metadata=load("metadata", lambda d: TrainingMetadata(**d)),
+            metadata=load("metadata", lambda d: TrainingMetadata(
+                **_typed_fields(d, "metadata", integers=_METADATA_INTS,
+                                reals=_METADATA_REALS))),
             config=load("config", SessionConfig.from_dict),
         )
     except (StructuralError, ConfigError, TypeError, ValueError) as exc:

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .config import SessionConfig
 from .errors import ConfigError
@@ -121,14 +120,19 @@ class SessionScript:
             raise ConfigError("script events must be ordered by start time")
 
 
-def _activation_profile(t: np.ndarray, start: float,
-                        tpl: GestureTemplate) -> np.ndarray:
-    """Piecewise-linear profile: burst, settle, hold, braking burst, fall."""
+def _activation_knots(start: float, tpl: GestureTemplate
+                      ) -> tuple[list[float], list[float]]:
+    """Knot times and values of the piecewise-linear activation profile:
+    burst, settle, hold, braking burst, fall.
+
+    Interpolated with ``np.interp``, the profile is exactly 0.0 at and
+    outside the first and last knot times.
+    """
     release = start + tpl.release_start_s
     knots_t = [start, start + tpl.rise_s, start + tpl.rise_s + tpl.settle_s,
                release, release + tpl.rise_s, release + tpl.rise_s + tpl.fall_s]
     knots_v = [0.0, tpl.burst_gain, 1.0, 1.0, tpl.burst_gain, 0.0]
-    return np.interp(t, knots_t, knots_v)
+    return knots_t, knots_v
 
 
 def _solve_amplitude(gains: np.ndarray, floor: float, snr_db: float) -> float:
@@ -148,6 +152,9 @@ def _carrier(rng: np.random.Generator, n: int, channels: int,
     Gaussian noise confined to the sEMG band, then amplitude-compressed
     (``sign(x) * |x|**a``) and rescaled to unit standard deviation.
     """
+    # Imported here, so that importing tmagest does not load scipy.
+    from scipy import signal as sp_signal
+
     white = rng.standard_normal((n, channels))
     low, high = _CARRIER_BAND_HZ
     nyq = sample_rate / 2.0
@@ -166,7 +173,10 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
     """Render a script into a labeled recording.
 
     Each activation contributes a flexion-onset annotation at its start and a
-    return-onset annotation where the fall begins.
+    return-onset annotation where the fall begins. An activation is rendered
+    only on the samples strictly between its first and last knot times:
+    elsewhere its profile is 0.0, and adding ``amp * 0.0 * gain`` would leave
+    every value's bits unchanged, so the cost grows with samples + events.
 
     Raises:
         ConfigError: On an unknown gesture id or overlapping activations.
@@ -203,8 +213,11 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
     for event in script.events:
         tpl = templates[event.gesture]
         amp = _solve_amplitude(tpl.gains, script.noise_floor, script.snr_db)
-        profile = _activation_profile(t, event.start_s, tpl)
-        modulation += amp * profile[:, None] * tpl.gains[None, :]
+        knots_t, knots_v = _activation_knots(event.start_s, tpl)
+        lo = np.searchsorted(t, knots_t[0], side="right")
+        hi = np.searchsorted(t, knots_t[-1], side="left")
+        profile = np.interp(t[lo:hi], knots_t, knots_v)
+        modulation[lo:hi] += amp * profile[:, None] * tpl.gains[None, :]
         annotations.append(Annotation(
             n=int(round(event.start_s * fs)),
             gesture=event.gesture, phase=PHASE_FLEXION))

@@ -125,6 +125,26 @@ class TestCalibrate:
         assert data["multiplier"] == 4.0
         assert data["threshold"] > 0
 
+    @pytest.mark.parametrize("bad", ["a.csv", "a.annotations.csv"])
+    def test_parse_error_names_the_file(self, workspace, capsys, tmp_path,
+                                        monkeypatch, bad):
+        # with --recording a.csv, a bad line 2 in either file is told apart
+        root = workspace["root"]
+        for src, dst in [("train.csv", "a.csv"),
+                         ("train.annotations.csv", "a.annotations.csv")]:
+            (tmp_path / dst).write_bytes((root / src).read_bytes())
+        lines = (tmp_path / bad).read_text().splitlines()
+        lines[1] = "0,1.0" if bad == "a.csv" else "10,grip,bogus"
+        (tmp_path / bad).write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["calibrate", *workspace["base"], "--recording", "a.csv"])
+        assert rc == 1
+        expected = {"a.csv": "error: a.csv: line 2: row has 2 columns, "
+                             "expected 5\n",
+                    "a.annotations.csv": "error: a.annotations.csv: line 2: "
+                                         "unknown phase 'bogus'\n"}
+        assert capsys.readouterr().err == expected[bad]
+
 
 class TestTrain:
     def test_model_is_ready_and_carries_calibration(self, workspace):

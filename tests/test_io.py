@@ -169,6 +169,24 @@ class TestRecordingCsv:
             read_recording(path, sample_rate=200.0)
 
 
+    def test_errors_name_the_recording_or_its_sidecar(self, tmp_path, rng):
+        # the same bad line 2 in either file gives a message naming that file
+        path = tmp_path / "a.csv"
+        write_recording(sample_recording(rng), path)
+        side = annotations_path(path)
+        good_csv = path.read_text()
+        path.write_text(good_csv.replace("\n0,", "\n0,bogus,", 1))
+        with pytest.raises(RecordingParseError, match="line 2: ") as in_csv:
+            read_recording(path, sample_rate=200.0)
+        path.write_text(good_csv)
+        side.write_text("n,gesture,phase\n10,grip,bogus\n")
+        with pytest.raises(RecordingParseError, match="line 2: ") as in_side:
+            read_recording(path, sample_rate=200.0)
+        assert str(in_csv.value).startswith(f"{path}: line 2: row has 5")
+        assert str(in_side.value) == f"{side}: line 2: unknown phase 'bogus'"
+        assert (in_csv.value.path, in_side.value.path) == (path, side)
+
+
 def sample_model(rng):
     arch = CnnArchitecture(input_rows=14, input_cols=12, conv1_filters=2,
                            conv2_filters=3, num_classes=3, fc1_units=7,
@@ -313,6 +331,41 @@ class TestModelContainer:
         rewrite_header(path, change)
         with pytest.raises(ModelIOError,
                            match="tensor 'out_b' has shape .*positive integers"):
+            read_model(path)
+
+
+    @pytest.mark.parametrize("key,field,value,expected", [
+        ("metadata", "seed", "x", "an integer"),
+        ("metadata", "epochs", True, "an integer"),
+        ("metadata", "batch_size", 32.0, "an integer"),
+        ("metadata", "learning_rate", "0.1", "a finite number"),
+        ("metadata", "final_loss", None, "a finite number"),
+        ("bounds", "first_order_min", True, "a finite number"),
+        ("bounds", "first_order_max", "1.5", "a finite number"),
+        ("bounds", "second_order_min", float("-inf"), "a finite number"),
+        ("bounds", "second_order_max", [9.0], "a finite number"),
+    ])
+    def test_metadata_and_bounds_fields_are_type_checked(
+            self, tmp_path, rng, key, field, value, expected):
+        path = tmp_path / "m.tma"
+        write_model(sample_model(rng), path)
+        rewrite_header(path, lambda header: header[key].update({field: value}))
+        with pytest.raises(ModelIOError,
+                           match=f"'{key}.{field}' is .*, expected {expected}"):
+            read_model(path)
+
+    def test_untrained_model_keeps_its_nan_loss(self, tmp_path, rng):
+        # cnn.train records a NaN final_loss when no epoch ran
+        model = sample_model(rng)
+        model.metadata = TrainingMetadata(seed=3, epochs=0, learning_rate=0.01,
+                                          batch_size=32,
+                                          final_loss=float("nan"))
+        path = tmp_path / "m.tma"
+        write_model(model, path)
+        assert np.isnan(read_model(path).metadata.final_loss)
+        rewrite_header(path, lambda header: header["metadata"].update(
+            {"epochs": 1}))
+        with pytest.raises(ModelIOError, match="'metadata.final_loss' is nan"):
             read_model(path)
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tmagest import synth
 from tmagest.config import SessionConfig
 from tmagest.dsp import design_butterworth_lowpass, envelope_stream
 from tmagest.errors import ConfigError
-from tmagest.recording import PHASE_FLEXION, PHASE_RETURN
+from tmagest.recording import PHASE_FLEXION, PHASE_RETURN, Annotation, Recording
 from tmagest.synth import (
     GestureTemplate,
     ScriptedGesture,
@@ -201,3 +204,127 @@ class TestScripts:
         with pytest.raises(ConfigError):
             balanced_sequence_script(gestures, templates, 10,
                                      np.random.default_rng(0))
+
+
+def generate_full_length(script, templates, config):
+    """Reference render: every activation interpolated over all n samples.
+
+    The loop ``generate`` ran before it rendered each activation over its
+    own span; the differential tests hold the two byte-equal.
+    """
+    fs, channels = config.sample_rate, config.channels
+    end_s = script.tail_s
+    for event in script.events:
+        active_end = event.start_s + templates[event.gesture].active_s
+        end_s = max(end_s, active_end + event.rest_s + script.tail_s)
+    n = int(round(end_s * fs))
+    rng = np.random.default_rng(script.seed)
+    carrier = synth._carrier(rng, n, channels, fs, script.carrier_compression)
+    t = np.arange(n) / fs
+    modulation = np.full((n, channels), script.noise_floor)
+    annotations = []
+    for event in script.events:
+        tpl = templates[event.gesture]
+        amp = synth._solve_amplitude(tpl.gains, script.noise_floor,
+                                     script.snr_db)
+        start, release = event.start_s, event.start_s + tpl.release_start_s
+        knots_t = [start, start + tpl.rise_s,
+                   start + tpl.rise_s + tpl.settle_s, release,
+                   release + tpl.rise_s, release + tpl.rise_s + tpl.fall_s]
+        knots_v = [0.0, tpl.burst_gain, 1.0, 1.0, tpl.burst_gain, 0.0]
+        profile = np.interp(t, knots_t, knots_v)
+        modulation += amp * profile[:, None] * tpl.gains[None, :]
+        annotations.append(Annotation(
+            n=int(round(start * fs)), gesture=event.gesture,
+            phase=PHASE_FLEXION))
+        annotations.append(Annotation(
+            n=int(round(release * fs)), gesture=event.gesture,
+            phase=PHASE_RETURN))
+    return Recording(sample_rate=fs, samples=carrier * modulation,
+                     annotations=annotations)
+
+
+def assert_renders_equal(script, templates, config):
+    got = generate(script, templates, config)
+    want = generate_full_length(script, templates, config)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.annotations == want.annotations
+
+
+def nudge(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place."""
+    toward = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, toward))
+    return x
+
+
+@st.composite
+def sessions(draw):
+    """Scripts whose activations start off the sample grid (or at 0) and
+    whose last knot lands within a few ulps of a sample time."""
+    fs = draw(st.sampled_from([200.0, 1000.0]))
+    channels = draw(st.sampled_from([1, 8]))
+    templates, events, clock = {}, [], 0.0
+    for i in range(draw(st.integers(0, 3))):
+        rise = draw(st.floats(0.002, 0.08))
+        settle = draw(st.sampled_from([0.0, 0.15]) | st.floats(0.0, 0.2))
+        fall = draw(st.floats(0.002, 0.12))
+        if i == 0 and draw(st.booleans()):
+            start = 0.0
+        else:
+            start = clock + (draw(st.integers(0, 30))
+                             + draw(st.floats(0.0, 1.0, exclude_max=True))) / fs
+        # solve hold so the last knot falls on sample j, then nudge it
+        j = int(np.ceil((start + 2 * rise + settle + fall) * fs)) + \
+            draw(st.integers(2, 60))
+        hold = j / fs - fall - rise - rise - settle - start
+        hold = nudge(hold, draw(st.integers(-3, 3)))
+        gains = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=channels,
+                                       max_size=channels)))
+        gains[draw(st.integers(0, channels - 1))] += 0.5
+        name = f"g{i}"
+        templates[name] = GestureTemplate(
+            gesture=name, gains=gains, rise_s=rise, hold_s=hold,
+            fall_s=fall, settle_s=settle,
+            burst_gain=draw(st.floats(1.0, 3.0)))
+        rest = draw(st.sampled_from([0.0, 0.05]))
+        events.append(ScriptedGesture(gesture=name, start_s=start,
+                                      rest_s=rest))
+        clock = start + templates[name].active_s + rest
+    # a session without events needs a tail to have any samples
+    tails = [0.0, 0.02, 0.1] if events else [0.02, 0.1]
+    script = SessionScript(events=events, seed=draw(st.integers(0, 2 ** 16)),
+                           tail_s=draw(st.sampled_from(tails)),
+                           snr_db=draw(st.floats(5.0, 30.0)))
+    gestures = tuple(templates) if len(templates) >= 2 else ("g0", "g1")
+    config = SessionConfig(sample_rate=fs, channels=channels,
+                           gestures=gestures)
+    return script, templates, config
+
+
+class TestSpanRendering:
+    @settings(max_examples=150, deadline=None)
+    @given(session=sessions())
+    def test_equals_the_full_length_render(self, session):
+        assert_renders_equal(*session)
+
+    def test_end_knot_above_start_plus_active_s(self):
+        # 13.35 + 5.35 rounds to 18.7, one ulp below the end knot, and
+        # sample 3740 (t = 18.7) still carries a nonzero profile
+        config = SessionConfig()
+        templates = default_template_set(config.channels, config.gestures)
+        tpl = templates[config.gestures[0]]
+        knots_t, _ = synth._activation_knots(13.35, tpl)
+        assert 13.35 + tpl.active_s == 3740 / config.sample_rate < knots_t[-1]
+        script = SessionScript(
+            events=[ScriptedGesture(config.gestures[0], 13.35)], seed=71)
+        assert_renders_equal(script, templates, config)
+
+    def test_balanced_session(self):
+        config = SessionConfig()
+        templates = default_template_set(config.channels, config.gestures)
+        script = balanced_sequence_script(
+            config.gestures, templates, 10, np.random.default_rng(71),
+            lead_s=0.35, rest_s=1.0, seed=71)
+        assert_renders_equal(script, templates, config)
