@@ -25,7 +25,8 @@ from .onset import (
     difference,
     difference_series,
 )
-from .pipeline import EvaluationReport, evaluate, extract_training_set
+from .pipeline import (EvaluationReport, evaluate, extract_training_set,
+                       training_set)
 from .recording import Annotation, Recording
 from .synth import GestureTemplate, SessionScript, default_template_set, generate
 from .tma import (
@@ -73,4 +74,5 @@ __all__ = [
     "predict",
     "run_replay",
     "train",
+    "training_set",
 ]

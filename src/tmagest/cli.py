@@ -30,7 +30,6 @@ from .engine import Engine, event_to_dict, iter_batches, run_replay
 from .errors import TmagestError
 from .onset import ThresholdCalibration, calibrate_threshold
 from .recording import Recording
-from .tma import fit_normalization, normalize_array
 
 _CONFIG_FLAGS = (
     ("--fs", "sample_rate", float, "sampling rate in Hz"),
@@ -153,19 +152,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         calibration = _calibration_from_recordings(recordings, config)
 
-    examples = []
-    for rec in recordings:
-        examples.extend(pipeline.extract_training_set(rec, config))
+    examples, bounds = pipeline.training_set(recordings, config)
     print(f"extracted {len(examples)} training maps from "
           f"{len(recordings)} recording(s)")
-    bounds = fit_normalization(ex.map for ex in examples)
-    channels = config.channels
-    for ex in examples:
-        ex.map = dataclasses.replace(
-            ex.map, data=normalize_array(ex.map.data, bounds, channels))
+    epoch_start = time.perf_counter()
 
     def log_epoch(epoch, loss):
-        print(f"epoch {epoch + 1:>3}/{config.epochs}: loss {loss:.6f}")
+        nonlocal epoch_start
+        now = time.perf_counter()
+        print(f"epoch {epoch + 1:>3}/{config.epochs}: loss {loss:.6f} "
+              f"({now - epoch_start:.1f} s)")
+        epoch_start = now
 
     model = cnn.train(examples, config, bounds=bounds,
                       calibration=calibration, log_epoch=log_epoch)

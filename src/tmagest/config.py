@@ -15,6 +15,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from . import tma
 from .errors import ConfigError
 
 _INT_FIELDS = ("channels", "map_width", "map_stride", "refractory",
@@ -154,8 +155,7 @@ class SessionConfig:
     @property
     def feature_rows(self) -> int:
         """Rows of an activation map: channels plus all channel pair products."""
-        L = self.channels
-        return L + L * (L + 1) // 2
+        return tma.feature_rows(self.channels)
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -22,7 +22,8 @@ from .engine import Prediction, run_replay
 from .errors import UsageError
 from .onset import difference_series
 from .recording import PHASE_FLEXION, PHASE_REST, PHASE_RETURN, Recording
-from .tma import TmaMap, feature_matrix
+from .tma import (NormalizationBounds, TmaMap, feature_matrix,
+                  fit_normalization, normalize_array)
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +34,44 @@ def _envelopes(recording: Recording, config: SessionConfig) -> np.ndarray:
     coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
                                         config.sample_rate)
     return envelope_stream(recording.samples, coeffs, config.map_stride)
+
+
+def _extract(recording: Recording, config: SessionConfig,
+             ) -> tuple[np.ndarray, list[TrainingExample]]:
+    """The recording's feature matrix and its examples, which are read-only
+    views into it; the returned matrix itself stays writeable."""
+    onsets = recording.onsets(PHASE_FLEXION)
+    if not onsets:
+        raise UsageError("recording has no labeled onsets to extract around")
+    marks = [a.n for a in recording.annotations if a.phase != PHASE_REST]
+    for a, b in zip(marks, marks[1:]):
+        if b - a < config.extraction_width:
+            raise UsageError(
+                f"onsets at {a} and {b} are closer than the extraction "
+                f"width ({config.extraction_width}); labels would overlap"
+            )
+    feats = feature_matrix(_envelopes(recording, config))
+    shared = feats.view()
+    shared.flags.writeable = False
+    n_samples = recording.num_samples
+    width = config.extraction_width
+    half = width // 2
+    map_w = config.map_width
+    examples: list[TrainingExample] = []
+    for a in onsets:
+        lo = a.n - half
+        if lo - map_w + 1 < 0 or lo + width - 1 >= n_samples:
+            logger.warning(
+                "dropping onset at %d: extraction window leaves the recording",
+                a.n,
+            )
+            continue
+        for t in range(lo, lo + width):
+            examples.append(TrainingExample(
+                map=TmaMap(end_index=t, data=shared[:, t - map_w + 1:t + 1]),
+                label=a.gesture,
+            ))
+    return feats, examples
 
 
 def extract_training_set(recording: Recording,
@@ -50,36 +89,28 @@ def extract_training_set(recording: Recording,
         UsageError: If the recording has no labeled onsets, or labeled onsets
             are closer together than the extraction width.
     """
-    onsets = recording.onsets(PHASE_FLEXION)
-    if not onsets:
-        raise UsageError("recording has no labeled onsets to extract around")
-    marks = [a.n for a in recording.annotations if a.phase != PHASE_REST]
-    for a, b in zip(marks, marks[1:]):
-        if b - a < config.extraction_width:
-            raise UsageError(
-                f"onsets at {a} and {b} are closer than the extraction "
-                f"width ({config.extraction_width}); labels would overlap"
-            )
-    feats = feature_matrix(_envelopes(recording, config))
-    n_samples = recording.num_samples
-    width = config.extraction_width
-    half = width // 2
-    map_w = config.map_width
-    examples: list[TrainingExample] = []
-    for a in onsets:
-        lo = a.n - half
-        if lo - map_w + 1 < 0 or lo + width - 1 >= n_samples:
-            logger.warning(
-                "dropping onset at %d: extraction window leaves the recording",
-                a.n,
-            )
-            continue
-        for t in range(lo, lo + width):
-            examples.append(TrainingExample(
-                map=TmaMap(end_index=t, data=feats[:, t - map_w + 1:t + 1]),
-                label=a.gesture,
-            ))
-    return examples
+    return _extract(recording, config)[1]
+
+
+def training_set(recordings: list[Recording], config: SessionConfig,
+                 ) -> tuple[list[TrainingExample], NormalizationBounds]:
+    """Normalized training examples of every recording, and their bounds.
+
+    The bounds are fitted on the raw maps of :func:`extract_training_set`;
+    then each recording's feature matrix is normalized once, in place, and
+    made read-only, so every map holds the values of its normalized copy.
+
+    Raises:
+        ConfigError: If no recording yields an example.
+        UsageError: As :func:`extract_training_set`.
+    """
+    extracted = [_extract(rec, config) for rec in recordings]
+    examples = [ex for _, exs in extracted for ex in exs]
+    bounds = fit_normalization(ex.map for ex in examples)
+    for feats, _ in extracted:
+        normalize_array(feats, bounds, config.channels, out=feats)
+        feats.flags.writeable = False
+    return examples, bounds
 
 
 def calibration_segments(recording: Recording, config: SessionConfig,

@@ -89,6 +89,10 @@ class ScriptedGesture:
     start_s: float
     rest_s: float = 5.0
 
+    def __post_init__(self):
+        if not self.rest_s >= 0:
+            raise ConfigError(f"rest_s must be >= 0, got {self.rest_s}")
+
 
 @dataclass
 class SessionScript:
@@ -115,6 +119,8 @@ class SessionScript:
             raise ConfigError("noise_floor must be positive")
         if not 0 < self.carrier_compression <= 1:
             raise ConfigError("carrier_compression must lie in (0, 1]")
+        if not self.tail_s >= 0:
+            raise ConfigError(f"tail_s must be >= 0, got {self.tail_s}")
         starts = [e.start_s for e in self.events]
         if starts != sorted(starts):
             raise ConfigError("script events must be ordered by start time")
@@ -179,7 +185,8 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
     every value's bits unchanged, so the cost grows with samples + events.
 
     Raises:
-        ConfigError: On an unknown gesture id or overlapping activations.
+        ConfigError: On an unknown gesture id, overlapping activations or a
+            script that renders no samples.
     """
     fs = config.sample_rate
     channels = config.channels
@@ -204,6 +211,8 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
         end_s = max(end_s, prev_end + event.rest_s + script.tail_s)
 
     n = int(round(end_s * fs))
+    if n <= 0:
+        raise ConfigError("the script renders no samples")
     rng = np.random.default_rng(script.seed)
     carrier = _carrier(rng, n, channels, fs, script.carrier_compression)
 

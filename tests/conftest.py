@@ -1,4 +1,3 @@
-import dataclasses
 import os
 from types import SimpleNamespace
 
@@ -13,8 +12,7 @@ import pytest
 from tmagest import cnn, synth
 from tmagest.config import SessionConfig
 from tmagest.onset import calibrate_threshold
-from tmagest.pipeline import calibration_segments, extract_training_set
-from tmagest.tma import fit_normalization, normalize_array
+from tmagest.pipeline import calibration_segments, training_set
 
 SMALL_CONFIG_KWARGS = dict(
     sample_rate=200.0,
@@ -74,11 +72,7 @@ def trained_setup():
     segments = calibration_segments(train_rec, config)
     calibration = calibrate_threshold(segments, config.threshold_multiplier,
                                       expected_gestures=config.gestures)
-    examples = extract_training_set(train_rec, config)
-    bounds = fit_normalization(ex.map for ex in examples)
-    for ex in examples:
-        ex.map = dataclasses.replace(
-            ex.map, data=normalize_array(ex.map.data, bounds, config.channels))
+    examples, bounds = training_set([train_rec], config)
     model = cnn.train(examples, config, bounds=bounds,
                       calibration=calibration)
     eval_script = synth.balanced_sequence_script(

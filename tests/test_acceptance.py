@@ -11,7 +11,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -26,8 +25,8 @@ from tmagest.config import SessionConfig
 from tmagest.dsp import EnvelopeFilter, design_butterworth_lowpass
 from tmagest.engine import Engine, Prediction, iter_batches, run_replay
 from tmagest.onset import OnsetDetector, calibrate_threshold, difference
-from tmagest.pipeline import calibration_segments, evaluate, extract_training_set
-from tmagest.tma import feature_rows, fit_normalization, normalize_array
+from tmagest.pipeline import calibration_segments, evaluate, training_set
+from tmagest.tma import feature_rows
 
 from conftest import SMALL_CONFIG_KWARGS
 
@@ -55,12 +54,8 @@ def full_scale():
     train_rec = synth.generate(
         synth.blocked_script(config.gestures, templates, repetitions=20,
                              seed=2042), templates, config)
-    examples = extract_training_set(train_rec, config)
+    examples, bounds = training_set([train_rec], config)
     n_examples = len(examples)
-    bounds = fit_normalization(ex.map for ex in examples)
-    for ex in examples:
-        ex.map = dataclasses.replace(
-            ex.map, data=normalize_array(ex.map.data, bounds, config.channels))
     model = cnn.train(examples, config, bounds=bounds,
                       calibration=calibration)
 

@@ -1,5 +1,6 @@
 import io as std_io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,19 @@ class TestTrain:
                    "--out", str(again)])
         assert rc == 0
         assert again.read_bytes() == workspace["model"].read_bytes()
+
+    def test_each_epoch_prints_loss_and_wall_time(self, workspace, capsys):
+        rc = main(["train", *workspace["base"], "--epochs", "2",
+                   "--recording", str(workspace["train_csv"]),
+                   "--calibration", str(workspace["cal_json"]),
+                   "--out", str(workspace["root"] / "two_epochs.tma")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        epochs = [line for line in lines if line.startswith("epoch")]
+        assert len(epochs) == 2
+        for i, line in enumerate(epochs, start=1):
+            assert re.fullmatch(
+                rf"epoch +{i}/2: loss \d+\.\d{{6}} \(\d+\.\d s\)", line), line
 
     @pytest.mark.parametrize("text,message", [
         ('{"threshold": 1.0}', "calibration field 'per_gesture_sigma' is missing"),

@@ -4,13 +4,19 @@ import logging
 import numpy as np
 import pytest
 
-from tmagest.errors import UsageError
+from tmagest import cnn, io, synth
+from tmagest.config import SessionConfig
+from tmagest.errors import ConfigError, UsageError
 from tmagest.pipeline import (
     calibration_segments,
     evaluate,
     extract_training_set,
+    training_set,
 )
 from tmagest.recording import PHASE_FLEXION, Annotation, Recording
+from tmagest.tma import fit_normalization, normalize_array
+
+from conftest import SMALL_CONFIG_KWARGS, make_templates
 
 
 class TestExtraction:
@@ -74,6 +80,69 @@ class TestExtraction:
                                     phase="flexion-onset")])
         with pytest.raises(UsageError):
             extract_training_set(rec, small_config)
+
+
+def normalized_copies(recordings, config):
+    """The fit -> normalize-a-copy-of-each-map loop that training_set
+    replaced, kept as its oracle."""
+    examples = []
+    for rec in recordings:
+        examples.extend(extract_training_set(rec, config))
+    bounds = fit_normalization(ex.map for ex in examples)
+    for ex in examples:
+        ex.map = dataclasses.replace(
+            ex.map, data=normalize_array(ex.map.data, bounds, config.channels))
+    return examples, bounds
+
+
+@pytest.fixture(scope="module")
+def two_recordings():
+    config = SessionConfig(**{**SMALL_CONFIG_KWARGS, "epochs": 2})
+    templates = make_templates(config)
+    recordings = [
+        synth.generate(synth.blocked_script(config.gestures, templates,
+                                            repetitions=reps, rest_s=1.5,
+                                            lead_s=2.0, seed=seed),
+                       templates, config)
+        for reps, seed in ((2, 401), (1, 402))]
+    return config, recordings
+
+
+class TestTrainingSet:
+    def test_equals_normalized_copies(self, two_recordings, tmp_path):
+        config, recordings = two_recordings
+        examples, bounds = training_set(recordings, config)
+        expected, expected_bounds = normalized_copies(recordings, config)
+        assert bounds == expected_bounds
+        assert [(ex.label, ex.map.end_index) for ex in examples] == \
+            [(ex.label, ex.map.end_index) for ex in expected]
+        for ex, want in zip(examples, expected):
+            assert ex.map.data.tobytes() == want.map.data.tobytes()
+        for name, exs, b in (("views", examples, bounds),
+                             ("copies", expected, expected_bounds)):
+            io.write_model(cnn.train(exs, config, bounds=b),
+                           tmp_path / f"{name}.tma")
+        assert (tmp_path / "views.tma").read_bytes() == \
+            (tmp_path / "copies.tma").read_bytes()
+
+    def test_maps_are_read_only_views_of_their_recordings_matrix(self, two_recordings):
+        config, recordings = two_recordings
+        examples, _ = training_set(recordings, config)
+        first, second = examples[0].map.data, examples[1].map.data
+        assert np.shares_memory(first, second)
+        with pytest.raises(ValueError):
+            first[0, -1] = 0.5
+        assert not np.shares_memory(first, examples[-1].map.data)
+
+    def test_extracted_maps_are_read_only(self, two_recordings):
+        config, recordings = two_recordings
+        examples = extract_training_set(recordings[0], config)
+        with pytest.raises(ValueError):
+            examples[0].map.data[0, 0] = 0.5
+
+    def test_no_recordings_rejected(self, small_config):
+        with pytest.raises(ConfigError):
+            training_set([], small_config)
 
 
 class TestCalibrationSegments:

@@ -176,6 +176,20 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(script, templates, config)
 
+    @pytest.mark.parametrize("build", [
+        lambda: SessionScript(tail_s=-1.0),
+        lambda: SessionScript(tail_s=float("nan")),
+        lambda: ScriptedGesture("a", 1.0, rest_s=-50.0),
+    ], ids=["negative-tail", "nan-tail", "negative-rest"])
+    def test_negative_durations_rejected(self, build):
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            build()
+
+    def test_script_without_samples_rejected(self):
+        config, templates, _ = tiny_setup()
+        with pytest.raises(ConfigError, match="renders no samples"):
+            generate(SessionScript(events=[], tail_s=0.0), templates, config)
+
     def test_gaussian_carrier_option(self):
         config, templates, script = tiny_setup()
         script.carrier_compression = 1.0
