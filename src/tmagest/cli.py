@@ -49,6 +49,24 @@ _CONFIG_FLAGS = (
     ("--seed", "seed", int, "master seed"),
 )
 
+# `synth` flags that set a keyword of synth.default_template_set ("template")
+# or of the script builders ("script"). Each is passed on only when given, so
+# every default is the one the synth module declares.
+_SYNTH_FLAGS = (
+    ("--hold", "template", "hold_s", "hold seconds"),
+    ("--rest", "script", "rest_s", "rest seconds"),
+    ("--rise", "template", "rise_s", "rise seconds"),
+    ("--fall", "template", "fall_s", "fall seconds"),
+    ("--burst", "template", "burst_gain", "burst relative to the hold level"),
+    ("--settle", "template", "settle_s", "burst settle seconds"),
+    ("--compression", "script", "carrier_compression",
+     "carrier amplitude compression exponent (1 = Gaussian)"),
+    ("--lead", "script", "lead_s", "lead-in seconds"),
+    ("--snr", "script", "snr_db", "hold SNR in dB"),
+    ("--noise-floor", "script", "noise_floor", "rest noise amplitude"),
+    ("--separation", "template", "separation", "max cosine of two gain patterns"),
+)
+
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
@@ -85,17 +103,12 @@ def _load_config(args: argparse.Namespace,
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = config.seed if args.session_seed is None else args.session_seed
+    given = {group: {key: getattr(args, key) for _, g, key, _ in _SYNTH_FLAGS
+                     if g == group and key in args}
+             for group in ("template", "script")}
     templates = synth.default_template_set(config.channels, config.gestures,
-                                           separation=args.separation)
-    for tpl in templates.values():
-        tpl.rise_s = args.rise
-        tpl.hold_s = args.hold
-        tpl.fall_s = args.fall
-        tpl.burst_gain = args.burst
-        tpl.settle_s = args.settle
-    common = dict(rest_s=args.rest, lead_s=args.lead,
-                  noise_floor=args.noise_floor, snr_db=args.snr, seed=seed,
-                  carrier_compression=args.compression)
+                                           **given["template"])
+    common = dict(given["script"], seed=seed)
     if args.mode == "blocked":
         script = synth.blocked_script(config.gestures, templates,
                                       repetitions=args.reps, **common)
@@ -171,12 +184,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stdin_events(model, config: SessionConfig, suppress):
+def _stdin_events(model, config: SessionConfig):
     """Incremental engine over stdin rows: one stride in, events out.
 
     Rows obey the checks of a recording file; blank and header lines are
     skipped, and a partial last stride is checked, then dropped."""
-    engine = Engine(model, config, suppress_alternate=suppress)
+    engine = Engine(model, config)
     batch = np.empty((config.map_stride, config.channels))
     lines, numbers, prev_t = [], [], None
     for i, line in enumerate(sys.stdin, start=1):
@@ -197,14 +210,14 @@ def _stdin_events(model, config: SessionConfig, suppress):
 def _cmd_run(args: argparse.Namespace) -> int:
     model = io.read_model(args.model)
     config = _load_config(args, fallback=model.config)
-    suppress = False if args.no_suppression else None
+    if args.no_suppression:
+        config = dataclasses.replace(config, suppress_alternate_onsets=False)
     if args.input == "-":
-        events = _stdin_events(model, config, suppress)
+        events = _stdin_events(model, config)
     else:
         recording = io.read_recording(args.input, config.sample_rate,
                                       expected_channels=config.channels)
-        events = run_replay(recording, model, config, pacing=args.pacing,
-                            suppress_alternate=suppress)
+        events = run_replay(recording, model, config, pacing=args.pacing)
     for event in events:
         print(json.dumps(event_to_dict(event,
                                        include_timing=not args.no_timing)),
@@ -232,10 +245,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     config = _load_config(args, fallback=model.config)
     # Force the full classify path on every stride: threshold below any
     # difference value, refractory at its minimum, suppression off.
-    bench_config = dataclasses.replace(config,
-                                       refractory=config.map_stride)
-    engine = Engine(model, bench_config, threshold=-1.0,
-                    suppress_alternate=False)
+    bench_config = dataclasses.replace(config, refractory=config.map_stride,
+                                       suppress_alternate_onsets=False)
+    engine = Engine(model, bench_config, threshold=-1.0)
     rng = np.random.default_rng(config.seed)
     noise = rng.normal(size=(config.map_stride * (args.iterations + 20),
                              config.channels))
@@ -305,21 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repetitions per gesture (blocked mode)")
     p.add_argument("--events", type=int, default=150,
                    help="total events (sequence mode)")
-    p.add_argument("--hold", type=float, default=5.0, help="hold seconds")
-    p.add_argument("--rest", type=float, default=5.0, help="rest seconds")
-    p.add_argument("--rise", type=float, default=0.05, help="rise seconds")
-    p.add_argument("--fall", type=float, default=0.10, help="fall seconds")
-    p.add_argument("--burst", type=float, default=2.0,
-                   help="onset/release burst relative to the hold level")
-    p.add_argument("--settle", type=float, default=0.15,
-                   help="burst settle seconds")
-    p.add_argument("--compression", type=float, default=0.2,
-                   help="carrier amplitude compression exponent (1 = Gaussian)")
-    p.add_argument("--lead", type=float, default=3.0, help="lead-in seconds")
-    p.add_argument("--snr", type=float, default=20.0, help="hold SNR in dB")
-    p.add_argument("--noise-floor", type=float, default=0.1)
-    p.add_argument("--separation", type=float, default=0.8,
-                   help="max pairwise cosine of gesture gain patterns")
+    for flag, _, key, help_text in _SYNTH_FLAGS:
+        p.add_argument(flag, dest=key, type=float, default=argparse.SUPPRESS,
+                       help=help_text)
     p.add_argument("--session-seed", type=int, default=None,
                    help="noise seed (defaults to config seed)")
     p.set_defaults(func=_cmd_synth)

@@ -122,6 +122,8 @@ class SessionConfig:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def _check_types(self) -> None:
         # bool is an int subclass, and a str is a sequence of labels; both
@@ -142,10 +144,6 @@ class SessionConfig:
                 isinstance(g, str) and g for g in self.gestures):
             raise ConfigError("gestures must be a list of non-empty strings, "
                               f"got {self.gestures!r}")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.gestures)
 
     @property
     def warmup_samples(self) -> int:

@@ -9,8 +9,9 @@ terms, which equals :func:`~tmagest.onset.difference_series` at the same
 index bit for bit. When the difference crosses the calibrated threshold
 outside the refractory window, the engine classifies the newest
 ``map_width`` feature columns, the map ending at the newest sample - unless
-alternate-onset suppression is active and this onset is the expected return
-to neutral, in which case the onset is reported without classification.
+the config's ``suppress_alternate_onsets`` is set and this onset is the
+expected return to neutral, in which case the onset is reported without
+classification.
 
 The engine owns all mutable state - the filter memory, a ring of the newest
 feature columns, a ring of their column terms, the previous stride's columns,
@@ -83,8 +84,7 @@ class Engine:
     """
 
     def __init__(self, model: CnnModel, config: SessionConfig,
-                 threshold: float | None = None,
-                 suppress_alternate: bool | None = None):
+                 threshold: float | None = None):
         arch = model.architecture
         if arch.input_rows != config.feature_rows:
             raise ConfigError(
@@ -114,9 +114,6 @@ class Engine:
         self.model = model
         self.config = config
         self.threshold = float(threshold)
-        self.suppress_alternate = (config.suppress_alternate_onsets
-                                   if suppress_alternate is None
-                                   else suppress_alternate)
         coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
                                             config.sample_rate)
         self._filter = EnvelopeFilter(coeffs, config.channels, config.map_stride)
@@ -173,12 +170,12 @@ class Engine:
                                   math.sqrt(self._terms.window().sum()))
         if hit is None:
             return None
-        if self.suppress_alternate and not self._expect_flexion:
-            self._expect_flexion = True
-            return SuppressedOnset(
-                n=hit.n, d_value=hit.d_value,
-                compute_micros=(time.perf_counter_ns() - t0) / 1000.0)
-        if self.suppress_alternate:
+        if cfg.suppress_alternate_onsets:
+            if not self._expect_flexion:
+                self._expect_flexion = True
+                return SuppressedOnset(
+                    n=hit.n, d_value=hit.d_value,
+                    compute_micros=(time.perf_counter_ns() - t0) / 1000.0)
             self._expect_flexion = False
         gesture, confidence = predict(self.model, self._cols.window().T)
         return Prediction(
@@ -198,8 +195,7 @@ def iter_batches(samples: np.ndarray, stride: int) -> Iterator[np.ndarray]:
 
 
 def run_replay(recording: Recording, model: CnnModel, config: SessionConfig,
-               pacing: str = "fast", threshold: float | None = None,
-               suppress_alternate: bool | None = None) -> Iterator[object]:
+               pacing: str = "fast") -> Iterator[object]:
     """Feed a recording through the engine, yielding events as they fire.
 
     ``pacing="realtime"`` sleeps between strides to mimic live acquisition;
@@ -217,8 +213,7 @@ def run_replay(recording: Recording, model: CnnModel, config: SessionConfig,
             f"recording at {recording.sample_rate} Hz, config expects "
             f"{config.sample_rate} Hz"
         )
-    engine = Engine(model, config, threshold=threshold,
-                    suppress_alternate=suppress_alternate)
+    engine = Engine(model, config)
     budget_s = config.map_stride / config.sample_rate
     next_deadline = time.perf_counter() + budget_s
     for batch in iter_batches(recording.samples, config.map_stride):

@@ -184,10 +184,6 @@ class OnsetDetector:
         self._elapsed = refractory
         self._last_n: int | None = None
 
-    @property
-    def elapsed(self) -> int:
-        return self._elapsed
-
     def step(self, n: int, value: float) -> OnsetEvent | None:
         """Feed the difference value at map index ``n``; returns an event on
         detection.

@@ -24,15 +24,24 @@ give bit-identical recordings.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SessionConfig
+from .config import SessionConfig, is_finite_real
 from .errors import ConfigError
 from .recording import PHASE_FLEXION, PHASE_RETURN, Annotation, Recording
 
 _CARRIER_BAND_HZ = (20.0, 95.0)
+
+
+def _check_range(name: str, value, low: float, strict: bool = False) -> None:
+    """Raise a ConfigError unless ``value`` is a finite number >= ``low``
+    (> ``low`` when ``strict``); NaN and infinities fail both forms."""
+    if not (is_finite_real(value) and (value > low if strict else value >= low)):
+        raise ConfigError(f"{name} must be {'>' if strict else '>='} {low:g} "
+                          f"and finite, got {value!r}")
 
 
 @dataclass
@@ -64,12 +73,10 @@ class GestureTemplate:
             raise ConfigError("template gains must be non-negative")
         if not np.any(self.gains > 0):
             raise ConfigError("template needs at least one positive gain")
-        if min(self.rise_s, self.hold_s, self.fall_s) <= 0:
-            raise ConfigError("template rise/hold/fall must be positive")
-        if self.burst_gain < 1.0:
-            raise ConfigError("burst_gain must be >= 1")
-        if self.settle_s < 0:
-            raise ConfigError("settle_s must be >= 0")
+        for name in ("rise_s", "hold_s", "fall_s"):
+            _check_range(name, getattr(self, name), 0.0, strict=True)
+        _check_range("burst_gain", self.burst_gain, 1.0)
+        _check_range("settle_s", self.settle_s, 0.0)
 
     @property
     def release_start_s(self) -> float:
@@ -90,8 +97,7 @@ class ScriptedGesture:
     rest_s: float = 5.0
 
     def __post_init__(self):
-        if not self.rest_s >= 0:
-            raise ConfigError(f"rest_s must be >= 0, got {self.rest_s}")
+        _check_range("rest_s", self.rest_s, 0.0)
 
 
 @dataclass
@@ -115,12 +121,13 @@ class SessionScript:
     carrier_compression: float = 0.2
 
     def __post_init__(self):
-        if self.noise_floor <= 0:
-            raise ConfigError("noise_floor must be positive")
+        _check_range("noise_floor", self.noise_floor, 0.0, strict=True)
+        _check_range("snr_db", self.snr_db, 0.0)
         if not 0 < self.carrier_compression <= 1:
             raise ConfigError("carrier_compression must lie in (0, 1]")
-        if not self.tail_s >= 0:
-            raise ConfigError(f"tail_s must be >= 0, got {self.tail_s}")
+        _check_range("tail_s", self.tail_s, 0.0)
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         starts = [e.start_s for e in self.events]
         if starts != sorted(starts):
             raise ConfigError("script events must be ordered by start time")
@@ -166,6 +173,9 @@ def _carrier(rng: np.random.Generator, n: int, channels: int,
     nyq = sample_rate / 2.0
     if high >= nyq:
         high = 0.95 * nyq
+    if low >= high:
+        raise ConfigError(f"a sample rate of {sample_rate:g} Hz leaves no room "
+                          f"for the carrier band above {low:g} Hz")
     sos = sp_signal.butter(4, [low / nyq, high / nyq], btype="bandpass",
                            output="sos")
     shaped = sp_signal.sosfilt(sos, white, axis=0)
@@ -211,8 +221,9 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
         end_s = max(end_s, prev_end + event.rest_s + script.tail_s)
 
     n = int(round(end_s * fs))
-    if n <= 0:
-        raise ConfigError("the script renders no samples")
+    if n < 2:    # the carrier is scaled by its standard deviation
+        raise ConfigError(f"the script renders {'one sample' if n else 'no samples'}"
+                          "; at least 2 are needed")
     rng = np.random.default_rng(script.seed)
     carrier = _carrier(rng, n, channels, fs, script.carrier_compression)
 
@@ -239,17 +250,21 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
 
 
 def default_template_set(channels: int, gestures: tuple[str, ...],
-                         separation: float = 0.8) -> dict[str, GestureTemplate]:
+                         separation: float = 0.8,
+                         **timing) -> dict[str, GestureTemplate]:
     """Construct gain patterns with pairwise cosine similarity <= separation.
 
     Templates use short channel blocks stepped around the array; when the
     requested separation forces orthogonality the blocks are made disjoint.
-    Template magnitudes additionally differ so no two are identical.
+    Template magnitudes additionally differ so no two are identical. Each
+    template is built with the :class:`GestureTemplate` settings in ``timing``.
 
     Raises:
         ConfigError: If the construction cannot reach the separation for the
-            given channel and gesture counts.
+            given channel and gesture counts, or a setting is out of range.
     """
+    if not is_finite_real(separation):
+        raise ConfigError(f"separation must be a finite number, got {separation!r}")
     G = len(gestures)
     if G < 2:
         raise ConfigError("need at least 2 gestures")
@@ -274,7 +289,8 @@ def default_template_set(channels: int, gestures: tuple[str, ...],
         gains = np.zeros(channels)
         for m, w in enumerate(weights):
             gains[(i * stride + m) % channels] += w
-        templates[name] = GestureTemplate(gesture=name, gains=gains * (1.0 + 0.1 * i))
+        templates[name] = GestureTemplate(gesture=name, gains=gains * (1.0 + 0.1 * i),
+                                          **timing)
 
     vecs = [templates[name].gains for name in gestures]
     worst = 0.0
@@ -291,44 +307,40 @@ def default_template_set(channels: int, gestures: tuple[str, ...],
     return templates
 
 
+def _schedule(names: list[str], templates: dict[str, GestureTemplate],
+              rest_s: float, lead_s: float, script: dict) -> SessionScript:
+    """Activations of ``names`` in order after ``lead_s``, each followed by
+    ``rest_s``; ``script`` holds the :class:`SessionScript` settings."""
+    _check_range("lead_s", lead_s, 0.0)
+    events = []
+    t = lead_s
+    for name in names:
+        events.append(ScriptedGesture(gesture=name, start_s=t, rest_s=rest_s))
+        t += templates[name].active_s + rest_s
+    return SessionScript(events=events, **script)
+
+
 def blocked_script(gestures: tuple[str, ...],
                    templates: dict[str, GestureTemplate],
                    repetitions: int, rest_s: float = 5.0, lead_s: float = 3.0,
-                   noise_floor: float = 0.1, snr_db: float = 20.0,
-                   seed: int = 0,
-                   carrier_compression: float = 0.2) -> SessionScript:
-    """Collection-style schedule: all repetitions of each gesture in a block."""
-    events = []
-    t = lead_s
-    for name in gestures:
-        tpl = templates[name]
-        for _ in range(repetitions):
-            events.append(ScriptedGesture(gesture=name, start_s=t, rest_s=rest_s))
-            t += tpl.active_s + rest_s
-    return SessionScript(events=events, noise_floor=noise_floor,
-                         snr_db=snr_db, seed=seed,
-                         carrier_compression=carrier_compression)
+                   **script) -> SessionScript:
+    """Collection-style schedule: all repetitions of each gesture in a block.
+    ``script`` holds :class:`SessionScript` settings other than ``events``."""
+    names = [name for name in gestures for _ in range(repetitions)]
+    return _schedule(names, templates, rest_s, lead_s, script)
 
 
 def balanced_sequence_script(gestures: tuple[str, ...],
                              templates: dict[str, GestureTemplate],
                              count: int, rng: np.random.Generator,
                              rest_s: float = 5.0, lead_s: float = 3.0,
-                             noise_floor: float = 0.1, snr_db: float = 20.0,
-                             seed: int = 0,
-                             carrier_compression: float = 0.2) -> SessionScript:
-    """Evaluation-style schedule: a shuffled sequence with equal class counts."""
+                             **script) -> SessionScript:
+    """Evaluation-style schedule: a shuffled sequence with equal class counts.
+    ``script`` holds :class:`SessionScript` settings other than ``events``."""
     G = len(gestures)
     if count % G != 0:
         raise ConfigError(f"count {count} is not a multiple of {G} gestures")
     labels = list(gestures) * (count // G)
     order = rng.permutation(len(labels))
-    events = []
-    t = lead_s
-    for i in order:
-        name = labels[int(i)]
-        events.append(ScriptedGesture(gesture=name, start_s=t, rest_s=rest_s))
-        t += templates[name].active_s + rest_s
-    return SessionScript(events=events, noise_floor=noise_floor,
-                         snr_db=snr_db, seed=seed,
-                         carrier_compression=carrier_compression)
+    names = [labels[int(i)] for i in order]
+    return _schedule(names, templates, rest_s, lead_s, script)

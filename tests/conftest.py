@@ -50,14 +50,9 @@ def rng():
 
 def make_templates(config, hold_s=1.2):
     """Templates with transitions short enough for the small map window."""
-    templates = synth.default_template_set(config.channels, config.gestures,
-                                           separation=0.9)
-    for tpl in templates.values():
-        tpl.hold_s = hold_s
-        tpl.rise_s = 0.025
-        tpl.settle_s = 0.05
-        tpl.fall_s = 0.05
-    return templates
+    return synth.default_template_set(config.channels, config.gestures,
+                                      separation=0.9, hold_s=hold_s,
+                                      rise_s=0.025, settle_s=0.05, fall_s=0.05)
 
 
 @pytest.fixture(scope="session")

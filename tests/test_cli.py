@@ -1,11 +1,17 @@
+import contextlib
 import io as std_io
 import json
+import math
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmagest.cli import main
+from tmagest.config import SessionConfig
 from tmagest.io import read_model, read_recording
 
 from conftest import SMALL_CONFIG_KWARGS
@@ -20,7 +26,6 @@ def workspace(tmp_path_factory):
     """One synth -> calibrate -> train pass through the real CLI."""
     root = tmp_path_factory.mktemp("cli")
     config_path = root / "config.json"
-    from tmagest.config import SessionConfig
     SessionConfig(**SMALL_CONFIG_KWARGS).save(config_path)
     base = ["--config", str(config_path)]
 
@@ -317,3 +322,103 @@ class TestBench:
         assert sgd[4:] == ["ms", "fwd+bwd"]
         for row in (single, batched):
             assert float(row[2]) > 0 and row[3] == "us/map"
+
+
+def run_quietly(argv):
+    """``main(argv)`` with its output captured: (exit code, stdout, stderr)."""
+    out, err = std_io.StringIO(), std_io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(rc, err):
+    """Success, or exit 1 with exactly one ``error:`` line."""
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def field_values(default):
+    """JSON values for a config field: its default, others of its kind
+    (small numbers, so that sessions stay short), NaN, infinities and values
+    of the wrong type."""
+    if isinstance(default, bool):
+        kind = st.booleans()
+    elif isinstance(default, int):
+        kind = st.integers(-10, 10)
+    elif isinstance(default, float):
+        kind = st.floats(-10.0, 10.0) | st.sampled_from(
+            [math.nan, math.inf, -math.inf])
+    else:
+        kind = st.lists(st.text(max_size=3), max_size=6)
+    return (st.just(default) | kind | st.none() | st.text(max_size=4)
+            | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def config_objects():
+    """Config JSON objects: some fields set, perhaps an unknown key."""
+    defaults = SessionConfig().to_dict()
+    known = st.fixed_dictionaries(
+        {}, optional={k: field_values(v) for k, v in defaults.items()})
+    unknown = st.dictionaries(
+        st.text(max_size=8).filter(lambda k: k not in defaults),
+        st.integers(), max_size=1)
+    return st.builds(lambda a, b: {**a, **b}, known, unknown)
+
+
+class TestSettingsIngress:
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--rise", "-1", "rise_s"), ("--hold", "0", "hold_s"),
+        ("--burst", "0.5", "burst_gain"), ("--snr", "nan", "snr_db"),
+        ("--snr", "inf", "snr_db"), ("--snr", "-3", "snr_db"),
+        ("--noise-floor", "nan", "noise_floor"),
+        ("--noise-floor", "inf", "noise_floor"), ("--hold", "inf", "hold_s"),
+        ("--rest", "inf", "rest_s"), ("--hold", "nan", "hold_s"),
+        ("--lead", "nan", "lead_s"), ("--lead", "-1", "lead_s"),
+        ("--lead", "inf", "lead_s"), ("--settle", "nan", "settle_s"),
+        ("--burst", "inf", "burst_gain"), ("--fall", "-inf", "fall_s"),
+        ("--separation", "nan", "separation"),
+        ("--separation", "inf", "separation"),
+        ("--session-seed", "-1", "seed"),
+    ])
+    def test_bad_synth_flag_is_error_exit_1(self, tmp_path, flag, value, field):
+        out = tmp_path / "s.csv"
+        rc, stdout, err = run_quietly(["synth", "--out", str(out),
+                                       "--reps", "1", f"{flag}={value}"])
+        assert rc == 1
+        assert err.startswith(f"error: {field} must be ")
+        assert err.count("\n") == 1
+        assert stdout == "" and not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(["blocked", "sequence"]),
+           flags=st.dictionaries(
+               st.sampled_from(["--hold", "--rest", "--rise", "--fall",
+                                "--burst", "--settle", "--compression",
+                                "--lead", "--snr", "--noise-floor",
+                                "--separation"]),
+               st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+               | st.floats(-10.0, 10.0),
+               max_size=4))
+    def test_synth_flags_never_raise(self, mode, flags):
+        argv = ["synth", "--mode", mode, "--reps", "1", "--events", "5"]
+        argv += [f"{flag}={value!r}" for flag, value in flags.items()]
+        with tempfile.TemporaryDirectory() as root:
+            rc, _, err = run_quietly([*argv, "--out", f"{root}/s.csv"])
+        assert_clean_exit(rc, err)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=config_objects())
+    @example(data={"sample_rate": 8.0})    # below the synthetic carrier band
+    @example(data={"seed": -1})
+    def test_config_json_never_raises(self, data):
+        with tempfile.TemporaryDirectory() as root:
+            path = f"{root}/config.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)    # writes NaN and Infinity literals
+            rc, _, err = run_quietly(["synth", "--config", path, "--reps", "1",
+                                      "--out", f"{root}/s.csv"])
+        assert_clean_exit(rc, err)

@@ -27,7 +27,7 @@ class TestDefaults:
 
     def test_five_gesture_classes(self):
         config = SessionConfig()
-        assert config.num_classes == 5
+        assert len(config.gestures) == 5
 
     def test_architecture_defaults(self):
         arch = CnnArchitecture(44, 80, 8, 16, 5)
@@ -75,6 +75,7 @@ class TestValidation:
         dict(threshold_multiplier=True),
         dict(suppress_alternate_onsets="no"),
         dict(sample_rate=10 ** 400),            # beyond the float range
+        dict(seed=-1),                          # numpy seeds are >= 0
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):

@@ -54,20 +54,19 @@ class TestStep:
                 assert isinstance(event, SuppressedOnset)
 
     def test_no_suppression_classifies_everything(self, trained_setup):
+        config = dataclasses.replace(trained_setup.config,
+                                     suppress_alternate_onsets=False)
         events = list(run_replay(trained_setup.eval_recording,
-                                 trained_setup.model, trained_setup.config,
-                                 suppress_alternate=False))
+                                 trained_setup.model, config))
         assert events
         assert all(isinstance(e, Prediction) for e in events)
 
     def test_refractory_blocks_second_burst(self, trained_setup):
         # two sharp activations 150 samples apart with refractory 400:
         # only the first may emit
-        config = trained_setup.config
-        import dataclasses
-        config = dataclasses.replace(config, refractory=400)
-        engine = Engine(trained_setup.model, config,
-                        suppress_alternate=False)
+        config = dataclasses.replace(trained_setup.config, refractory=400,
+                                     suppress_alternate_onsets=False)
+        engine = Engine(trained_setup.model, config)
         n = 3000
         rng = np.random.default_rng(0)
         x = rng.normal(size=(n, config.channels)) * 0.05
@@ -134,7 +133,8 @@ class TestStep:
             return predict(model, current)
 
         monkeypatch.setattr(engine_mod, "predict", capture)
-        engine = Engine(trained_setup.model, config, suppress_alternate=False)
+        engine = Engine(trained_setup.model, dataclasses.replace(
+            config, suppress_alternate_onsets=False))
         events = drive(engine, samples)
         assert len(maps) == len(events) >= 4
         coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,

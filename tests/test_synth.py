@@ -62,13 +62,36 @@ class TestTemplates:
         with pytest.raises(ConfigError):
             GestureTemplate(gesture="x", gains=np.ones(4), burst_gain=0.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("rise_s", np.nan), ("rise_s", -1.0), ("hold_s", np.inf),
+        ("hold_s", 0.0), ("fall_s", np.nan), ("burst_gain", np.nan),
+        ("burst_gain", np.inf), ("settle_s", np.nan), ("settle_s", np.inf),
+    ])
+    def test_non_finite_or_out_of_range_timing_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be "):
+            GestureTemplate(gesture="x", gains=np.ones(4), **{field: value})
+        # the set builds each template with its settings, so it checks them
+        with pytest.raises(ConfigError, match=f"{field} must be "):
+            default_template_set(4, ("a", "b"), **{field: value})
+
+    def test_set_builds_templates_with_their_timing(self):
+        templates = default_template_set(4, ("a", "b"), hold_s=1.5,
+                                         burst_gain=1.0)
+        for tpl in templates.values():
+            assert (tpl.hold_s, tpl.burst_gain) == (1.5, 1.0)
+            assert (tpl.rise_s, tpl.fall_s, tpl.settle_s) == (0.05, 0.10, 0.15)
+
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+    def test_non_finite_separation_rejected(self, separation):
+        with pytest.raises(ConfigError, match="separation must be"):
+            default_template_set(4, ("a", "b"), separation=separation)
+
 
 def tiny_setup(snr_db=20.0, seed=3, hold_s=0.8, rest_s=0.8, reps=2,
                channels=4, gestures=("a", "b")):
     config = SessionConfig(channels=channels, gestures=gestures, seed=seed)
-    templates = default_template_set(channels, gestures, separation=0.9)
-    for t in templates.values():
-        t.hold_s = hold_s
+    templates = default_template_set(channels, gestures, separation=0.9,
+                                     hold_s=hold_s)
     script = blocked_script(gestures, templates, repetitions=reps,
                             rest_s=rest_s, lead_s=1.0, snr_db=snr_db,
                             seed=seed)
@@ -190,6 +213,39 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="renders no samples"):
             generate(SessionScript(events=[], tail_s=0.0), templates, config)
 
+    def test_one_sample_script_rejected(self):
+        # one sample has no standard deviation to scale the carrier by
+        config, templates, _ = tiny_setup()
+        with pytest.raises(ConfigError, match="renders one sample"):
+            generate(SessionScript(events=[], tail_s=0.005), templates, config)
+        rec = generate(SessionScript(events=[], tail_s=0.01), templates, config)
+        assert rec.num_samples == 2 and np.isfinite(rec.samples).all()
+
+    def test_sample_rate_below_the_carrier_band_rejected(self):
+        config = SessionConfig(sample_rate=8.0, channels=4, gestures=("a", "b"))
+        templates = default_template_set(4, ("a", "b"))
+        with pytest.raises(ConfigError, match="carrier band"):
+            generate(SessionScript(tail_s=10.0), templates, config)
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: SessionScript(noise_floor=np.nan), "noise_floor"),
+        (lambda: SessionScript(noise_floor=np.inf), "noise_floor"),
+        (lambda: SessionScript(noise_floor=0.0), "noise_floor"),
+        (lambda: SessionScript(snr_db=np.nan), "snr_db"),
+        (lambda: SessionScript(snr_db=np.inf), "snr_db"),
+        (lambda: SessionScript(snr_db=-1.0), "snr_db"),
+        (lambda: SessionScript(tail_s=np.inf), "tail_s"),
+        (lambda: SessionScript(seed=-1), "seed"),
+        (lambda: ScriptedGesture("a", 1.0, rest_s=np.inf), "rest_s"),
+    ])
+    def test_out_of_range_script_valuesrejected(self, build, field):
+        with pytest.raises(ConfigError, match=f"{field} must be "):
+            build()
+
+    def test_zero_snr_leaves_the_hold_at_the_floor(self):
+        # 0 dB is the edge of the model: the activation amplitude is 0
+        assert synth._solve_amplitude(np.array([1.0, 0.5]), 0.1, 0.0) == 0.0
+
     def test_gaussian_carrier_option(self):
         config, templates, script = tiny_setup()
         script.carrier_compression = 1.0
@@ -211,6 +267,27 @@ class TestScripts:
         names = [e.gesture for e in script.events]
         assert sorted(names) == sorted(gestures * 4)
         assert names != sorted(names)  # actually shuffled
+
+    @pytest.mark.parametrize("lead_s", [-1.0, np.nan, np.inf])
+    def test_bad_lead_rejected(self, lead_s):
+        gestures = ("a", "b")
+        templates = default_template_set(4, gestures)
+        with pytest.raises(ConfigError, match="lead_s must be "):
+            blocked_script(gestures, templates, 1, lead_s=lead_s)
+        with pytest.raises(ConfigError, match="lead_s must be "):
+            balanced_sequence_script(gestures, templates, 2,
+                                     np.random.default_rng(0), lead_s=lead_s)
+
+    def test_builders_forward_script_settings(self):
+        gestures = ("a", "b")
+        templates = default_template_set(4, gestures)
+        values = dict(noise_floor=0.2, snr_db=12.0, seed=5, tail_s=1.0,
+                         carrier_compression=0.5)
+        for script in (blocked_script(gestures, templates, 1, **values),
+                       balanced_sequence_script(gestures, templates, 2,
+                                                np.random.default_rng(0),
+                                                **values)):
+            assert {k: getattr(script, k) for k in values} == values
 
     def test_balanced_sequence_needs_divisible_count(self):
         gestures = ("a", "b", "c")

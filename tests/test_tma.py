@@ -238,6 +238,20 @@ class TestNormalization:
         with pytest.raises(ConfigError):
             NormalizationBounds(1.0, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bounds_rejected(self, bad):
+        with pytest.raises(ConfigError, match="must be finite"):
+            NormalizationBounds(0.0, bad, 0.0, 1.0)
+        with pytest.raises(ConfigError, match="must be finite"):
+            NormalizationBounds(0.0, 1.0, bad, 1.0)
+
+    @pytest.mark.parametrize("row", [0, 3], ids=["first-order", "second-order"])
+    def test_fit_on_a_map_holding_inf_rejected(self, row):
+        data = np.ones((5, 3))
+        data[row, 1] = np.inf
+        with pytest.raises(ConfigError, match="must be finite"):
+            fit_normalization([self.make_map(data)])
+
     def test_endpoints_map_to_zero_and_one(self):
         data = np.array([[0.1, 0.9], [0.5, 0.5],
                          [2.0, 4.0], [3.0, 3.0], [2.5, 3.5]])
