@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -32,21 +33,20 @@ from .onset import ThresholdCalibration, calibrate_threshold
 from .recording import Recording
 
 _CONFIG_FLAGS = (
-    ("--fs", "sample_rate", float, "sampling rate in Hz"),
-    ("--channels", "channels", int, "electrode channel count"),
-    ("--cutoff", "envelope_cutoff_hz", float, "envelope low-pass cutoff (Hz)"),
-    ("--map-width", "map_width", int, "activation-map window (samples)"),
-    ("--map-stride", "map_stride", int, "map evaluation stride (samples)"),
-    ("--refractory", "refractory", int, "detection pause (samples)"),
-    ("--extract-width", "extraction_width", int, "training window (samples)"),
-    ("--threshold-multiplier", "threshold_multiplier", float,
-     "calibration multiplier"),
-    ("--conv1-filters", "conv1_filters", int, "first conv layer filters"),
-    ("--conv2-filters", "conv2_filters", int, "second conv layer filters"),
-    ("--batch-size", "batch_size", int, "SGD mini-batch size"),
-    ("--learning-rate", "learning_rate", float, "SGD learning rate"),
-    ("--epochs", "epochs", int, "SGD epochs"),
-    ("--seed", "seed", int, "master seed"),
+    ("--fs", "sample_rate", "sampling rate in Hz"),
+    ("--channels", "channels", "electrode channel count"),
+    ("--cutoff", "envelope_cutoff_hz", "envelope low-pass cutoff (Hz)"),
+    ("--map-width", "map_width", "activation-map window (samples)"),
+    ("--map-stride", "map_stride", "map evaluation stride (samples)"),
+    ("--refractory", "refractory", "detection pause (samples)"),
+    ("--extract-width", "extraction_width", "training window (samples)"),
+    ("--threshold-multiplier", "threshold_multiplier", "calibration multiplier"),
+    ("--conv1-filters", "conv1_filters", "first conv layer filters"),
+    ("--conv2-filters", "conv2_filters", "second conv layer filters"),
+    ("--batch-size", "batch_size", "SGD mini-batch size"),
+    ("--learning-rate", "learning_rate", "SGD learning rate"),
+    ("--epochs", "epochs", "SGD epochs"),
+    ("--seed", "seed", "master seed"),
 )
 
 # `synth` flags that set a keyword of synth.default_template_set ("template")
@@ -71,9 +71,10 @@ _SYNTH_FLAGS = (
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file")
-    for flag, dest, typ, help_text in _CONFIG_FLAGS:
-        parser.add_argument(flag, dest=f"cfg_{dest}", type=typ, default=None,
-                            help=help_text)
+    types = get_type_hints(SessionConfig)
+    for flag, dest, help_text in _CONFIG_FLAGS:
+        parser.add_argument(flag, dest=f"cfg_{dest}", type=types[dest],
+                            default=None, help=help_text)
     parser.add_argument("--gestures", dest="cfg_gestures", default=None,
                         help="comma-separated gesture labels")
 
@@ -88,11 +89,8 @@ def _load_config(args: argparse.Namespace,
         base = fallback
     else:
         base = SessionConfig()
-    overrides = {}
-    for _, dest, _, _ in _CONFIG_FLAGS:
-        value = getattr(args, f"cfg_{dest}")
-        if value is not None:
-            overrides[dest] = value
+    overrides = {dest: value for _, dest, _ in _CONFIG_FLAGS
+                 if (value := getattr(args, f"cfg_{dest}")) is not None}
     if args.cfg_gestures is not None:
         overrides["gestures"] = tuple(
             g.strip() for g in args.cfg_gestures.split(",") if g.strip())
@@ -215,8 +213,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.input == "-":
         events = _stdin_events(model, config)
     else:
-        recording = io.read_recording(args.input, config.sample_rate,
-                                      expected_channels=config.channels)
+        [recording] = _read_recordings([args.input], config)
         events = run_replay(recording, model, config, pacing=args.pacing)
     for event in events:
         print(json.dumps(event_to_dict(event,
@@ -228,8 +225,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     model = io.read_model(args.model)
     config = _load_config(args, fallback=model.config)
-    recording = io.read_recording(args.input, config.sample_rate,
-                                  expected_channels=config.channels)
+    [recording] = _read_recordings([args.input], config)
     report = pipeline.evaluate(model, recording, config)
     print(report.format_table())
     if args.report:

@@ -19,13 +19,14 @@ are exact, which the finite-difference tests rely on.
 from __future__ import annotations
 
 import hashlib
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .config import SessionConfig
+from .config import SessionConfig, check_field_types
 from .errors import StructuralError, TrainingError, UsageError
 from .onset import ThresholdCalibration
 from .tma import NormalizationBounds, TmaMap, channels_for_rows, normalize_array
@@ -55,6 +56,7 @@ class CnnArchitecture:
     fc2_units: int = 20
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kernel != 3:
             raise StructuralError("only 3x3 kernels are supported")
         h, w = self.pool2_shape
@@ -114,6 +116,12 @@ class TrainingMetadata:
     learning_rate: float
     batch_size: int
     final_loss: float
+
+    def __post_init__(self):
+        # train records a NaN loss when no epoch ran
+        untrained = (self.epochs == 0 and isinstance(self.final_loss, float)
+                     and math.isnan(self.final_loss))
+        check_field_types(self, skip=("final_loss",) if untrained else ())
 
 
 @dataclass

@@ -13,16 +13,11 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from pathlib import Path
+from typing import get_type_hints
 
-from . import tma
 from .errors import ConfigError
-
-_INT_FIELDS = ("channels", "map_width", "map_stride", "refractory",
-               "extraction_width", "conv1_filters", "conv2_filters",
-               "batch_size", "epochs", "seed")
-_REAL_FIELDS = ("sample_rate", "envelope_cutoff_hz", "threshold_multiplier",
-                "learning_rate")
 
 DEFAULT_GESTURES: tuple[str, ...] = (
     "middle-flexion",
@@ -37,6 +32,30 @@ def is_finite_real(value) -> bool:
     """A real number, not a bool, inside the finite range of a float."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+# What a field of each annotated type accepts: bool is an int subclass.
+_FIELD_KINDS = {
+    int: ("an integer",
+          lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    float: ("a finite number", is_finite_real),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+}
+_annotations = cache(get_type_hints)
+
+
+def check_field_types(obj, skip: tuple[str, ...] = ()) -> None:
+    """Raise a ConfigError naming the first int, float or bool field of the
+    dataclass ``obj``, outside ``skip``, that its annotation refuses; store
+    each int field as a plain ``int``, on frozen dataclasses too."""
+    for name, kind in _annotations(type(obj)).items():
+        if kind in _FIELD_KINDS and name not in skip:
+            expected, accepts = _FIELD_KINDS[kind]
+            value = getattr(obj, name)
+            if not accepts(value):
+                raise ConfigError(f"field '{name}' is {value!r}, expected {expected}")
+            if kind is int:
+                object.__setattr__(obj, name, int(value))
 
 
 @dataclass
@@ -83,7 +102,12 @@ class SessionConfig:
     suppress_alternate_onsets: bool = True
 
     def __post_init__(self):
-        self._check_types()
+        check_field_types(self)
+        # a str would pass as a sequence of one-letter labels
+        if not isinstance(self.gestures, (list, tuple)) or not all(
+                isinstance(g, str) and g for g in self.gestures):
+            raise ConfigError("gestures must be a list of non-empty strings, "
+                              f"got {self.gestures!r}")
         self.gestures = tuple(self.gestures)
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
@@ -125,26 +149,6 @@ class SessionConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    def _check_types(self) -> None:
-        # bool is an int subclass, and a str is a sequence of labels; both
-        # would otherwise pass the range checks below
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not is_finite_real(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(self.suppress_alternate_onsets, bool):
-            raise ConfigError("suppress_alternate_onsets must be true or false, "
-                              f"got {self.suppress_alternate_onsets!r}")
-        if not isinstance(self.gestures, (list, tuple)) or not all(
-                isinstance(g, str) and g for g in self.gestures):
-            raise ConfigError("gestures must be a list of non-empty strings, "
-                              f"got {self.gestures!r}")
-
     @property
     def warmup_samples(self) -> int:
         """Samples to discard while the envelope filter settles from zero state."""
@@ -153,7 +157,8 @@ class SessionConfig:
     @property
     def feature_rows(self) -> int:
         """Rows of an activation map: channels plus all channel pair products."""
-        return tma.feature_rows(self.channels)
+        from .tma import feature_rows   # tma checks its bounds with this module
+        return feature_rows(self.channels)
 
     def to_dict(self) -> dict:
         d = asdict(self)

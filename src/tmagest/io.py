@@ -252,7 +252,7 @@ def read_annotations(path: str | Path) -> list[Annotation]:
 # ---------------------------------------------------------------------------
 
 def _calibration_from_dict(data) -> ThresholdCalibration:
-    """Inverse of ``asdict``; raises ValueError naming the first bad field."""
+    """Inverse of ``asdict``; the error raised names the first bad field."""
     if not isinstance(data, dict):
         raise ValueError("calibration must be a JSON object")
     names = [f.name for f in dataclass_fields(ThresholdCalibration)]
@@ -263,14 +263,10 @@ def _calibration_from_dict(data) -> ThresholdCalibration:
     sigmas = data["per_gesture_sigma"]
     if not isinstance(sigmas, dict):
         raise ValueError("calibration field 'per_gesture_sigma' is not an object")
-    for name, value in [("threshold", data["threshold"]),
-                        ("multiplier", data["multiplier"]),
-                        *((f"per_gesture_sigma.{g}", v) for g, v in sigmas.items())]:
+    for gesture, value in sigmas.items():
         if not is_finite_real(value):
-            raise ValueError(f"calibration field {name!r} is {value!r}, "
-                             "expected a finite number")
-    if not isinstance(data["degenerate"], bool):
-        raise ValueError("calibration field 'degenerate' is not true or false")
+            raise ValueError(f"calibration field 'per_gesture_sigma.{gesture}' "
+                             f"is {value!r}, expected a finite number")
     return ThresholdCalibration(**data)
 
 
@@ -288,42 +284,13 @@ def read_calibration(path: str | Path) -> ThresholdCalibration:
             return _calibration_from_dict(json.load(fh))
     except json.JSONDecodeError as exc:
         raise CalibrationError(f"{path}: invalid JSON: {exc}") from exc
-    except ValueError as exc:    # also a UnicodeDecodeError
+    except (ValueError, ConfigError) as exc:    # also a UnicodeDecodeError
         raise CalibrationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # model container
 # ---------------------------------------------------------------------------
-
-_BOUND_FIELDS = ("first_order_min", "first_order_max",
-                 "second_order_min", "second_order_max")
-_METADATA_INTS = ("seed", "epochs", "batch_size")
-_METADATA_REALS = ("learning_rate", "final_loss")
-
-
-def _typed_fields(data, key: str, integers=(), reals=()):
-    """``data`` once each named field it holds is a JSON integer (not a
-    bool) or a finite number; a ValueError names the first that is not.
-
-    ``final_loss`` may also be NaN when ``epochs`` is 0: no epoch ran, and
-    that is what :func:`cnn.train` records.
-    """
-    if not isinstance(data, dict):
-        return data
-    for name in integers:
-        if name in data and type(data[name]) is not int:
-            raise ValueError(f"header field '{key}.{name}' is "
-                             f"{data[name]!r}, expected an integer")
-    for name in reals:
-        value = data.get(name)
-        untrained = (name == "final_loss" and data.get("epochs") == 0
-                     and isinstance(value, float) and math.isnan(value))
-        if name in data and not (is_finite_real(value) or untrained):
-            raise ValueError(f"header field '{key}.{name}' is {value!r}, "
-                             "expected a finite number")
-    return data
-
 
 def _header_dict(model: CnnModel) -> dict:
     def fields(obj):
@@ -375,11 +342,18 @@ def read_model(path: str | Path) -> CnnModel:
             f"{path}: container version {version}, supported: {MODEL_VERSION}")
     if len(blob) < 12 + header_len:
         raise ModelTruncatedError(f"{path}: header cut short")
+
+    def build(key, make):
+        try:
+            return make(header[key])
+        except (ConfigError, StructuralError, TypeError, ValueError) as exc:
+            raise ModelIOError(f"{path}: header field '{key}': {exc}") from exc
+
     try:
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
-        arch = CnnArchitecture(**header["architecture"])
         manifest = header["tensors"]
-    except (ValueError, KeyError, TypeError, StructuralError) as exc:
+        arch = build("architecture", lambda d: CnnArchitecture(**d))
+    except (ValueError, KeyError, TypeError) as exc:
         raise ModelIOError(f"{path}: malformed header: {exc}") from exc
 
     if not isinstance(manifest, list):
@@ -415,19 +389,16 @@ def read_model(path: str | Path) -> CnnModel:
             f"{path}: {len(blob) - offset} bytes after the last tensor")
 
     def load(key, make):
-        return make(header[key]) if header.get(key) is not None else None
+        return build(key, make) if header.get(key) is not None else None
     try:
         return CnnModel(
             architecture=arch,
             params=params,
-            bounds=load("bounds", lambda d: NormalizationBounds(
-                **_typed_fields(d, "bounds", reals=_BOUND_FIELDS))),
+            bounds=load("bounds", lambda d: NormalizationBounds(**d)),
             labels=header.get("labels"),
             calibration=load("calibration", _calibration_from_dict),
-            metadata=load("metadata", lambda d: TrainingMetadata(
-                **_typed_fields(d, "metadata", integers=_METADATA_INTS,
-                                reals=_METADATA_REALS))),
+            metadata=load("metadata", lambda d: TrainingMetadata(**d)),
             config=load("config", SessionConfig.from_dict),
         )
-    except (StructuralError, ConfigError, TypeError, ValueError) as exc:
+    except StructuralError as exc:
         raise ModelIOError(f"{path}: malformed header: {exc}") from exc

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import check_field_types
 from .errors import CalibrationError, StructuralError
 from .tma import feature_matrix
 
@@ -121,6 +122,9 @@ class ThresholdCalibration:
     threshold: float
     multiplier: float
     degenerate: bool = field(default=False)
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 def calibrate_threshold(segments: list[tuple[str, np.ndarray]],

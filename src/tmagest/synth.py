@@ -34,6 +34,8 @@ from .errors import ConfigError
 from .recording import PHASE_FLEXION, PHASE_RETURN, Annotation, Recording
 
 _CARRIER_BAND_HZ = (20.0, 95.0)
+# _solve_amplitude squares the floor: below this the square is subnormal
+_MIN_NOISE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def _check_range(name: str, value, low: float, strict: bool = False) -> None:
@@ -42,6 +44,11 @@ def _check_range(name: str, value, low: float, strict: bool = False) -> None:
     if not (is_finite_real(value) and (value > low if strict else value >= low)):
         raise ConfigError(f"{name} must be {'>' if strict else '>='} {low:g} "
                           f"and finite, got {value!r}")
+
+
+def _check_count(name: str, value) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass
@@ -121,13 +128,15 @@ class SessionScript:
     carrier_compression: float = 0.2
 
     def __post_init__(self):
-        _check_range("noise_floor", self.noise_floor, 0.0, strict=True)
+        _check_range("noise_floor", self.noise_floor, _MIN_NOISE_FLOOR)
         _check_range("snr_db", self.snr_db, 0.0)
+        if not self.snr_db / 10.0 < math.log10(np.finfo(np.float64).max):
+            # the power ratio 10 ** (snr_db / 10) would overflow
+            raise ConfigError(f"snr_db must be < 3082.55, got {self.snr_db!r}")
         if not 0 < self.carrier_compression <= 1:
             raise ConfigError("carrier_compression must lie in (0, 1]")
         _check_range("tail_s", self.tail_s, 0.0)
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _check_count("seed", self.seed)
         starts = [e.start_s for e in self.events]
         if starts != sorted(starts):
             raise ConfigError("script events must be ordered by start time")
@@ -195,8 +204,8 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
     every value's bits unchanged, so the cost grows with samples + events.
 
     Raises:
-        ConfigError: On an unknown gesture id, overlapping activations or a
-            script that renders no samples.
+        ConfigError: On an unknown gesture id, overlapping activations,
+            fewer than 2 samples or a sample that overflows.
     """
     fs = config.sample_rate
     channels = config.channels
@@ -230,23 +239,27 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
     t = np.arange(n) / fs
     modulation = np.full((n, channels), script.noise_floor)
     annotations = []
-    for event in script.events:
-        tpl = templates[event.gesture]
-        amp = _solve_amplitude(tpl.gains, script.noise_floor, script.snr_db)
-        knots_t, knots_v = _activation_knots(event.start_s, tpl)
-        lo = np.searchsorted(t, knots_t[0], side="right")
-        hi = np.searchsorted(t, knots_t[-1], side="left")
-        profile = np.interp(t[lo:hi], knots_t, knots_v)
-        modulation[lo:hi] += amp * profile[:, None] * tpl.gains[None, :]
-        annotations.append(Annotation(
-            n=int(round(event.start_s * fs)),
-            gesture=event.gesture, phase=PHASE_FLEXION))
-        annotations.append(Annotation(
-            n=int(round((event.start_s + tpl.release_start_s) * fs)),
-            gesture=event.gesture, phase=PHASE_RETURN))
-
-    return Recording(sample_rate=fs, samples=carrier * modulation,
-                     annotations=annotations)
+    # settings that overflow show as non-finite samples, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for event in script.events:
+            tpl = templates[event.gesture]
+            amp = _solve_amplitude(tpl.gains, script.noise_floor, script.snr_db)
+            knots_t, knots_v = _activation_knots(event.start_s, tpl)
+            lo = np.searchsorted(t, knots_t[0], side="right")
+            hi = np.searchsorted(t, knots_t[-1], side="left")
+            profile = np.interp(t[lo:hi], knots_t, knots_v)
+            modulation[lo:hi] += amp * profile[:, None] * tpl.gains[None, :]
+            annotations.append(Annotation(
+                n=int(round(event.start_s * fs)),
+                gesture=event.gesture, phase=PHASE_FLEXION))
+            annotations.append(Annotation(
+                n=int(round((event.start_s + tpl.release_start_s) * fs)),
+                gesture=event.gesture, phase=PHASE_RETURN))
+        samples = carrier * modulation
+    if not np.isfinite(samples).all():
+        raise ConfigError("noise_floor, snr_db and burst_gain must be small "
+                          "enough that every sample is finite")
+    return Recording(sample_rate=fs, samples=samples, annotations=annotations)
 
 
 def default_template_set(channels: int, gestures: tuple[str, ...],
@@ -326,6 +339,7 @@ def blocked_script(gestures: tuple[str, ...],
                    **script) -> SessionScript:
     """Collection-style schedule: all repetitions of each gesture in a block.
     ``script`` holds :class:`SessionScript` settings other than ``events``."""
+    _check_count("repetitions", repetitions)
     names = [name for name in gestures for _ in range(repetitions)]
     return _schedule(names, templates, rest_s, lead_s, script)
 
@@ -337,6 +351,7 @@ def balanced_sequence_script(gestures: tuple[str, ...],
                              **script) -> SessionScript:
     """Evaluation-style schedule: a shuffled sequence with equal class counts.
     ``script`` holds :class:`SessionScript` settings other than ``events``."""
+    _check_count("count", count)
     G = len(gestures)
     if count % G != 0:
         raise ConfigError(f"count {count} is not a multiple of {G} gestures")

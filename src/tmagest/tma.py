@@ -17,13 +17,13 @@ Maps are treated as immutable once assembled and may be shared freely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import check_field_types
 from .errors import ConfigError, NotReadyError, StructuralError
 
 
@@ -171,8 +171,7 @@ class NormalizationBounds:
     second_order_max: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ConfigError(f"normalization bounds must be finite, got {self}")
+        check_field_types(self)
         if not (self.first_order_min < self.first_order_max):
             raise ConfigError("first-order bounds must satisfy min < max")
         if not (self.second_order_min < self.second_order_max):

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 from types import SimpleNamespace
 
 # One BLAS thread: a second one slows the small GEMMs of the SGD step while
@@ -46,6 +48,17 @@ def small_config():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def rewrite_header(path, change):
+    """Re-frame a written model after ``change(header)`` edits its header."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + header_len])
+    change(header)
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
+                     + blob[12 + header_len:])
 
 
 def make_templates(config, hold_s=1.2):

@@ -14,7 +14,7 @@ from tmagest.cli import main
 from tmagest.config import SessionConfig
 from tmagest.io import read_model, read_recording
 
-from conftest import SMALL_CONFIG_KWARGS
+from conftest import SMALL_CONFIG_KWARGS, rewrite_header
 
 SYNTH_FLAGS = ["--hold", "1.2", "--rest", "1.5", "--rise", "0.025",
                "--settle", "0.05", "--fall", "0.05", "--lead", "2.0",
@@ -254,6 +254,24 @@ class TestRun:
         assert captured.err.startswith(
             "error: envelope_cutoff_hz is 3.0, but the model was trained with 2.0")
 
+    @pytest.mark.parametrize("field,value", [
+        ("input_rows", 44.0), ("kernel", 3.0), ("conv1_filters", True),
+        ("input_cols", "80"),
+    ])
+    def test_ill_typed_architecture_is_error_exit_1(self, workspace, tmp_path,
+                                                    field, value):
+        model = tmp_path / "m.tma"
+        model.write_bytes(workspace["model"].read_bytes())
+        rewrite_header(model, lambda header: header["architecture"].update(
+            {field: value}))
+        rc, stdout, err = run_quietly(["run", "--model", str(model), "--input",
+                                       str(workspace["eval_csv"]),
+                                       "--no-timing"])
+        assert rc == 1 and stdout == ""
+        assert err.startswith(f"error: {model}: header field 'architecture': "
+                              f"field '{field}' is ")
+        assert err.count("\n") == 1
+
     def test_stdin_rows(self, workspace, capsys, monkeypatch):
         text = workspace["eval_csv"].read_text()
         monkeypatch.setattr("sys.stdin", std_io.StringIO(text))
@@ -383,11 +401,28 @@ class TestSettingsIngress:
         ("--separation", "nan", "separation"),
         ("--separation", "inf", "separation"),
         ("--session-seed", "-1", "seed"),
+        ("--noise-floor", "1e-170", "noise_floor"), ("--snr", "4000", "snr_db"),
+        ("--burst", "1e308", "noise_floor, snr_db and burst_gain"),
+        ("--reps", "-1", "repetitions"),
     ])
     def test_bad_synth_flag_is_error_exit_1(self, tmp_path, flag, value, field):
+        self.assert_refused(tmp_path, [f"{flag}={value}"], field)
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--noise-floor=1e10", "--snr=3000"],
+         "noise_floor, snr_db and burst_gain"),
+        (["--mode=sequence", "--events=-5"], "count"),
+    ])
+    def test_bad_synth_flag_pair_is_error_exit_1(self, tmp_path, flags, field):
+        self.assert_refused(tmp_path, flags, field)
+
+    @staticmethod
+    def assert_refused(tmp_path, flags, field):
+        """``synth`` with ``flags`` exits 1 with one error line that starts
+        with ``field`` and writes nothing."""
         out = tmp_path / "s.csv"
         rc, stdout, err = run_quietly(["synth", "--out", str(out),
-                                       "--reps", "1", f"{flag}={value}"])
+                                       "--reps", "1", *flags])
         assert rc == 1
         assert err.startswith(f"error: {field} must be ")
         assert err.count("\n") == 1

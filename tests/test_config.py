@@ -1,9 +1,15 @@
+import dataclasses
+import math
+import typing
+
 import numpy as np
 import pytest
 
-from tmagest.cnn import CnnArchitecture
+from tmagest.cnn import CnnArchitecture, TrainingMetadata
 from tmagest.config import SessionConfig
 from tmagest.errors import ConfigError
+from tmagest.onset import ThresholdCalibration
+from tmagest.tma import NormalizationBounds
 
 REFERENCE_DEFAULTS = {
     "sample_rate": 200.0,
@@ -90,6 +96,51 @@ class TestValidation:
                                gestures=["a", "b"])
         assert type(config.channels) is int and config.channels == 4
         assert config.gestures == ("a", "b")
+
+
+VALID_INSTANCES = (
+    SessionConfig(),
+    CnnArchitecture(44, 80, 8, 16, 5),
+    NormalizationBounds(0.0, 1.0, 0.0, 1.0),
+    TrainingMetadata(seed=3, epochs=15, learning_rate=0.001, batch_size=32,
+                     final_loss=0.5),
+    ThresholdCalibration(per_gesture_sigma={"a": 1.0}, threshold=4.0,
+                         multiplier=4.0),
+)
+# annotation: (what the error says is expected, values it refuses)
+WRONG_VALUES = {
+    int: ("an integer", (True, 1.5)),
+    float: ("a finite number", ("1", math.nan, math.inf, -math.inf)),
+    bool: ("true or false", (1,)),
+}
+
+
+def wrong_field_values():
+    """(instance, field, value, expected): each int, float or bool field of
+    each checked dataclass, taken from dataclasses.fields, with each value
+    its annotation refuses."""
+    for instance in VALID_INSTANCES:
+        hints = typing.get_type_hints(type(instance))
+        for f in dataclasses.fields(instance):
+            expected, values = WRONG_VALUES.get(hints[f.name], ("", ()))
+            for value in values:
+                yield pytest.param(
+                    instance, f.name, value, expected,
+                    id=f"{type(instance).__name__}-{f.name}-{value!r}")
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("instance,field,value,expected",
+                             wrong_field_values())
+    def test_wrong_type_names_the_field(self, instance, field, value,
+                                        expected):
+        with pytest.raises(ConfigError,
+                           match=f"field '{field}' is .*, expected {expected}"):
+            dataclasses.replace(instance, **{field: value})
+
+    def test_integral_values_are_stored_as_int(self):
+        arch = CnnArchitecture(np.int64(44), 80, 8, 16, 5)
+        assert type(arch.input_rows) is int and arch.input_rows == 44
 
 
 class TestSerialization:

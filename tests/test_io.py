@@ -1,9 +1,10 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmagest import io as tmio
@@ -13,6 +14,7 @@ from tmagest.cnn import (
     TrainingMetadata,
     forward,
     initial_params,
+    predict,
 )
 from tmagest.config import SessionConfig
 from tmagest.errors import (
@@ -22,6 +24,7 @@ from tmagest.errors import (
     ModelTruncatedError,
     ModelVersionError,
     RecordingParseError,
+    TmagestError,
 )
 from tmagest.io import (
     annotations_path,
@@ -36,6 +39,8 @@ from tmagest.io import (
 from tmagest.onset import ThresholdCalibration
 from tmagest.recording import Annotation, Recording
 from tmagest.tma import NormalizationBounds
+
+from conftest import rewrite_header
 
 
 def sample_recording(rng, n=50, channels=3, annotated=True):
@@ -204,17 +209,6 @@ def sample_model(rng):
     )
 
 
-def rewrite_header(path, change):
-    """Re-frame a written model after ``change(header)`` edits its header."""
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", blob, 8)
-    header = json.loads(blob[12:12 + header_len])
-    change(header)
-    text = json.dumps(header).encode("utf-8")
-    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
-                     + blob[12 + header_len:])
-
-
 class TestModelContainer:
     def test_round_trip_bitwise(self, tmp_path, rng):
         model = sample_model(rng)
@@ -350,8 +344,8 @@ class TestModelContainer:
         path = tmp_path / "m.tma"
         write_model(sample_model(rng), path)
         rewrite_header(path, lambda header: header[key].update({field: value}))
-        with pytest.raises(ModelIOError,
-                           match=f"'{key}.{field}' is .*, expected {expected}"):
+        with pytest.raises(ModelIOError, match=f"header field '{key}': "
+                           f"field '{field}' is .*, expected {expected}"):
             read_model(path)
 
     def test_untrained_model_keeps_its_nan_loss(self, tmp_path, rng):
@@ -365,7 +359,24 @@ class TestModelContainer:
         assert np.isnan(read_model(path).metadata.final_loss)
         rewrite_header(path, lambda header: header["metadata"].update(
             {"epochs": 1}))
-        with pytest.raises(ModelIOError, match="'metadata.final_loss' is nan"):
+        with pytest.raises(ModelIOError, match="header field 'metadata': field "
+                           "'final_loss' is nan, expected a finite number"):
+            read_model(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("input_rows", 44.0), ("kernel", 3.0), ("conv1_filters", True),
+        ("input_cols", "80"),
+    ])
+    def test_architecture_fields_are_type_checked(self, tmp_path, rng, field,
+                                                  value):
+        # a float input_rows used to load, then fail inside the forward pass
+        path = tmp_path / "m.tma"
+        write_model(sample_model(rng), path)
+        rewrite_header(path, lambda header: header["architecture"].update(
+            {field: value}))
+        with pytest.raises(ModelIOError, match=re.escape(
+                f"header field 'architecture': field '{field}' is {value!r}, "
+                "expected an integer")):
             read_model(path)
 
 
@@ -392,10 +403,13 @@ def model_file(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(key=st.sampled_from(HEADER_KEYS), value=JSON_VALUES,
        nested=st.booleans(), pick=st.integers(min_value=0))
+@example(key="architecture", value=14.0, nested=True, pick=5)  # input_rows
 def test_arbitrary_header_values_load_or_raise_model_io_error(
         model_file, key, value, nested, pick):
     # any JSON value in a header key, or in one field of that key's valid
-    # value, either loads or raises a ModelIOError - never anything else
+    # value, either loads or raises a ModelIOError - never anything else;
+    # a model that loads classifies a map of its shape or raises a
+    # TmagestError
     def change(header):
         target = header[key]
         if nested and isinstance(target, dict):
@@ -409,8 +423,13 @@ def test_arbitrary_header_values_load_or_raise_model_io_error(
     path.write_bytes(model_file.read_bytes())
     rewrite_header(path, change)
     try:
-        read_model(path)
+        model = read_model(path)
     except ModelIOError:
+        return
+    arch = model.architecture
+    try:
+        predict(model, np.zeros((arch.input_rows, arch.input_cols)))
+    except TmagestError:
         pass
 
 

@@ -237,10 +237,42 @@ class TestGenerate:
         (lambda: SessionScript(tail_s=np.inf), "tail_s"),
         (lambda: SessionScript(seed=-1), "seed"),
         (lambda: ScriptedGesture("a", 1.0, rest_s=np.inf), "rest_s"),
+        (lambda: SessionScript(noise_floor=1e-170), "noise_floor"),
+        (lambda: SessionScript(
+            noise_floor=np.nextafter(synth._MIN_NOISE_FLOOR, 0)), "noise_floor"),
+        (lambda: SessionScript(snr_db=4000.0), "snr_db"),
+        (lambda: SessionScript(snr_db=3082.5471555991676), "snr_db"),
     ])
     def test_out_of_range_script_valuesrejected(self, build, field):
         with pytest.raises(ConfigError, match=f"{field} must be "):
             build()
+
+    def test_smallest_floor_keeps_the_amplitude_exact(self):
+        # the amplitude scales with the floor; at the smallest floor a script
+        # accepts, its square is still a normal float
+        floor = synth._MIN_NOISE_FLOOR
+        SessionScript(noise_floor=floor)
+        gains = default_template_set(8, SessionConfig().gestures)[
+            "pointer"].gains
+        unit = synth._solve_amplitude(gains, 1.0, 20.0)
+        assert synth._solve_amplitude(gains, floor, 20.0) / floor == \
+            pytest.approx(unit, rel=1e-12)
+
+    def test_largest_snr_gives_a_finite_power_ratio(self):
+        snr_db = np.nextafter(3082.5471555991676, 0)
+        SessionScript(snr_db=snr_db)
+        assert np.isfinite(10.0 ** (snr_db / 10.0))
+
+    @pytest.mark.parametrize("script,timing", [
+        (dict(noise_floor=1e10, snr_db=3000.0), {}),
+        ({}, dict(burst_gain=1e308)),
+    ], ids=["floor-and-snr", "burst"])
+    def test_overflowing_samples_rejected(self, script, timing):
+        config = SessionConfig(channels=4, gestures=("a", "b"))
+        templates = default_template_set(4, ("a", "b"), **timing)
+        with pytest.raises(ConfigError, match="every sample is finite"):
+            generate(blocked_script(("a", "b"), templates, 1, **script),
+                     templates, config)
 
     def test_zero_snr_leaves_the_hold_at_the_floor(self):
         # 0 dB is the edge of the model: the activation amplitude is 0
@@ -288,6 +320,24 @@ class TestScripts:
                                                 np.random.default_rng(0),
                                                 **values)):
             assert {k: getattr(script, k) for k in values} == values
+
+    @pytest.mark.parametrize("count", [-1, -2, 1.0])
+    def test_negative_or_non_integer_counts_rejected(self, count):
+        gestures = ("a", "b")
+        templates = default_template_set(4, gestures)
+        with pytest.raises(ConfigError, match="repetitions must be an integer"):
+            blocked_script(gestures, templates, count)
+        with pytest.raises(ConfigError, match="count must be an integer"):
+            balanced_sequence_script(gestures, templates, 2 * count,
+                                     np.random.default_rng(0))
+
+    def test_zero_counts_give_a_rest_only_session(self):
+        gestures = ("a", "b")
+        templates = default_template_set(4, gestures)
+        for script in (blocked_script(gestures, templates, 0),
+                       balanced_sequence_script(gestures, templates, 0,
+                                                np.random.default_rng(0))):
+            assert script.events == []
 
     def test_balanced_sequence_needs_divisible_count(self):
         gestures = ("a", "b", "c")

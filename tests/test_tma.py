@@ -240,16 +240,20 @@ class TestNormalization:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_bounds_rejected(self, bad):
-        with pytest.raises(ConfigError, match="must be finite"):
+        expected = f"is {bad}, expected a finite number"
+        with pytest.raises(ConfigError, match=f"'first_order_max' {expected}"):
             NormalizationBounds(0.0, bad, 0.0, 1.0)
-        with pytest.raises(ConfigError, match="must be finite"):
+        with pytest.raises(ConfigError, match=f"'second_order_min' {expected}"):
             NormalizationBounds(0.0, 1.0, bad, 1.0)
 
-    @pytest.mark.parametrize("row", [0, 3], ids=["first-order", "second-order"])
-    def test_fit_on_a_map_holding_inf_rejected(self, row):
+    @pytest.mark.parametrize("row,field", [(0, "first_order_max"),
+                                           (3, "second_order_max")],
+                             ids=["first-order", "second-order"])
+    def test_fit_on_a_map_holding_inf_rejected(self, row, field):
         data = np.ones((5, 3))
         data[row, 1] = np.inf
-        with pytest.raises(ConfigError, match="must be finite"):
+        with pytest.raises(ConfigError,
+                           match=f"'{field}' is inf, expected a finite number"):
             fit_normalization([self.make_map(data)])
 
     def test_endpoints_map_to_zero_and_one(self):
