@@ -28,7 +28,7 @@ import numpy as np
 from . import cnn, io, pipeline, synth
 from .config import SessionConfig
 from .engine import Engine, event_to_dict, iter_batches, run_replay
-from .errors import TmagestError
+from .errors import RecordingParseError, TmagestError
 from .onset import ThresholdCalibration, calibrate_threshold
 from .recording import Recording
 
@@ -182,6 +182,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stdin_lines():
+    """``(number, line)`` for each stdin line; a byte that is not UTF-8 ends
+    in a RecordingParseError naming its line."""
+    i = 0
+    try:
+        for i, line in enumerate(sys.stdin, start=1):
+            yield i, line
+    except UnicodeDecodeError as exc:
+        # stdin decodes the chunk after line i only once line i is read, so
+        # exc.object, that chunk, starts inside line i + 1
+        line = i + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
+                                  line=line) from exc
+
+
 def _stdin_events(model, config: SessionConfig):
     """Incremental engine over stdin rows: one stride in, events out.
 
@@ -190,7 +205,7 @@ def _stdin_events(model, config: SessionConfig):
     engine = Engine(model, config)
     batch = np.empty((config.map_stride, config.channels))
     lines, numbers, prev_t = [], [], None
-    for i, line in enumerate(sys.stdin, start=1):
+    for i, line in _stdin_lines():
         line = line.strip()
         if not line or line.startswith("t,"):
             continue

@@ -343,16 +343,6 @@ def _chunks(n: int) -> list[slice]:
     return [slice(s, s + CHUNK_MAPS) for s in range(0, n, CHUNK_MAPS)]
 
 
-def _forward_probs(params, arch: CnnArchitecture, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for a (B, rows, cols) batch; keeps no cache."""
-    flat = np.empty((x.shape[0], arch.flat_size))
-    for c in _chunks(x.shape[0]):
-        p1 = _pool_relu(_conv1(params, _conv1_inputs(x[c], arch)))
-        p2 = _pool_relu(_windows(_conv2(params, arch, p1), arch.pool2_shape))
-        flat[c] = _flatten(p2)
-    return np.exp(_dense_forward(params, flat)[2])
-
-
 def _conv_forward(params, arch: CnnArchitecture, x: np.ndarray) -> dict:
     """Training forward pass of the conv layers on a (B, rows, cols) chunk.
 
@@ -459,7 +449,7 @@ def forward(model: CnnModel, normalized_map: np.ndarray) -> np.ndarray:
 
 def forward_batch(model: CnnModel, normalized_maps: np.ndarray) -> np.ndarray:
     """(B, classes) probabilities for a (B, rows, cols) stack of normalized
-    maps; row i equals ``forward`` of map i up to rounding.
+    maps; row i equals ``forward`` of map i up to rounding. Keeps no cache.
 
     Raises:
         StructuralError: If the maps' shape does not match the architecture.
@@ -467,7 +457,13 @@ def forward_batch(model: CnnModel, normalized_maps: np.ndarray) -> np.ndarray:
     data = np.asarray(normalized_maps, dtype=np.float64)
     if data.ndim != 3:
         raise StructuralError(f"expected a (B, rows, cols) stack, got shape {data.shape}")
-    return _forward_probs(model.params, model.architecture, data)
+    params, arch = model.params, model.architecture
+    flat = np.empty((data.shape[0], arch.flat_size))
+    for c in _chunks(data.shape[0]):
+        p1 = _pool_relu(_conv1(params, _conv1_inputs(data[c], arch)))
+        p2 = _pool_relu(_windows(_conv2(params, arch, p1), arch.pool2_shape))
+        flat[c] = _flatten(p2)
+    return np.exp(_dense_forward(params, flat)[2])
 
 
 def _canonical_order(maps: list[np.ndarray], y_idx: np.ndarray) -> np.ndarray:

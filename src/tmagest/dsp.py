@@ -49,9 +49,6 @@ from .errors import ConfigError, StructuralError
 
 _SQRT2 = math.sqrt(2.0)
 
-# Block length when none is given: the reference map stride (0.1 s at 200 Hz).
-DEFAULT_BLOCK_SIZE = 20
-
 
 @dataclass(frozen=True)
 class BiquadCoefficients:
@@ -137,7 +134,7 @@ class EnvelopeFilter:
     """
 
     def __init__(self, coeffs: BiquadCoefficients, channels: int,
-                 block_size: int = DEFAULT_BLOCK_SIZE):
+                 block_size: int):
         if channels < 1:
             raise ConfigError(f"channels must be >= 1, got {channels}")
         if block_size < 1:
@@ -203,7 +200,7 @@ class EnvelopeFilter:
 
 
 def envelope_stream(raw: np.ndarray, coeffs: BiquadCoefficients,
-                    block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
+                    block_size: int) -> np.ndarray:
     """Rectify and filter a whole (samples, channels) recording from zero state.
 
     With ``block_size`` equal to the engine's map stride the result equals,

@@ -128,7 +128,7 @@ class ThresholdCalibration:
 
 
 def calibrate_threshold(segments: list[tuple[str, np.ndarray]],
-                        multiplier: float = 4.0,
+                        multiplier: float,
                         expected_gestures: tuple[str, ...] | None = None,
                         ) -> ThresholdCalibration:
     """Fit the onset threshold from per-gesture difference-signal segments.

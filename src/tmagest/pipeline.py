@@ -11,7 +11,7 @@ code path used live and scores the emitted events against the ground truth.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -114,7 +114,6 @@ def training_set(recordings: list[Recording], config: SessionConfig,
 
 
 def calibration_segments(recording: Recording, config: SessionConfig,
-                         onset_exclusion: tuple[int, int] | None = None,
                          ) -> list[tuple[str, np.ndarray]]:
     """Per-gesture difference-signal segments for threshold calibration.
 
@@ -122,20 +121,17 @@ def calibration_segments(recording: Recording, config: SessionConfig,
     at midpoints between consecutive labeled onsets; each segment - the
     activation plus its surrounding rest - is attributed to its gesture.
 
-    Points inside an exclusion window around every labeled onset are left
-    out of the segments: the calibrated spread has to describe the signal's
-    steady behavior (rest and hold), not the very transients the threshold
-    is meant to catch. Were the transition peaks themselves pooled into the
+    Points from ``2 * map_stride`` samples before to ``map_width + 2 *
+    map_stride`` samples after every labeled onset are left out of the
+    segments: the calibrated spread has to describe the signal's steady
+    behavior (rest and hold), not the very transients the threshold is
+    meant to catch. Were the transition peaks themselves pooled into the
     per-gesture spread, the threshold would scale with the peaks and sit
     above most of them regardless of signal quality (each transition adds
     map_width times its squared peak to the summed squares, which at the
-    standard multiplier always overshoots). The default window
-    keeps the late tail of each transition inside the pool, which gives the
-    threshold a safety margin above steady-state excursions.
-
-    Args:
-        onset_exclusion: (before, after) in samples around each labeled
-            onset; defaults to (2 * map_stride, map_width + 2 * map_stride).
+    standard multiplier always overshoots). The window keeps the late tail
+    of each transition inside the pool, which gives the threshold a safety
+    margin above steady-state excursions.
 
     Raises:
         UsageError: If the recording has no labeled onsets.
@@ -143,16 +139,14 @@ def calibration_segments(recording: Recording, config: SessionConfig,
     onsets = recording.onsets(PHASE_FLEXION)
     if not onsets:
         raise UsageError("recording has no labeled onsets to calibrate from")
-    if onset_exclusion is None:
-        onset_exclusion = (2 * config.map_stride,
-                           config.map_width + 2 * config.map_stride)
     env = _envelopes(recording, config)
     ns, values = difference_series(env, config.map_width, config.map_stride,
                                    min_index=config.warmup_samples)
     if ns.size == 0:
         return []
     keep = np.ones(ns.shape[0], dtype=bool)
-    before, after = onset_exclusion
+    before = 2 * config.map_stride
+    after = config.map_width + before
     for a in recording.annotations:
         if a.phase == PHASE_REST:
             continue
@@ -186,20 +180,9 @@ class EvaluationReport:
     latency_us: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "gestures": list(self.gestures),
-            "confusion": self.confusion.tolist(),
-            "confusion_columns": list(self.gestures) + ["missed"],
-            "onset_recall": self.onset_recall,
-            "onset_false_positive_rate": self.onset_false_positive_rate,
-            "classification_accuracy": self.classification_accuracy,
-            "per_class_accuracy": dict(self.per_class_accuracy),
-            "n_true_onsets": self.n_true_onsets,
-            "n_events": self.n_events,
-            "n_predictions": self.n_predictions,
-            "n_suppressed": self.n_suppressed,
-            "latency_us": dict(self.latency_us),
-        }
+        return {**asdict(self), "gestures": list(self.gestures),
+                "confusion": self.confusion.tolist(),
+                "confusion_columns": list(self.gestures) + ["missed"]}
 
     def format_table(self) -> str:
         lines = []

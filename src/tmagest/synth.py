@@ -101,9 +101,10 @@ class ScriptedGesture:
 
     gesture: str
     start_s: float
-    rest_s: float = 5.0
+    rest_s: float
 
     def __post_init__(self):
+        _check_range("start_s", self.start_s, 0.0)
         _check_range("rest_s", self.rest_s, 0.0)
 
 
@@ -133,8 +134,9 @@ class SessionScript:
         if not self.snr_db / 10.0 < math.log10(np.finfo(np.float64).max):
             # the power ratio 10 ** (snr_db / 10) would overflow
             raise ConfigError(f"snr_db must be < 3082.55, got {self.snr_db!r}")
-        if not 0 < self.carrier_compression <= 1:
-            raise ConfigError("carrier_compression must lie in (0, 1]")
+        c = self.carrier_compression
+        if not (is_finite_real(c) and 0 < c <= 1):
+            raise ConfigError(f"carrier_compression must be in (0, 1], got {c!r}")
         _check_range("tail_s", self.tail_s, 0.0)
         _check_count("seed", self.seed)
         starts = [e.start_s for e in self.events]
@@ -321,9 +323,11 @@ def default_template_set(channels: int, gestures: tuple[str, ...],
 
 
 def _schedule(names: list[str], templates: dict[str, GestureTemplate],
-              rest_s: float, lead_s: float, script: dict) -> SessionScript:
+              rest_s: float = 5.0, lead_s: float = 3.0,
+              **script) -> SessionScript:
     """Activations of ``names`` in order after ``lead_s``, each followed by
-    ``rest_s``; ``script`` holds the :class:`SessionScript` settings."""
+    ``rest_s``; ``script`` holds the :class:`SessionScript` settings other
+    than ``events``."""
     _check_range("lead_s", lead_s, 0.0)
     events = []
     t = lead_s
@@ -335,22 +339,22 @@ def _schedule(names: list[str], templates: dict[str, GestureTemplate],
 
 def blocked_script(gestures: tuple[str, ...],
                    templates: dict[str, GestureTemplate],
-                   repetitions: int, rest_s: float = 5.0, lead_s: float = 3.0,
-                   **script) -> SessionScript:
+                   repetitions: int, **script) -> SessionScript:
     """Collection-style schedule: all repetitions of each gesture in a block.
-    ``script`` holds :class:`SessionScript` settings other than ``events``."""
+    ``script`` holds ``rest_s``, ``lead_s`` and the :class:`SessionScript`
+    settings other than ``events``."""
     _check_count("repetitions", repetitions)
     names = [name for name in gestures for _ in range(repetitions)]
-    return _schedule(names, templates, rest_s, lead_s, script)
+    return _schedule(names, templates, **script)
 
 
 def balanced_sequence_script(gestures: tuple[str, ...],
                              templates: dict[str, GestureTemplate],
                              count: int, rng: np.random.Generator,
-                             rest_s: float = 5.0, lead_s: float = 3.0,
                              **script) -> SessionScript:
     """Evaluation-style schedule: a shuffled sequence with equal class counts.
-    ``script`` holds :class:`SessionScript` settings other than ``events``."""
+    ``script`` holds ``rest_s``, ``lead_s`` and the :class:`SessionScript`
+    settings other than ``events``."""
     _check_count("count", count)
     G = len(gestures)
     if count % G != 0:
@@ -358,4 +362,4 @@ def balanced_sequence_script(gestures: tuple[str, ...],
     labels = list(gestures) * (count // G)
     order = rng.permutation(len(labels))
     names = [labels[int(i)] for i in order]
-    return _schedule(names, templates, rest_s, lead_s, script)
+    return _schedule(names, templates, **script)

@@ -115,7 +115,8 @@ def test_criterion_4_filter_correctness():
     fs, n = 200.0, 8000
     t = np.arange(n) / fs
     x = np.sin(2 * np.pi * 2.0 * t)
-    y = EnvelopeFilter(coeffs, 1).process(x[:, None])[:, 0]
+    y = EnvelopeFilter(coeffs, 1, SessionConfig().map_stride).process(
+        x[:, None])[:, 0]
     tail = y[n // 2:]
     gain_db = 20 * math.log10((tail.max() - tail.min()) / 2.0)
     ok = dc_err < 1e-9 and abs(gain_db - (-3.0103)) < 0.2

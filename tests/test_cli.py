@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -285,6 +286,7 @@ class TestRun:
         ("gap", "sample index 501 does not follow 499"),
         ("nan", "ch1 is nan"),
         ("inf", "ch0 is inf"),
+        ("bytes", "not UTF-8 text: invalid start byte"),
     ])
     def test_stdin_row_errors_name_the_line(self, workspace, capsys,
                                             monkeypatch, fault, message):
@@ -295,9 +297,14 @@ class TestRun:
             del lines[501]
         elif fault == "nan":
             lines[501] = ",".join(cols[:2] + ["nan"] + cols[3:])
-        else:
+        elif fault == "inf":
             lines[501] = ",".join(cols[:1] + ["inf"] + cols[2:])
-        monkeypatch.setattr("sys.stdin", std_io.StringIO("\n".join(lines)))
+        blob = "\n".join(lines).encode()
+        if fault == "bytes":    # stdin decodes strictly in a UTF-8 locale
+            at = blob.index(lines[501].encode()) + 5
+            blob = blob[:at] + b"\xff" + blob[at:]
+        monkeypatch.setattr("sys.stdin", std_io.TextIOWrapper(
+            std_io.BytesIO(blob), encoding="utf-8"))
         rc = main(["run", *workspace["base"], "--model", str(workspace["model"]),
                    "--input", "-"])
         assert rc == 1
@@ -456,4 +463,75 @@ class TestSettingsIngress:
                 json.dump(data, fh)    # writes NaN and Infinity literals
             rc, _, err = run_quietly(["synth", "--config", path, "--reps", "1",
                                       "--out", f"{root}/s.csv"])
+        assert_clean_exit(rc, err)
+
+
+# Faults a recording row can carry: (kind, row, position, replacement field).
+ROW_FAULTS = st.tuples(
+    st.sampled_from(["truncate", "ragged", "blank", "bytes", "t", "value",
+                     "cut"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+    st.sampled_from([b"", b"x", b" ", b"-", b"1.5", b"-1", b"1e3", b"+7",
+                     b"nan", b"-inf", b"inf", b"1e999", b"0x10", b"1_0",
+                     b"\xd9\xa1", b"\xff", b"99999999999999999999"]))
+
+
+def corrupt(lines, faults):
+    """The recording ``lines`` (bytes, header first) with each fault applied
+    to a data row; "cut" ends the text inside that row."""
+    lines = list(lines)
+    for kind, row, pos, field in faults:
+        i = 1 + row % (len(lines) - 1)
+        line = lines[i]
+        fields = line.split(b",")
+        at = pos % (len(line) + 1)
+        if kind == "truncate":
+            lines[i] = line[:at]
+        elif kind == "ragged":
+            lines[i] = b",".join(fields[:-1] if pos % 2 else fields + [b"1.0"])
+        elif kind == "blank":
+            lines[i] = b""
+        elif kind == "bytes":
+            lines[i] = line[:at] + b"\xff\xfe" + line[at:]
+        elif kind == "cut":
+            return b"\n".join(lines[:i] + [line[:at]])
+        else:
+            fields[0 if kind == "t" else pos % len(fields)] = field
+            lines[i] = b",".join(fields)
+    return b"\n".join(lines) + b"\n"
+
+
+class TestCorruptedRows:
+    """Mutated recording rows, from a file or on stdin, end in exit 0 or in
+    exit 1 with one ``error:`` line, never in a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(faults=st.lists(ROW_FAULTS, min_size=1, max_size=3))
+    @example(faults=[("bytes", 7, 3, b"")])
+    @example(faults=[("value", 4096, 1, b"1e999")])    # in the second block
+    def test_calibrate_never_raises(self, workspace, faults):
+        lines = workspace["train_csv"].read_bytes().splitlines()
+        sidecar = workspace["root"] / "train.annotations.csv"
+        with tempfile.TemporaryDirectory() as root:
+            with open(f"{root}/r.csv", "wb") as fh:
+                fh.write(corrupt(lines, faults))
+            with open(f"{root}/r.annotations.csv", "wb") as fh:
+                fh.write(sidecar.read_bytes())
+            rc, _, err = run_quietly(["calibrate", *workspace["base"],
+                                      "--recording", f"{root}/r.csv"])
+        assert_clean_exit(rc, err)
+
+    @settings(max_examples=100, deadline=None)
+    @given(faults=st.lists(ROW_FAULTS, min_size=1, max_size=3),
+           errors=st.sampled_from(["strict", "surrogateescape"]))
+    @example(faults=[("bytes", 7, 3, b"")], errors="strict")
+    @example(faults=[("cut", 95, 4, b"")], errors="strict")
+    def test_stdin_run_never_raises(self, workspace, faults, errors):
+        # a C locale decodes stdin with surrogateescape, a UTF-8 one strictly
+        lines = workspace["eval_csv"].read_bytes().splitlines()[:401]
+        stdin = std_io.TextIOWrapper(std_io.BytesIO(corrupt(lines, faults)),
+                                     encoding="utf-8", errors=errors)
+        with unittest.mock.patch("sys.stdin", stdin):
+            rc, _, err = run_quietly(["run", *workspace["base"], "--model",
+                                      str(workspace["model"]), "--input", "-"])
         assert_clean_exit(rc, err)

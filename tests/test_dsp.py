@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from tmagest.config import SessionConfig
 from tmagest.dsp import (
     EnvelopeFilter,
     design_butterworth_lowpass,
@@ -11,13 +12,15 @@ from tmagest.dsp import (
 )
 from tmagest.errors import ConfigError, StructuralError
 
+S = SessionConfig().map_stride    # the engine's filter block
+
 
 def measured_sine_gain(coeffs, freq_hz, fs, seconds=40.0):
     """Steady-state amplitude ratio oracle: drive a sinusoid, read the tail."""
     n = int(fs * seconds)
     t = np.arange(n) / fs
     x = np.sin(2 * np.pi * freq_hz * t)
-    filt = EnvelopeFilter(coeffs, 1)
+    filt = EnvelopeFilter(coeffs, 1, S)
     y = filt.process(x[:, None])[:, 0]
     tail = y[n // 2:]
     return (tail.max() - tail.min()) / 2.0
@@ -48,7 +51,7 @@ class TestDesign:
 
     def test_constant_input_passes_unchanged(self):
         c = design_butterworth_lowpass(2.0, 200.0)
-        filt = EnvelopeFilter(c, 1)
+        filt = EnvelopeFilter(c, 1, S)
         y = filt.process(np.full((3000, 1), 7.5))
         assert abs(y[-1, 0] - 7.5) < 7.5 * 1e-3
 
@@ -78,18 +81,18 @@ class TestRectify:
         c = design_butterworth_lowpass(2.0, 200.0)
         raw = np.array([[-1, 2, 0, -0.5, 1, -3, 4, -2]])
         rectified = np.array([[1, 2, 0, 0.5, 1, 3, 4, 2]], dtype=np.float64)
-        np.testing.assert_array_equal(envelope_stream(raw, c),
-                                      EnvelopeFilter(c, 8).process(rectified))
+        np.testing.assert_array_equal(envelope_stream(raw, c, S),
+                                      EnvelopeFilter(c, 8, S).process(rectified))
 
     def test_zero_sample(self):
         c = design_butterworth_lowpass(2.0, 200.0)
-        assert not envelope_stream(np.zeros((50, 8)), c).any()
+        assert not envelope_stream(np.zeros((50, 8)), c, S).any()
 
     def test_idempotent_on_nonnegative(self, rng):
         c = design_butterworth_lowpass(2.0, 200.0)
         vals = rng.random((100, 8))
-        np.testing.assert_array_equal(envelope_stream(vals, c),
-                                      EnvelopeFilter(c, 8).process(vals))
+        np.testing.assert_array_equal(envelope_stream(vals, c, S),
+                                      EnvelopeFilter(c, 8, S).process(vals))
 
     def test_sign_blind_and_equal_to_filtered_abs(self, rng):
         c = design_butterworth_lowpass(2.0, 200.0)
@@ -103,7 +106,7 @@ class TestRectify:
 class TestFilterStep:
     def test_zero_stream_stays_zero(self):
         c = design_butterworth_lowpass(2.0, 200.0)
-        filt = EnvelopeFilter(c, 4)
+        filt = EnvelopeFilter(c, 4, S)
         for _ in range(50):
             out = filt.process(np.zeros((1, 4)))
             assert out.shape == (1, 4)
@@ -113,7 +116,7 @@ class TestFilterStep:
         # simulate the recursion directly: after 2 s at fc=2 Hz the output
         # must be within 0.1% of the input level
         c = design_butterworth_lowpass(2.0, 200.0)
-        filt = EnvelopeFilter(c, 1)
+        filt = EnvelopeFilter(c, 1, S)
         y = filt.process(np.full((400, 1), 3.0))
         assert abs(y[-1, 0] - 3.0) <= 3.0 * 1e-3
 
@@ -128,7 +131,7 @@ class TestFilterStep:
         x = np.abs(np.sin(2 * np.pi * f0 * t))
         dc = x.mean()  # oracle: the input's own discrete mean
         assert abs(dc - 2 / np.pi) < 0.05 * (2 / np.pi)
-        filt = EnvelopeFilter(c, 1)
+        filt = EnvelopeFilter(c, 1, S)
         y = filt.process(x[:, None])[:, 0]
         tail = y[len(y) // 2:]
         assert abs(tail.mean() - dc) < 0.005 * dc
@@ -136,7 +139,7 @@ class TestFilterStep:
 
     def test_channel_count_mismatch(self):
         c = design_butterworth_lowpass(2.0, 200.0)
-        filt = EnvelopeFilter(c, 8)
+        filt = EnvelopeFilter(c, 8, S)
         with pytest.raises(StructuralError):
             filt.process(np.zeros((1, 7)))
 
@@ -168,9 +171,9 @@ class TestInvariants:
         c = design_butterworth_lowpass(2.0, 200.0)
         u, v = rng.normal(size=(500, 2)), rng.normal(size=(500, 2))
         alpha, beta = 2.5, -1.25
-        fu = EnvelopeFilter(c, 2).process(u)
-        fv = EnvelopeFilter(c, 2).process(v)
-        fmix = EnvelopeFilter(c, 2).process(alpha * u + beta * v)
+        fu = EnvelopeFilter(c, 2, S).process(u)
+        fv = EnvelopeFilter(c, 2, S).process(v)
+        fmix = EnvelopeFilter(c, 2, S).process(alpha * u + beta * v)
         np.testing.assert_allclose(fmix, alpha * fu + beta * fv,
                                    rtol=1e-9, atol=1e-12)
 
@@ -178,8 +181,8 @@ class TestInvariants:
         c = design_butterworth_lowpass(2.0, 200.0)
         x = rng.normal(size=(400, 3))
         alpha = 3.75
-        base = envelope_stream(x, c)
-        scaled = envelope_stream(alpha * x, c)
+        base = envelope_stream(x, c, S)
+        scaled = envelope_stream(alpha * x, c, S)
         np.testing.assert_allclose(scaled, alpha * base, rtol=1e-12, atol=0)
 
     def test_causality(self, rng):
@@ -187,19 +190,19 @@ class TestInvariants:
         x = rng.normal(size=(300, 2))
         mutated = x.copy()
         mutated[200:] = 99.0
-        a = envelope_stream(x, c)
-        b = envelope_stream(mutated, c)
+        a = envelope_stream(x, c, S)
+        b = envelope_stream(mutated, c, S)
         np.testing.assert_array_equal(a[:200], b[:200])
 
     def test_bounded_io(self, rng):
         c = design_butterworth_lowpass(2.0, 200.0)
         bound = 5.0
         x = rng.uniform(-bound, bound, size=(5000, 2))
-        y = envelope_stream(x, c)
+        y = envelope_stream(x, c, S)
         assert np.abs(y).max() <= bound * 1.1
 
     def test_determinism(self, rng):
         c = design_butterworth_lowpass(2.0, 200.0)
         x = rng.normal(size=(1000, 4))
-        np.testing.assert_array_equal(envelope_stream(x, c),
-                                      envelope_stream(x, c))
+        np.testing.assert_array_equal(envelope_stream(x, c, S),
+                                      envelope_stream(x, c, S))

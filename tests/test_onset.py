@@ -162,7 +162,7 @@ class TestCalibrate:
 
     def test_degenerate_constant_series(self):
         with pytest.warns(UserWarning):
-            cal = calibrate_threshold([("only", np.full(10, 3.3))])
+            cal = calibrate_threshold([("only", np.full(10, 3.3))], 4.0)
         assert cal.threshold == 0.0
         assert cal.degenerate
 
@@ -174,22 +174,22 @@ class TestCalibrate:
 
     def test_missing_gesture(self):
         with pytest.raises(CalibrationError):
-            calibrate_threshold([("a", np.array([1.0, 2.0]))],
+            calibrate_threshold([("a", np.array([1.0, 2.0]))], 4.0,
                                 expected_gestures=("a", "b"))
 
     def test_short_series_rejected(self):
         with pytest.raises(CalibrationError):
-            calibrate_threshold([("a", np.array([1.0]))])
+            calibrate_threshold([("a", np.array([1.0]))], 4.0)
 
     def test_empty_rejected(self):
         with pytest.raises(CalibrationError):
-            calibrate_threshold([])
+            calibrate_threshold([], 4.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_value_rejected(self, bad):
         with pytest.raises(CalibrationError, match="value 2 is not finite"):
             calibrate_threshold([("a", np.array([1.0, 2.0])),
-                                 ("b", np.array([1.0, 2.0, bad, 3.0]))])
+                                 ("b", np.array([1.0, 2.0, bad, 3.0]))], 4.0)
 
 
 def feed(detector, values, start=0, spacing=20):

@@ -6,7 +6,9 @@ import pytest
 
 from tmagest import cnn, io, synth
 from tmagest.config import SessionConfig
+from tmagest.dsp import design_butterworth_lowpass, envelope_stream
 from tmagest.errors import ConfigError, UsageError
+from tmagest.onset import calibrate_threshold, difference_series
 from tmagest.pipeline import (
     calibration_segments,
     evaluate,
@@ -154,15 +156,23 @@ class TestCalibrationSegments:
         assert all(len(series) > 5 for _, series in segments)
 
     def test_exclusion_window_removes_transition_points(self, trained_setup):
-        from tmagest.onset import calibrate_threshold
-        config = trained_setup.config
-        wide = calibration_segments(trained_setup.train_recording, config,
-                                    onset_exclusion=(0, 0))
-        narrow = calibration_segments(trained_setup.train_recording, config)
+        config, rec = trained_setup.config, trained_setup.train_recording
+        # oracle: the same series split at the same midpoints, nothing excluded
+        env = envelope_stream(rec.samples, design_butterworth_lowpass(
+            config.envelope_cutoff_hz, config.sample_rate), config.map_stride)
+        ns, values = difference_series(env, config.map_width, config.map_stride,
+                                       min_index=config.warmup_samples)
+        onsets = rec.onsets(PHASE_FLEXION)
+        mids = [(a.n + b.n) // 2 for a, b in zip(onsets, onsets[1:])]
+        which = np.searchsorted(mids, ns, side="right")
+        wide = [(a.gesture, values[which == i]) for i, a in enumerate(onsets)]
+        narrow = calibration_segments(rec, config)
+        assert [g for g, _ in narrow] == [g for g, _ in wide]
+        for (_, kept), (_, pool) in zip(narrow, wide):
+            assert np.isin(kept, pool).all()
         n_wide = sum(len(s) for _, s in wide)
         n_narrow = sum(len(s) for _, s in narrow)
-        onsets = len(trained_setup.train_recording.annotations)
-        assert n_wide - n_narrow >= onsets  # points actually removed
+        assert n_wide - n_narrow >= len(rec.annotations)  # points actually removed
         # pooling the transitions inflates the per-gesture spread
         assert calibrate_threshold(wide, 4.0).threshold > \
             calibrate_threshold(narrow, 4.0).threshold
@@ -236,6 +246,17 @@ class TestEvaluate:
         assert "total" in table
         for g in trained_setup.config.gestures:
             assert g in table
+
+    def test_report_keys_are_the_fields_and_confusion_columns(
+            self, trained_setup):
+        report = evaluate(trained_setup.model, trained_setup.eval_recording,
+                          trained_setup.config)
+        d = report.to_dict()
+        assert set(d) == {f.name for f in dataclasses.fields(report)} | {
+            "confusion_columns"}
+        assert d["gestures"] == list(report.gestures)
+        assert d["confusion"] == report.confusion.tolist()
+        assert d["confusion_columns"] == [*report.gestures, "missed"]
 
     def test_unready_model_rejected(self, trained_setup):
         bare = dataclasses.replace(trained_setup.model, bounds=None)

@@ -141,11 +141,11 @@ class TestGenerate:
                                      gains=np.array([0, 1.0, 0, 0])),
         }
         script = SessionScript(
-            events=[ScriptedGesture(gesture="solo", start_s=2.0)],
+            events=[ScriptedGesture(gesture="solo", start_s=2.0, rest_s=5.0)],
             seed=9)
         rec = generate(script, templates, config)
         env = envelope_stream(rec.samples, design_butterworth_lowpass(
-            config.envelope_cutoff_hz, config.sample_rate))
+            config.envelope_cutoff_hz, config.sample_rate), config.map_stride)
         fs = int(config.sample_rate)
         rest = env[fs:2 * fs]          # pre-activation
         hold = env[int(2.8 * fs):int(3.8 * fs)]
@@ -179,7 +179,7 @@ class TestGenerate:
         rec = generate(SessionScript(events=[], tail_s=40.0, seed=5),
                        templates, config)
         env = envelope_stream(rec.samples, design_butterworth_lowpass(
-            config.envelope_cutoff_hz, config.sample_rate))
+            config.envelope_cutoff_hz, config.sample_rate), config.map_stride)
         half = env.shape[0] // 2
         v1 = env[400:half].var(axis=0)
         v2 = env[half:].var(axis=0)
@@ -188,14 +188,14 @@ class TestGenerate:
 
     def test_unknown_gesture_rejected(self):
         config, templates, _ = tiny_setup()
-        script = SessionScript(events=[ScriptedGesture("nope", 1.0)])
+        script = SessionScript(events=[ScriptedGesture("nope", 1.0, 5.0)])
         with pytest.raises(ConfigError):
             generate(script, templates, config)
 
     def test_overlapping_events_rejected(self):
         config, templates, _ = tiny_setup()
-        script = SessionScript(events=[ScriptedGesture("a", 1.0),
-                                       ScriptedGesture("b", 1.2)])
+        script = SessionScript(events=[ScriptedGesture("a", 1.0, 5.0),
+                                       ScriptedGesture("b", 1.2, 5.0)])
         with pytest.raises(ConfigError):
             generate(script, templates, config)
 
@@ -237,6 +237,11 @@ class TestGenerate:
         (lambda: SessionScript(tail_s=np.inf), "tail_s"),
         (lambda: SessionScript(seed=-1), "seed"),
         (lambda: ScriptedGesture("a", 1.0, rest_s=np.inf), "rest_s"),
+        (lambda: ScriptedGesture("a", np.nan, rest_s=5.0), "start_s"),
+        (lambda: ScriptedGesture("a", np.inf, rest_s=5.0), "start_s"),
+        (lambda: ScriptedGesture("a", -1.0, rest_s=5.0), "start_s"),
+        (lambda: SessionScript(carrier_compression="0.5"), "carrier_compression"),
+        (lambda: SessionScript(carrier_compression=np.nan), "carrier_compression"),
         (lambda: SessionScript(noise_floor=1e-170), "noise_floor"),
         (lambda: SessionScript(
             noise_floor=np.nextafter(synth._MIN_NOISE_FLOOR, 0)), "noise_floor"),
@@ -320,6 +325,21 @@ class TestScripts:
                                                 np.random.default_rng(0),
                                                 **values)):
             assert {k: getattr(script, k) for k in values} == values
+
+    def test_builders_forward_rest_and_lead(self):
+        gestures = ("a", "b")
+        templates = default_template_set(4, gestures)
+        rng = np.random.default_rng(0)
+        for timing, (lead, rest) in [({}, (3.0, 5.0)),
+                                     (dict(rest_s=1.5, lead_s=2.0), (2.0, 1.5))]:
+            for script in (blocked_script(gestures, templates, 1, **timing),
+                           balanced_sequence_script(gestures, templates, 2,
+                                                    rng, **timing)):
+                first, second = script.events
+                assert first.start_s == lead
+                assert first.rest_s == second.rest_s == rest
+                assert second.start_s == lead + \
+                    templates[first.gesture].active_s + rest
 
     @pytest.mark.parametrize("count", [-1, -2, 1.0])
     def test_negative_or_non_integer_counts_rejected(self, count):
@@ -459,7 +479,7 @@ class TestSpanRendering:
         knots_t, _ = synth._activation_knots(13.35, tpl)
         assert 13.35 + tpl.active_s == 3740 / config.sample_rate < knots_t[-1]
         script = SessionScript(
-            events=[ScriptedGesture(config.gestures[0], 13.35)], seed=71)
+            events=[ScriptedGesture(config.gestures[0], 13.35, 5.0)], seed=71)
         assert_renders_equal(script, templates, config)
 
     def test_balanced_session(self):
