@@ -290,13 +290,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"quiet p50 {np.percentile(quiet, 50):10.1f} us")
     print(f"quiet p95 {np.percentile(quiet, 95):10.1f} us")
     # The network alone on seeded random maps: one SGD step of batch_size
-    # maps, and the forward cost per map alone and in a batch of 256.
+    # maps in training's precision, and the forward cost per map alone and
+    # in a batch of 256.
     arch = model.architecture
     maps = rng.random((256, arch.input_rows, arch.input_cols))
     labels = rng.integers(0, arch.num_classes, maps.shape[0])
     size = config.batch_size
+    sgd_params = {name: p.astype(cnn.SGD_DTYPE)
+                  for name, p in model.params.items()}
+    sgd_maps = maps[:size].astype(cnn.SGD_DTYPE)
     sgd_us = _median_us(lambda: cnn.batch_loss_and_gradients(
-        model.params, arch, maps[:size], labels[:size]), repeats=5)
+        sgd_params, arch, sgd_maps, labels[:size]), repeats=5)
     single_us = _median_us(lambda: cnn.forward(model, maps[0]), repeats=50)
     batched_us = _median_us(lambda: cnn.forward_batch(model, maps), repeats=3)
     print(f"sgd batch {size} {sgd_us / 1000:10.2f} ms fwd+bwd")

@@ -7,13 +7,17 @@ output. For the default 44x80 maps with 8 and 16 filters the shapes run::
     44x80 -> conv 42x78x8 -> pool 21x39x8 -> conv 19x37x16 -> pool 9x18x16
           -> flatten 2592 -> fc 100 -> fc 20 -> softmax over classes
 
-Everything is plain numpy in 64-bit. conv1 is one GEMM over the 4x4 input
-patch of each pooling window, conv2 is nine GEMMs on shifted views of its
-input, and max pooling routes gradients to the first maximum of each window
-through a stored argmax. An SGD step runs the conv layers in chunks of a few
-maps so their arrays stay in cache. Training is plain SGD over seeded
-shuffled mini-batches; identical seeds give bit-identical models. Gradients
-are exact, which the finite-difference tests rely on.
+Everything is plain numpy. Training runs SGD in float32; the model's
+weights, the forward pass used for prediction and everything outside
+training are 64-bit. The layers take their dtype from their inputs, so one
+step serves both precisions. conv1 is one GEMM over the 4x4 input patch of
+each pooling window, conv2 is nine GEMMs on shifted views of its input, and
+max pooling routes gradients to the first maximum of each window through a
+stored argmax. An SGD step runs the conv layers in chunks of a few maps so
+their arrays stay in cache. Training is plain SGD over seeded shuffled
+mini-batches; identical seeds give bit-identical models, on one BLAS thread
+or more. Gradients are exact, which the finite-difference tests check in
+float64.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ PARAM_ORDER = (
     "conv1_w", "conv1_b", "conv2_w", "conv2_b",
     "fc1_w", "fc1_b", "fc2_w", "fc2_b", "out_w", "out_b",
 )
+
+# The precision of SGD: batches, weights and gradients during training.
+SGD_DTYPE = np.float32
 
 
 def derive_rng(seed: int, stream: str) -> np.random.Generator:
@@ -211,12 +218,19 @@ def initial_params(arch: CnnArchitecture, rng: np.random.Generator) -> dict[str,
 #   is exact: a window's first maximum equals its pooled value, and a window
 #   whose maximum is not positive passes no gradient.
 
-# Maps per chunk of the conv layers. At 44x80 one chunk's largest arrays
-# (conv1 output 0.8 MB, conv2 output and its tap buffer 0.4 MB each) fit a
-# 2 MiB per-core L2 together; a whole batch of 32 needs 7-13 MB per array.
-# On a 2-core Xeon with OpenBLAS a 32-map SGD step took 30, 28, 33 and 51 ms
-# with chunks of 2, 4, 8 and 16 maps.
+# Maps per chunk of the conv layers. At 44x80 in float32 one chunk's largest
+# arrays (conv1 output 0.4 MB, conv2 output and its tap buffer 0.2 MB each)
+# fit a 2 MiB per-core L2 together; a whole batch of 32 needs 3-7 MB per
+# array. On a 2-core Xeon with OpenBLAS on one thread a float32 32-map SGD
+# step took 11-16, 9-12, 11-15 and 16-22 ms with chunks of 2, 4, 8 and 16
+# maps (medians of 30 steps, three runs each).
 CHUNK_MAPS = 4
+
+# Columns per GEMM of conv1's weight gradient, summed in a fixed order. One
+# GEMM over a whole chunk's columns (a long inner dimension, 3276 at 44x80)
+# gave different bits on one and two OpenBLAS threads; blocks of this many
+# columns give the same bits on both.
+CONV1_GRAD_COLUMNS = 512
 
 
 def _conv1_inputs(x: np.ndarray, arch: CnnArchitecture) -> np.ndarray:
@@ -236,7 +250,7 @@ def _conv1_inputs(x: np.ndarray, arch: CnnArchitecture) -> np.ndarray:
     sb, sr, sc = x.strides
     patches = as_strided(x, (4, 4, b, h, w), (sr, sc, sb, 2 * sr, 2 * sc),
                          writeable=False)
-    return np.ascontiguousarray(patches, dtype=np.float64).reshape(16, -1)
+    return np.ascontiguousarray(patches).reshape(16, -1)
 
 
 def _conv1_kernel(params) -> np.ndarray:
@@ -246,7 +260,7 @@ def _conv1_kernel(params) -> np.ndarray:
     the 4x4 patch, i.e. conv1 at position k of every pooling window.
     """
     w = params["conv1_w"][:, 0]
-    k = np.zeros((2, 2, w.shape[0], 4, 4))
+    k = np.zeros((2, 2, w.shape[0], 4, 4), dtype=w.dtype)
     for pi in (0, 1):
         for pj in (0, 1):
             k[pi, pj, :, pi:pi + 3, pj:pj + 3] = w
@@ -365,7 +379,7 @@ def _conv_backward(params, arch: CnnArchitecture, x: np.ndarray, cache,
                 p2 > 0.0, out=dp2)
     grads["conv2_b"] += dp2.reshape(f2, -1).sum(axis=1)
     n = p1.shape[1]
-    da2 = np.zeros((f2, n))
+    da2 = np.zeros((f2, n), dtype=dp2.dtype)
     _unpool(dp2, cache["arg2"],
             _windows(da2.reshape(f2, -1, *arch.pool1_shape), arch.pool2_shape))
 
@@ -374,7 +388,7 @@ def _conv_backward(params, arch: CnnArchitecture, x: np.ndarray, cache,
     dp1 = np.zeros_like(p1)
     tmp = np.empty_like(p1)
     flat_dp1, flat_tmp = dp1.reshape(-1), tmp.reshape(-1)
-    dk2 = np.empty((3, 3, f2, f1))
+    dk2 = np.empty((3, 3, f2, f1), dtype=p1.dtype)
     for (s, k), dk in zip(_conv2_taps(params, arch), dk2.reshape(9, f2, f1)):
         np.matmul(da2[:, :n - s], p1[:, s:].T, out=dk)
         np.matmul(k.T, da2, out=tmp)
@@ -383,9 +397,14 @@ def _conv_backward(params, arch: CnnArchitecture, x: np.ndarray, cache,
 
     dp1 *= p1 > 0.0
     grads["conv1_b"] += dp1.sum(axis=1)
-    da1 = np.empty((4, f1, n))
+    da1 = np.empty((4, f1, n), dtype=dp1.dtype)
     _unpool(dp1, cache["arg1"], da1)
-    dk1 = (da1.reshape(4 * f1, n) @ _conv1_inputs(x, arch).T).reshape(2, 2, f1, 4, 4)
+    da1, inputs = da1.reshape(4 * f1, n), _conv1_inputs(x, arch)
+    dk1 = np.zeros((4 * f1, 16), dtype=da1.dtype)
+    for s in range(0, n, CONV1_GRAD_COLUMNS):
+        cols = slice(s, s + CONV1_GRAD_COLUMNS)
+        dk1 += da1[:, cols] @ inputs[:, cols].T
+    dk1 = dk1.reshape(2, 2, f1, 4, 4)
     dw1 = grads["conv1_w"][:, 0]
     for pi in (0, 1):
         for pj in (0, 1):
@@ -419,7 +438,7 @@ def batch_loss_and_gradients(params, arch: CnnArchitecture,
     bsz = x.shape[0]
     chunks = _chunks(bsz)
     caches = [_conv_forward(params, arch, x[c]) for c in chunks]
-    flat = np.empty((bsz, arch.flat_size))
+    flat = np.empty((bsz, arch.flat_size), dtype=x.dtype)
     for c, cache in zip(chunks, caches):
         flat[c] = _flatten(cache["p2"])
     a3, a4, log_probs = _dense_forward(params, flat)
@@ -432,7 +451,7 @@ def batch_loss_and_gradients(params, arch: CnnArchitecture,
     grads: dict[str, np.ndarray] = {}
     dflat = _dense_backward(params, flat, a3, a4, dlogits, grads)
     for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b"):
-        grads[name] = np.zeros(params[name].shape)
+        grads[name] = np.zeros_like(params[name])
     for c, cache in zip(chunks, caches):
         _conv_backward(params, arch, x[c], cache, dflat[c], grads)
     return loss, grads
@@ -483,7 +502,8 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
     permutation of the same examples trains the identical model for a given
     seed. Weight init and epoch shuffles come from dedicated child streams of
     the master seed. Each mini-batch is gathered from the examples' own
-    arrays; the dataset is never copied as a whole.
+    arrays into a float32 batch; the dataset is never copied as a whole.
+    SGD updates float32 weights, which the returned model holds as float64.
 
     Args:
         dataset: Normalized examples covering every configured gesture.
@@ -524,7 +544,8 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
     )
     order = _canonical_order(maps, y_idx)
 
-    params = initial_params(arch, derive_rng(config.seed, "init"))
+    params = {name: p.astype(SGD_DTYPE) for name, p in
+              initial_params(arch, derive_rng(config.seed, "init")).items()}
     shuffle_rng = derive_rng(config.seed, "shuffle")
     n = len(maps)
     final_loss = float("nan")
@@ -533,7 +554,7 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[perm[start:start + config.batch_size]]
-            x = np.stack([maps[i] for i in idx])
+            x = np.stack([maps[i] for i in idx], dtype=SGD_DTYPE)
             loss, grads = batch_loss_and_gradients(params, arch, x, y_idx[idx])
             for name in PARAM_ORDER:
                 grads[name] *= config.learning_rate
@@ -545,7 +566,7 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
 
     return CnnModel(
         architecture=arch,
-        params=params,
+        params={name: p.astype(np.float64) for name, p in params.items()},
         bounds=bounds,
         labels=labels,
         calibration=calibration,

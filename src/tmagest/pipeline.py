@@ -37,9 +37,10 @@ def _envelopes(recording: Recording, config: SessionConfig) -> np.ndarray:
 
 
 def _extract(recording: Recording, config: SessionConfig,
-             ) -> tuple[np.ndarray, list[TrainingExample]]:
-    """The recording's feature matrix and its examples, which are read-only
-    views into it; the returned matrix itself stays writeable."""
+             ) -> tuple[np.ndarray, list[TmaMap], list[TrainingExample]]:
+    """The recording's feature matrix, the columns that each kept onset's
+    maps cover and its examples. Spans and maps are read-only views into the
+    matrix; the returned matrix itself stays writeable."""
     onsets = recording.onsets(PHASE_FLEXION)
     if not onsets:
         raise UsageError("recording has no labeled onsets to extract around")
@@ -57,6 +58,7 @@ def _extract(recording: Recording, config: SessionConfig,
     width = config.extraction_width
     half = width // 2
     map_w = config.map_width
+    spans: list[TmaMap] = []
     examples: list[TrainingExample] = []
     for a in onsets:
         lo = a.n - half
@@ -66,12 +68,14 @@ def _extract(recording: Recording, config: SessionConfig,
                 a.n,
             )
             continue
+        spans.append(TmaMap(end_index=lo + width - 1,
+                            data=shared[:, lo - map_w + 1:lo + width]))
         for t in range(lo, lo + width):
             examples.append(TrainingExample(
                 map=TmaMap(end_index=t, data=shared[:, t - map_w + 1:t + 1]),
                 label=a.gesture,
             ))
-    return feats, examples
+    return feats, spans, examples
 
 
 def extract_training_set(recording: Recording,
@@ -89,25 +93,28 @@ def extract_training_set(recording: Recording,
         UsageError: If the recording has no labeled onsets, or labeled onsets
             are closer together than the extraction width.
     """
-    return _extract(recording, config)[1]
+    return _extract(recording, config)[2]
 
 
 def training_set(recordings: list[Recording], config: SessionConfig,
                  ) -> tuple[list[TrainingExample], NormalizationBounds]:
     """Normalized training examples of every recording, and their bounds.
 
-    The bounds are fitted on the raw maps of :func:`extract_training_set`;
-    then each recording's feature matrix is normalized once, in place, and
-    made read-only, so every map holds the values of its normalized copy.
+    The bounds are those that :func:`~tmagest.tma.fit_normalization` gives
+    on the raw maps of :func:`extract_training_set`, taken once over the
+    columns that each onset's maps cover rather than once per map. Then
+    each recording's feature matrix is normalized once, in place, and made
+    read-only, so every map holds the values of its normalized copy.
 
     Raises:
         ConfigError: If no recording yields an example.
         UsageError: As :func:`extract_training_set`.
     """
     extracted = [_extract(rec, config) for rec in recordings]
-    examples = [ex for _, exs in extracted for ex in exs]
-    bounds = fit_normalization(ex.map for ex in examples)
-    for feats, _ in extracted:
+    examples = [ex for _, _, exs in extracted for ex in exs]
+    bounds = fit_normalization(span for _, spans, _ in extracted
+                               for span in spans)
+    for feats, _, _ in extracted:
         normalize_array(feats, bounds, config.channels, out=feats)
         feats.flags.writeable = False
     return examples, bounds

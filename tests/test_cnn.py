@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tmagest
 from tmagest.cnn import (
     CHUNK_MAPS,
+    PARAM_ORDER,
     CnnArchitecture,
     CnnModel,
     TrainingExample,
@@ -55,6 +61,21 @@ def toy_config(**overrides):
     )
     base.update(overrides)
     return SessionConfig(**base)
+
+
+def default_batch(dtype=np.float64):
+    """A seeded 32-map batch at the default 44x80 architecture, whose conv
+    GEMMs are large enough for OpenBLAS to split them across threads."""
+    config = SessionConfig()
+    arch = CnnArchitecture(config.feature_rows, config.map_width,
+                           config.conv1_filters, config.conv2_filters,
+                           len(config.gestures))
+    rng = np.random.default_rng(2024)
+    params = initial_params(arch, rng)
+    x = rng.random((config.batch_size, arch.input_rows, arch.input_cols))
+    y = rng.integers(0, arch.num_classes, config.batch_size)
+    return (arch, {k: v.astype(dtype) for k, v in params.items()},
+            x.astype(dtype), y)
 
 
 def toy_dataset(rng, n_per_class=30):
@@ -208,6 +229,72 @@ class TestGradients:
         _unpool(g * (pooled > 0.0), arg, _windows(da, pooled_shape))
         np.testing.assert_array_equal(da, mask_chain_pool_backward(relu, g))
         assert (arg > 0).any()
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gradients_keep_the_input_dtype(self, dtype):
+        arch, params, x, y = default_batch(dtype)
+        loss, grads = batch_loss_and_gradients(params, arch, x, y)
+        assert isinstance(loss, float)
+        assert {name: grads[name].dtype for name in PARAM_ORDER} == \
+            {name: np.dtype(dtype) for name in PARAM_ORDER}
+
+    def test_float32_gradients_match_float64(self):
+        arch, params, x, y = default_batch(np.float64)
+        loss64, grads64 = batch_loss_and_gradients(params, arch, x, y)
+        arch, params, x, y = default_batch(np.float32)
+        loss32, grads32 = batch_loss_and_gradients(params, arch, x, y)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        for name in PARAM_ORDER:
+            g64 = grads64[name]
+            np.testing.assert_allclose(grads32[name], g64, rtol=1e-5,
+                                       atol=1e-5 * np.abs(g64).max(),
+                                       err_msg=name)
+
+    def test_train_returns_float64_parameters(self, rng):
+        model = train(toy_dataset(rng, n_per_class=5), toy_config(epochs=1))
+        assert all(p.dtype == np.float64 for p in model.params.values())
+
+
+BLAS_THREAD_RUN = """
+import dataclasses, hashlib
+import numpy as np
+from tmagest.cnn import (PARAM_ORDER, TrainingExample,
+                         batch_loss_and_gradients, train)
+from tmagest.config import SessionConfig
+from tmagest.tma import TmaMap
+from test_cnn import default_batch
+
+for dtype in (np.float64, np.float32):
+    arch, params, x, y = default_batch(dtype)
+    _, grads = batch_loss_and_gradients(params, arch, x, y)
+    print(*(hashlib.sha256(grads[name]).hexdigest() for name in PARAM_ORDER))
+config = SessionConfig()
+_, _, x, y = default_batch()
+examples = [TrainingExample(TmaMap(0, m), config.gestures[i])
+            for m, i in zip(x, y)]
+model = train(examples, dataclasses.replace(config, epochs=2))
+print(*(hashlib.sha256(model.params[name]).hexdigest() for name in PARAM_ORDER))
+"""
+
+
+def test_gradients_and_model_do_not_depend_on_blas_threads():
+    # conv1's weight gradient sums over every column of a chunk; as one
+    # GEMM, OpenBLAS summed it differently on one and two threads
+    paths = [str(Path(tmagest.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent),
+             *filter(None, [os.environ.get("PYTHONPATH")])]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", BLAS_THREAD_RUN], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
 
 
 class TestTrain:

@@ -127,6 +127,26 @@ class TestTrainingSet:
         assert (tmp_path / "views.tma").read_bytes() == \
             (tmp_path / "copies.tma").read_bytes()
 
+    @pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
+    def test_bounds_bit_equal_to_a_fit_over_every_map(self, small_config,
+                                                       rising):
+        # on a ramp every feature row is monotonic over the kept columns, so
+        # each bound sits on the first or last column that a kept onset's
+        # maps cover; the onsets at 10 and 690 are dropped, and the columns
+        # they would cover lie outside that range
+        ramp = np.linspace(1.0, 3.0, 700)[::1 if rising else -1]
+        rec = Recording(
+            sample_rate=200.0,
+            samples=np.outer(ramp, np.arange(1, small_config.channels + 1)),
+            annotations=[Annotation(n=n, gesture=g, phase="flexion-onset")
+                         for n, g in ((10, "grip"), (200, "point"),
+                                      (400, "spread"), (690, "grip"))])
+        every_map = fit_normalization(
+            ex.map for ex in extract_training_set(rec, small_config))
+        _, bounds = training_set([rec], small_config)
+        assert np.array(dataclasses.astuple(bounds)).tobytes() == \
+            np.array(dataclasses.astuple(every_map)).tobytes()
+
     def test_maps_are_read_only_views_of_their_recordings_matrix(self, two_recordings):
         config, recordings = two_recordings
         examples, _ = training_set(recordings, config)
