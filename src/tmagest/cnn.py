@@ -360,17 +360,19 @@ def _chunks(n: int) -> list[slice]:
 def _conv_forward(params, arch: CnnArchitecture, x: np.ndarray) -> dict:
     """Training forward pass of the conv layers on a (B, rows, cols) chunk.
 
-    Keeps only pooled-resolution arrays: p1 (f1, B*h*w), p2 (f2, B, h, w)
-    and the window positions of both pools.
+    Keeps conv1's (16, B*h*w) input patches, which its weight gradient reads
+    again, and otherwise only pooled-resolution arrays: p1 (f1, B*h*w),
+    p2 (f2, B, h, w) and the window positions of both pools.
     """
-    p1, arg1 = _pool_relu_argmax(_conv1(params, _conv1_inputs(x, arch)))
+    inputs = _conv1_inputs(x, arch)
+    p1, arg1 = _pool_relu_argmax(_conv1(params, inputs))
     p2, arg2 = _pool_relu_argmax(
         _windows(_conv2(params, arch, p1), arch.pool2_shape))
-    return dict(p1=p1, arg1=arg1, p2=p2, arg2=arg2)
+    return dict(inputs=inputs, p1=p1, arg1=arg1, p2=p2, arg2=arg2)
 
 
-def _conv_backward(params, arch: CnnArchitecture, x: np.ndarray, cache,
-                   dflat: np.ndarray, grads: dict) -> None:
+def _conv_backward(params, arch: CnnArchitecture, cache, dflat: np.ndarray,
+                   grads: dict) -> None:
     """Add a chunk's conv-layer gradients into ``grads``, given d loss/d flat."""
     p1, p2 = cache["p1"], cache["p2"]
     f1, f2 = p1.shape[0], p2.shape[0]
@@ -399,7 +401,7 @@ def _conv_backward(params, arch: CnnArchitecture, x: np.ndarray, cache,
     grads["conv1_b"] += dp1.sum(axis=1)
     da1 = np.empty((4, f1, n), dtype=dp1.dtype)
     _unpool(dp1, cache["arg1"], da1)
-    da1, inputs = da1.reshape(4 * f1, n), _conv1_inputs(x, arch)
+    da1, inputs = da1.reshape(4 * f1, n), cache["inputs"]
     dk1 = np.zeros((4 * f1, 16), dtype=da1.dtype)
     for s in range(0, n, CONV1_GRAD_COLUMNS):
         cols = slice(s, s + CONV1_GRAD_COLUMNS)
@@ -453,7 +455,7 @@ def batch_loss_and_gradients(params, arch: CnnArchitecture,
     for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b"):
         grads[name] = np.zeros_like(params[name])
     for c, cache in zip(chunks, caches):
-        _conv_backward(params, arch, x[c], cache, dflat[c], grads)
+        _conv_backward(params, arch, cache, dflat[c], grads)
     return loss, grads
 
 

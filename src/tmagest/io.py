@@ -4,7 +4,10 @@ Recordings are human-inspectable CSV with header ``t,ch0,...,ch{L-1}``; the
 channel values are rendered with shortest round-trip precision so write/read
 is value-exact. Annotations ride in a sidecar CSV (``n,gesture,phase``)
 derived from the recording path; rows piped on stdin obey the same checks.
-A calibration is a JSON object, which the model header embeds.
+A recording CSV is written and read in blocks of :data:`ROW_BLOCK` lines, so
+its whole text is never held: reading holds one block's text and lines
+beside the parsed rows. A calibration is a JSON object, which the model
+header embeds.
 
 Models use a small versioned binary container: magic bytes, version, a JSON
 header (architecture, normalization bounds, label table, calibration,
@@ -19,8 +22,9 @@ import math
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, fields as dataclass_fields
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -80,6 +84,13 @@ def read_recording(path: str | Path, sample_rate: float,
                    expected_channels: int | None = None) -> Recording:
     """Read a recording CSV (and its annotation sidecar when present).
 
+    The file is read and parsed in blocks of :data:`ROW_BLOCK` lines
+    (:func:`_line_blocks`), each into its own array, and the arrays are
+    joined at the end: the reader holds one block's text beside the rows,
+    never the whole file's. It accepts the lines and gives the errors of a
+    whole-file read: a byte that is not UTF-8 anywhere comes first, then the
+    header, then the first malformed row, then the first non-finite value.
+
     Raises:
         RecordingParseError: On a malformed header or row, a column-count
             mismatch, non-consecutive sample indices or a NaN or infinite
@@ -87,22 +98,21 @@ def read_recording(path: str | Path, sample_rate: float,
             (the recording or its sidecar) and the offending line.
     """
     path = Path(path)
-    with _naming(path):
-        lines = _read_lines(path)
-        if not lines:
+    blocks, parts, prev_t = _line_blocks(path), [], None
+    with _naming(path), _decoding_rest(blocks):
+        for number, lines in blocks:
+            if number == 1:
+                channels = _recording_channels(lines[0], expected_channels)
+                number, lines = 2, lines[1:]
+            part = np.empty((len(lines), channels))
+            prev_t = _parse_blocks(lines, range(number, number + len(lines)),
+                                   part, prev_t)
+            parts.append(part)
+        if not parts:
             raise RecordingParseError("file is empty, expected a header",
                                       line=1)
-        header = lines[0].split(",")
-        if header[0] != "t" or len(header) < 2:
-            raise RecordingParseError(
-                f"bad header {lines[0]!r}, expected 't,ch0,...'", line=1)
-        channels = len(header) - 1
-        if expected_channels is not None and channels != expected_channels:
-            raise RecordingParseError(
-                f"file has {channels} channels, expected {expected_channels}",
-                line=1)
-        rows = np.empty((len(lines) - 1, channels))
-        parse_rows(lines[1:], range(2, len(lines) + 1), rows)
+        rows = np.concatenate(parts)
+        _check_finite(rows, range(2, len(rows) + 2))
     annotations = []
     side = annotations_path(path)
     if side.exists():
@@ -121,17 +131,56 @@ def _naming(path: Path):
         raise RecordingParseError(exc.reason, exc.line, path) from exc
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The lines of a UTF-8 text file; a :class:`RecordingParseError` names
-    the line of the first byte that is not UTF-8."""
+def _recording_channels(header: str, expected: int | None) -> int:
+    """The channel count that a recording's header line declares."""
+    names = header.split(",")
+    if names[0] != "t" or len(names) < 2:
+        raise RecordingParseError(
+            f"bad header {header!r}, expected 't,ch0,...'", line=1)
+    channels = len(names) - 1
+    if expected is not None and channels != expected:
+        raise RecordingParseError(
+            f"file has {channels} channels, expected {expected}", line=1)
+    return channels
+
+
+def _line_blocks(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """``(number of its first line, lines)`` for each block of a UTF-8 text
+    file, in order.
+
+    A block is the text of :data:`ROW_BLOCK` byte lines, each ending just
+    after a ``b"\\n"``, split by ``str.splitlines``. A block ends on a whole
+    line break and UTF-8 sequence, so the blocks hold the lines of
+    ``read().splitlines()`` in text mode (which also breaks at ``\\r``,
+    ``\\x0c``, ``\\x85``, ``\\u2028`` and the like). A byte that is not
+    UTF-8 ends in a :class:`RecordingParseError` naming line 1 + the count
+    of ``b"\\n"`` before it.
+    """
+    number, newlines = 1, 0
+    with open(path, "rb") as fh:
+        while raw := b"".join(islice(fh, ROW_BLOCK)):
+            try:
+                lines = raw.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                line = newlines + raw.count(b"\n", 0, exc.start) + 1
+                raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
+                                          line=line) from exc
+            yield number, lines
+            number += len(lines)
+            newlines += ROW_BLOCK
+
+
+@contextmanager
+def _decoding_rest(blocks: Iterator):
+    """Hold a :class:`RecordingParseError` raised in the block until the
+    rest of ``blocks`` is decoded, so that a byte that is not UTF-8 anywhere
+    in the file takes precedence over it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole file in one call, so exc.object is all of it
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
-                                  line=line) from exc
+        yield
+    except RecordingParseError:
+        for _ in blocks:
+            pass
+        raise
 
 
 def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
@@ -147,6 +196,16 @@ def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
     block of canonical rows in one pass; any other block goes through the
     row loop, which defines the accepted language and the error text.
     """
+    prev_t = _parse_blocks(lines, line_numbers, out, prev_t)
+    # Checked once over all rows, so a structural error anywhere still
+    # takes precedence over a non-finite value before it.
+    _check_finite(out[:len(lines)], line_numbers)
+    return prev_t
+
+
+def _parse_blocks(lines: Sequence[str], line_numbers: Sequence[int],
+                  out: np.ndarray, prev_t: int | None) -> int | None:
+    """:func:`parse_rows` without its finiteness check."""
     for start in range(0, len(lines), ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
         t = _parse_block(lines[block], out[block], prev_t)
@@ -154,16 +213,17 @@ def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
             t = _parse_row_loop(lines[block], line_numbers[block], out[block],
                                 prev_t)
         prev_t = t
-    # Checked once over all rows, so a structural error anywhere still
-    # takes precedence over a non-finite value before it.
-    rows = out[:len(lines)]
+    return prev_t
+
+
+def _check_finite(rows: np.ndarray, line_numbers: Sequence[int]) -> None:
+    """Name the line of the first NaN or infinite value in ``rows``."""
     finite = np.isfinite(rows)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise RecordingParseError(
             f"ch{col} is {rows[row, col]}, expected a finite value",
             line=line_numbers[row])
-    return prev_t
 
 
 def _parse_block(lines: Sequence[str], out: np.ndarray,
@@ -226,7 +286,8 @@ def read_annotations(path: str | Path) -> list[Annotation]:
     file and the offending line."""
     path = Path(path)
     with _naming(path):
-        lines = _read_lines(path)
+        # a sidecar holds a few rows per gesture, so it is read whole
+        lines = [line for _, block in _line_blocks(path) for line in block]
         if not lines or lines[0] != "n,gesture,phase":
             raise RecordingParseError("bad annotation header", line=1)
         out = []

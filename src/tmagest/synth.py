@@ -207,7 +207,8 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
 
     Raises:
         ConfigError: On an unknown gesture id, overlapping activations,
-            fewer than 2 samples or a sample that overflows.
+            fewer than 2 samples, a session too long to index or to hold in
+            memory, or a sample that overflows.
     """
     fs = config.sample_rate
     channels = config.channels
@@ -231,33 +232,43 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
         prev_end = event.start_s + tpl.active_s
         end_s = max(end_s, prev_end + event.rest_s + script.tail_s)
 
+    # numpy refuses an array of more bytes than its index type counts
+    if not math.isfinite(end_s * fs) or (
+            round(end_s * fs) * channels * 8 > np.iinfo(np.intp).max):
+        raise ConfigError(f"the session lasts {end_s:g} s, too long to render "
+                          f"at {fs:g} Hz")
     n = int(round(end_s * fs))
     if n < 2:    # the carrier is scaled by its standard deviation
         raise ConfigError(f"the script renders {'one sample' if n else 'no samples'}"
                           "; at least 2 are needed")
     rng = np.random.default_rng(script.seed)
-    carrier = _carrier(rng, n, channels, fs, script.carrier_compression)
-
-    t = np.arange(n) / fs
-    modulation = np.full((n, channels), script.noise_floor)
-    annotations = []
-    # settings that overflow show as non-finite samples, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for event in script.events:
-            tpl = templates[event.gesture]
-            amp = _solve_amplitude(tpl.gains, script.noise_floor, script.snr_db)
-            knots_t, knots_v = _activation_knots(event.start_s, tpl)
-            lo = np.searchsorted(t, knots_t[0], side="right")
-            hi = np.searchsorted(t, knots_t[-1], side="left")
-            profile = np.interp(t[lo:hi], knots_t, knots_v)
-            modulation[lo:hi] += amp * profile[:, None] * tpl.gains[None, :]
-            annotations.append(Annotation(
-                n=int(round(event.start_s * fs)),
-                gesture=event.gesture, phase=PHASE_FLEXION))
-            annotations.append(Annotation(
-                n=int(round((event.start_s + tpl.release_start_s) * fs)),
-                gesture=event.gesture, phase=PHASE_RETURN))
-        samples = carrier * modulation
+    try:
+        carrier = _carrier(rng, n, channels, fs, script.carrier_compression)
+        t = np.arange(n) / fs
+        modulation = np.full((n, channels), script.noise_floor)
+        annotations = []
+        # settings that overflow show as non-finite samples, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for event in script.events:
+                tpl = templates[event.gesture]
+                amp = _solve_amplitude(tpl.gains, script.noise_floor,
+                                       script.snr_db)
+                knots_t, knots_v = _activation_knots(event.start_s, tpl)
+                lo = np.searchsorted(t, knots_t[0], side="right")
+                hi = np.searchsorted(t, knots_t[-1], side="left")
+                profile = np.interp(t[lo:hi], knots_t, knots_v)
+                modulation[lo:hi] += (amp * profile[:, None]
+                                      * tpl.gains[None, :])
+                annotations.append(Annotation(
+                    n=int(round(event.start_s * fs)),
+                    gesture=event.gesture, phase=PHASE_FLEXION))
+                annotations.append(Annotation(
+                    n=int(round((event.start_s + tpl.release_start_s) * fs)),
+                    gesture=event.gesture, phase=PHASE_RETURN))
+            samples = carrier * modulation
+    except MemoryError as exc:
+        raise ConfigError(f"rendering {n} samples of {channels} channels "
+                          "needs more memory than is available") from exc
     if not np.isfinite(samples).all():
         raise ConfigError("noise_floor, snr_db and burst_gain must be small "
                           "enough that every sample is finite")

@@ -423,6 +423,18 @@ class TestSettingsIngress:
     def test_bad_synth_flag_pair_is_error_exit_1(self, tmp_path, flags, field):
         self.assert_refused(tmp_path, flags, field)
 
+    @pytest.mark.parametrize("rest,error", [
+        ("1e307", "the session lasts 5e+307 s, too long to render at 200 Hz"),
+        ("1e13", "rendering 10000000000006550 samples of 8 channels needs "
+                 "more memory than is available"),
+    ])
+    def test_session_too_long_is_error_exit_1(self, tmp_path, rest, error):
+        out = tmp_path / "s.csv"
+        rc, stdout, err = run_quietly(["synth", "--out", str(out),
+                                       "--reps", "1", "--rest", rest])
+        assert (rc, stdout, err) == (1, "", f"error: {error}\n")
+        assert not out.exists()
+
     @staticmethod
     def assert_refused(tmp_path, flags, field):
         """``synth`` with ``flags`` exits 1 with one error line that starts

@@ -1,6 +1,9 @@
 import json
 import re
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,6 +549,121 @@ class TestBulkRows:
         out = np.full((2, 2), 9.0)
         assert tmio._parse_block(lines, out, prev_t) is None
         assert (out == 9.0).all()
+
+
+# Line breaks that str.splitlines() takes besides "\n", and byte runs that
+# are not UTF-8: a stray byte, a lead byte cut short, an encoded surrogate.
+LINE_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+               "\u2029", "\n\n"]
+NOT_UTF8 = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf0\x9f\x98"]
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a recording CSV, mutated on lines at either side of the
+    edges of line blocks, and the block size; returns (data, block)."""
+    block = draw(st.sampled_from([1, 2, 3, 5]))
+    channels = draw(st.integers(1, 3))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    lines = [["t", *(f"ch{i}" for i in range(channels))]]
+    lines += [[str(t), *(repr(draw(values)) for _ in range(channels))]
+              for t in range(draw(st.integers(0, 4 * block + 2)))]
+    ends = ["\n"] * len(lines)
+    ends[-1] = draw(st.sampled_from(["\n", ""]))
+    pieces = [",".join(line).encode() for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        edge = draw(st.integers(0, 4)) * block + draw(st.integers(-1, 1))
+        k = min(max(edge, 0), len(lines) - 1)
+        kind = draw(st.sampled_from(["end", "break", "utf8", "value",
+                                     "ragged"]))
+        at = draw(st.integers(0, len(pieces[k])))
+        if kind == "end":
+            ends[k] = draw(st.sampled_from(LINE_BREAKS))
+        elif kind == "break":
+            pieces[k] = (pieces[k][:at]
+                         + draw(st.sampled_from(LINE_BREAKS)).encode()
+                         + pieces[k][at:])
+        elif kind == "utf8":
+            pieces[k] = (pieces[k][:at] + draw(st.sampled_from(NOT_UTF8))
+                         + pieces[k][at:])
+        elif kind == "value" and k > 0 and b"," in pieces[k]:
+            fields = pieces[k].split(b",")
+            fields[draw(st.integers(1, len(fields) - 1))] = draw(
+                st.sampled_from([b"nan", b"inf", b"-inf", b"1e999"]))
+            pieces[k] = b",".join(fields)
+        elif kind == "ragged":
+            pieces[k] = (pieces[k].rpartition(b",")[0] if draw(st.booleans())
+                         else pieces[k] + b",1.0")
+    data = b"".join(p + e.encode() for p, e in zip(pieces, ends))
+    if draw(st.integers(0, 9)) == 0:    # cut anywhere, to nothing at all
+        data = data[:draw(st.integers(0, len(data)))]
+    return data, block
+
+
+def whole_file_outcome(path):
+    """The whole-file reader that read_recording replaced: read() and
+    splitlines() in text mode, then one parse_rows call over every row.
+    Returns (shape, array bytes) or (error reason, error line)."""
+    try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
+                                      line=line) from exc
+        if not lines:
+            raise RecordingParseError("file is empty, expected a header",
+                                      line=1)
+        header = lines[0].split(",")
+        if header[0] != "t" or len(header) < 2:
+            raise RecordingParseError(
+                f"bad header {lines[0]!r}, expected 't,ch0,...'", line=1)
+        rows = np.empty((len(lines) - 1, len(header) - 1))
+        parse_rows(lines[1:], range(2, len(lines) + 1), rows)
+    except RecordingParseError as exc:
+        return exc.reason, exc.line
+    return rows.shape, rows.tobytes()
+
+
+def block_outcome(path):
+    try:
+        samples = read_recording(path, sample_rate=200.0).samples
+    except RecordingParseError as exc:
+        assert exc.path == path
+        return exc.reason, exc.line
+    return samples.shape, samples.tobytes()
+
+
+class TestLineBlocks:
+    """The line-block reader must read what the whole-file reader read."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(csv_files())
+    @example((b"t,ch0\n0,1.0\n1,nan\n2,1.0\r3,1.0\n", 2))
+    @example((b"t,ch0\n0,1.0\n1,\xff\n2,1.0\n3,1.0\r\n", 1))
+    @example((b"t,ch0\n0,1.0\x852,1.0\n", 2))
+    def test_blocks_equal_the_whole_file_reader(self, case):
+        data, block = case
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "r.csv"
+            path.write_bytes(data)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tmio, "ROW_BLOCK", block)
+                assert block_outcome(path) == whole_file_outcome(path)
+
+    def test_peak_memory_bounded_by_the_array(self, tmp_path, rng):
+        path = tmp_path / "long.csv"
+        write_recording(Recording(sample_rate=200.0,
+                                  samples=rng.normal(size=(60_000, 8))), path)
+        tracemalloc.start()
+        try:
+            samples = read_recording(path, sample_rate=200.0).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block arrays and their join, and one block's text and lines
+        assert peak < 2.5 * samples.nbytes + (4 << 20)
 
 
 class TestCalibrationJson:

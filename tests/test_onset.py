@@ -1,8 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from tmagest import onset
 from tmagest.errors import CalibrationError, StructuralError
 from tmagest.onset import (
     OnsetDetector,
@@ -148,6 +153,61 @@ class TestDifferenceSeries:
         ns, values = difference_series(env, 40, 10)
         assert ns.size
         assert (values < 1e-9).all()
+
+
+def whole_matrix_series(envelopes, map_width, map_stride, min_index=0):
+    """The whole-recording formula that difference_series computes in
+    column blocks: one feature matrix and one difference() call."""
+    start = max(map_width + map_stride - 1, min_index)
+    start += -(start + 1) % map_stride
+    ns = np.arange(start, envelopes.shape[0], map_stride)
+    if ns.size == 0:
+        return ns, np.empty(0)
+    feats = feature_matrix(envelopes)
+    terms = difference(feats[:, map_stride:], feats[:, :-map_stride])
+    first = start - map_stride - map_width + 1
+    windows = sliding_window_view(terms, map_width)[first::map_stride]
+    return ns, np.sqrt(windows.sum(axis=-1))
+
+
+class TestDifferenceSeriesBlocks:
+    """Column blocks must give the whole-matrix formula's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=st.sampled_from([1, 2, 3, 7, onset.SERIES_BLOCK]),
+           width=st.integers(1, 12), stride=st.integers(1, 6),
+           min_index=st.sampled_from([0, 1, 13, 40, 500]),
+           channels=st.integers(1, 4), blocks=st.integers(0, 3),
+           extra=st.integers(-3, 3), seed=st.integers(0, 2**16))
+    def test_blocks_equal_the_whole_matrix(self, block, width, stride,
+                                           min_index, channels, blocks,
+                                           extra, seed):
+        # The terms from the first one a window reads to the last fill
+        # `blocks` whole blocks plus `extra` columns: lengths around block
+        # multiples, a last block of one column (extra = 1) and, below
+        # zero, recordings too short for any point.
+        start = max(width + stride - 1, min_index)
+        start += -(start + 1) % stride
+        first = start - stride - width + 1
+        samples = max(1, first + stride + blocks * block + extra)
+        env = np.random.default_rng(seed).random((samples, channels))
+        want_ns, want = whole_matrix_series(env, width, stride, min_index)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(onset, "SERIES_BLOCK", block)
+            ns, values = difference_series(env, width, stride, min_index)
+        assert ns.tolist() == want_ns.tolist()
+        assert values.tobytes() == want.tobytes()
+
+    def test_peak_memory_below_one_feature_matrix(self, rng):
+        env = rng.random((60_000, 8))
+        matrix_bytes = feature_matrix(env[:1]).shape[0] * env.shape[0] * 8
+        tracemalloc.start()
+        try:
+            difference_series(env, 80, 20, min_index=177)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_bytes
 
 
 class TestCalibrate:

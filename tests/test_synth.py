@@ -221,6 +221,20 @@ class TestGenerate:
         rec = generate(SessionScript(events=[], tail_s=0.01), templates, config)
         assert rec.num_samples == 2 and np.isfinite(rec.samples).all()
 
+    @pytest.mark.parametrize("tail_s,error", [
+        (1e307, "the session lasts 1e+307 s, too long to render at 200 Hz"),
+        (1e17, "the session lasts 1e+17 s, too long to render at 200 Hz"),
+        # 2e15 samples: numpy refuses the allocation at once
+        (1e13, "rendering 2000000000000000 samples of 4 channels needs "
+               "more memory than is available"),
+    ])
+    def test_session_too_long_to_render_rejected(self, tail_s, error):
+        config, templates, _ = tiny_setup()
+        with pytest.raises(ConfigError) as err:
+            generate(SessionScript(events=[], tail_s=tail_s), templates,
+                     config)
+        assert str(err.value) == error
+
     def test_sample_rate_below_the_carrier_band_rejected(self):
         config = SessionConfig(sample_rate=8.0, channels=4, gestures=("a", "b"))
         templates = default_template_set(4, ("a", "b"))
