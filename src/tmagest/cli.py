@@ -28,7 +28,7 @@ import numpy as np
 from . import cnn, io, pipeline, synth
 from .config import SessionConfig
 from .engine import Engine, event_to_dict, iter_batches, run_replay
-from .errors import RecordingParseError, TmagestError
+from .errors import TmagestError
 from .onset import ThresholdCalibration, calibrate_threshold
 from .recording import Recording
 
@@ -182,51 +182,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stdin_lines():
-    """``(number, line)`` for each stdin line; a byte that is not UTF-8 ends
-    in a RecordingParseError naming its line."""
-    i = 0
-    try:
-        for i, line in enumerate(sys.stdin, start=1):
-            yield i, line
-    except UnicodeDecodeError as exc:
-        # stdin decodes the chunk after line i only once line i is read, so
-        # exc.object, that chunk, starts inside line i + 1
-        line = i + 1 + exc.object.count(b"\n", 0, exc.start)
-        raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
-                                  line=line) from exc
-
-
-def _stdin_events(model, config: SessionConfig):
-    """Incremental engine over stdin rows: one stride in, events out.
-
-    Rows obey the checks of a recording file; blank and header lines are
-    skipped, and a partial last stride is checked, then dropped."""
-    engine = Engine(model, config)
-    batch = np.empty((config.map_stride, config.channels))
-    lines, numbers, prev_t = [], [], None
-    for i, line in _stdin_lines():
-        line = line.strip()
-        if not line or line.startswith("t,"):
-            continue
-        lines.append(line)
-        numbers.append(i)
-        if len(lines) == config.map_stride:
-            prev_t = io.parse_rows(lines, numbers, batch, prev_t)
-            lines, numbers = [], []
-            event = engine.step(batch)
-            if event is not None:
-                yield event
-    io.parse_rows(lines, numbers, batch, prev_t)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     model = io.read_model(args.model)
     config = _load_config(args, fallback=model.config)
     if args.no_suppression:
         config = dataclasses.replace(config, suppress_alternate_onsets=False)
     if args.input == "-":
-        events = _stdin_events(model, config)
+        strides = io.read_strides(sys.stdin.buffer, config.channels,
+                                  config.map_stride)
+        events = filter(None, map(Engine(model, config).step, strides))
     else:
         [recording] = _read_recordings([args.input], config)
         events = run_replay(recording, model, config, pacing=args.pacing)

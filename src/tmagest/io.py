@@ -5,9 +5,10 @@ channel values are rendered with shortest round-trip precision so write/read
 is value-exact. Annotations ride in a sidecar CSV (``n,gesture,phase``)
 derived from the recording path; rows piped on stdin obey the same checks.
 A recording CSV is written and read in blocks of :data:`ROW_BLOCK` lines, so
-its whole text is never held: reading holds one block's text and lines
-beside the parsed rows. A calibration is a JSON object, which the model
-header embeds.
+its whole text is never held, and stdin a stride at a time, both through one
+decoder (:func:`_line_blocks`): UTF-8 in any locale, lines broken as by
+``str.splitlines``. A calibration is a JSON object, which the model header
+embeds.
 
 Models use a small versioned binary container: magic bytes, version, a JSON
 header (architecture, normalization bounds, label table, calibration,
@@ -22,9 +23,9 @@ import math
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, fields as dataclass_fields
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,8 +99,8 @@ def read_recording(path: str | Path, sample_rate: float,
             (the recording or its sidecar) and the offending line.
     """
     path = Path(path)
-    blocks, parts, prev_t = _line_blocks(path), [], None
-    with _naming(path), _decoding_rest(blocks):
+    parts, prev_t = [], None
+    with _file_blocks(path) as blocks:
         for number, lines in blocks:
             if number == 1:
                 channels = _recording_channels(lines[0], expected_channels)
@@ -116,19 +117,9 @@ def read_recording(path: str | Path, sample_rate: float,
     annotations = []
     side = annotations_path(path)
     if side.exists():
-        annotations = read_annotations(side)
+        annotations = read_annotations(side, len(rows))
     return Recording(sample_rate=sample_rate, samples=rows,
                      annotations=annotations)
-
-
-@contextmanager
-def _naming(path: Path):
-    """Re-raise a :class:`RecordingParseError` from the block with ``path``
-    in its message."""
-    try:
-        yield
-    except RecordingParseError as exc:
-        raise RecordingParseError(exc.reason, exc.line, path) from exc
 
 
 def _recording_channels(header: str, expected: int | None) -> int:
@@ -144,11 +135,12 @@ def _recording_channels(header: str, expected: int | None) -> int:
     return channels
 
 
-def _line_blocks(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """``(number of its first line, lines)`` for each block of a UTF-8 text
-    file, in order.
+def _line_blocks(fh, size: Callable[[], int]
+                 ) -> Iterator[tuple[int, list[str]]]:
+    """``(number of its first line, lines)`` for each block of the UTF-8
+    text on the binary stream ``fh``, in order.
 
-    A block is the text of :data:`ROW_BLOCK` byte lines, each ending just
+    A block is the text of the next ``size()`` byte lines, each ending just
     after a ``b"\\n"``, split by ``str.splitlines``. A block ends on a whole
     line break and UTF-8 sequence, so the blocks hold the lines of
     ``read().splitlines()`` in text mode (which also breaks at ``\\r``,
@@ -157,30 +149,36 @@ def _line_blocks(path: Path) -> Iterator[tuple[int, list[str]]]:
     of ``b"\\n"`` before it.
     """
     number, newlines = 1, 0
-    with open(path, "rb") as fh:
-        while raw := b"".join(islice(fh, ROW_BLOCK)):
-            try:
-                lines = raw.decode("utf-8").splitlines()
-            except UnicodeDecodeError as exc:
-                line = newlines + raw.count(b"\n", 0, exc.start) + 1
-                raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
-                                          line=line) from exc
-            yield number, lines
-            number += len(lines)
-            newlines += ROW_BLOCK
+    while chunk := list(islice(fh, size())):
+        raw = b"".join(chunk)
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            line = newlines + raw.count(b"\n", 0, exc.start) + 1
+            raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
+                                      line=line) from exc
+        yield number, lines
+        number += len(lines)
+        newlines += len(chunk)
 
 
 @contextmanager
-def _decoding_rest(blocks: Iterator):
-    """Hold a :class:`RecordingParseError` raised in the block until the
-    rest of ``blocks`` is decoded, so that a byte that is not UTF-8 anywhere
-    in the file takes precedence over it."""
-    try:
-        yield
-    except RecordingParseError:
-        for _ in blocks:
-            pass
-        raise
+def _file_blocks(path: Path):
+    """The :data:`ROW_BLOCK` line blocks of the file at ``path``. A
+    :class:`RecordingParseError` raised in the block is held until the rest
+    of the file is decoded, so that a byte that is not UTF-8 anywhere in it
+    takes precedence, and is raised again with ``path`` in its message."""
+    with open(path, "rb") as fh:
+        blocks = _line_blocks(fh, lambda: ROW_BLOCK)
+        try:
+            try:
+                yield blocks
+            except RecordingParseError:
+                for _ in blocks:
+                    pass
+                raise
+        except RecordingParseError as exc:
+            raise RecordingParseError(exc.reason, exc.line, path) from exc
 
 
 def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
@@ -201,6 +199,33 @@ def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
     # takes precedence over a non-finite value before it.
     _check_finite(out[:len(lines)], line_numbers)
     return prev_t
+
+
+def read_strides(fh, channels: int, stride: int) -> Iterator[np.ndarray]:
+    """Each ``(stride, channels)`` block of the rows on the binary stream
+    ``fh``, yielded in one reused array as soon as its last row is read.
+
+    Lines blank after ``strip()`` or starting with ``t,`` are skipped
+    anywhere. Each stride passes :func:`parse_rows`, with ``t`` and line
+    numbers carried across strides; a partial last stride is checked, then
+    dropped. Only the lines the current stride still needs are read.
+    """
+    batch = np.empty((stride, channels))
+    rows, numbers, prev_t = [], [], None
+    for first, lines in _line_blocks(fh, lambda: stride - len(rows)):
+        rows += map(str.strip, lines)
+        numbers += range(first, first + len(lines))
+        # a line starting with "t," sorts at or after "t,", so the filter
+        # runs only when a blank line or such a line may be held
+        if "" in rows or max(rows) >= "t,":
+            kept = [row and not row.startswith("t,") for row in rows]
+            rows[:] = compress(rows, kept)
+            numbers[:] = compress(numbers, kept)
+        while len(rows) >= stride:
+            prev_t = parse_rows(rows[:stride], numbers[:stride], batch, prev_t)
+            del rows[:stride], numbers[:stride]
+            yield batch
+    parse_rows(rows, numbers, batch, prev_t)
 
 
 def _parse_blocks(lines: Sequence[str], line_numbers: Sequence[int],
@@ -281,13 +306,14 @@ def _parse_row_loop(lines: Sequence[str], line_numbers: Sequence[int],
     return prev_t
 
 
-def read_annotations(path: str | Path) -> list[Annotation]:
-    """Read an annotation sidecar; a :class:`RecordingParseError` names the
-    file and the offending line."""
+def read_annotations(path: str | Path, num_samples: int) -> list[Annotation]:
+    """Read the annotation sidecar of a recording of ``num_samples``
+    samples; a :class:`RecordingParseError` names the file and the offending
+    line, also of an annotation outside the recording."""
     path = Path(path)
-    with _naming(path):
+    with _file_blocks(path) as blocks:
         # a sidecar holds a few rows per gesture, so it is read whole
-        lines = [line for _, block in _line_blocks(path) for line in block]
+        lines = [line for _, block in blocks for line in block]
         if not lines or lines[0] != "n,gesture,phase":
             raise RecordingParseError("bad annotation header", line=1)
         out = []
@@ -304,6 +330,10 @@ def read_annotations(path: str | Path) -> list[Annotation]:
             if parts[2] not in PHASES:
                 raise RecordingParseError(f"unknown phase {parts[2]!r}",
                                           line=i)
+            if not 0 <= n < num_samples:
+                raise RecordingParseError(
+                    f"annotation at {n} outside recording of {num_samples} "
+                    "samples", line=i)
             out.append(Annotation(n=n, gesture=parts[1], phase=parts[2]))
     return out
 

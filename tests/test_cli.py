@@ -2,15 +2,20 @@ import contextlib
 import io as std_io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import unittest.mock
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tmagest
 from tmagest.cli import main
 from tmagest.config import SessionConfig
 from tmagest.io import read_model, read_recording
@@ -152,6 +157,24 @@ class TestCalibrate:
                                          "unknown phase 'bogus'\n"}
         assert capsys.readouterr().err == expected[bad]
 
+    @pytest.mark.parametrize("row", ["-1,grip,rest", "7,grip,flexion-onset"])
+    def test_annotation_outside_its_recording_names_the_sidecar(
+            self, workspace, capsys, tmp_path, monkeypatch, row):
+        # c.csv has 2 samples; beside a second recording, only the file and
+        # the line tell where the fault is
+        (tmp_path / "c.csv").write_text("t,ch0,ch1,ch2,ch3\n0,1,2,3,4\n"
+                                        "1,5,6,7,8\n")
+        (tmp_path / "c.annotations.csv").write_text(
+            f"n,gesture,phase\n1,grip,rest\n{row}\n")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["calibrate", *workspace["base"], "--recording", "c.csv",
+                   "--recording", str(workspace["train_csv"])])
+        assert rc == 1
+        n = row.split(",")[0]
+        assert capsys.readouterr().err == (
+            f"error: c.annotations.csv: line 3: annotation at {n} outside "
+            "recording of 2 samples\n")
+
 
 class TestTrain:
     def test_model_is_ready_and_carries_calibration(self, workspace):
@@ -274,8 +297,9 @@ class TestRun:
         assert err.count("\n") == 1
 
     def test_stdin_rows(self, workspace, capsys, monkeypatch):
-        text = workspace["eval_csv"].read_text()
-        monkeypatch.setattr("sys.stdin", std_io.StringIO(text))
+        blob = workspace["eval_csv"].read_bytes()
+        monkeypatch.setattr("sys.stdin", std_io.TextIOWrapper(
+            std_io.BytesIO(blob), encoding="utf-8"))
         rc = main(["run", *workspace["base"], "--model", str(workspace["model"]),
                    "--input", "-"])
         assert rc == 0
@@ -309,6 +333,35 @@ class TestRun:
                    "--input", "-"])
         assert rc == 1
         assert f"error: line 502: {message}" in capsys.readouterr().err
+
+    def test_stdin_is_utf8_in_every_locale(self, workspace, capsys,
+                                           monkeypatch):
+        # a C locale decodes sys.stdin with surrogateescape; the rows are
+        # read from its bytes, so a byte that is not UTF-8 is named as such
+        lines = workspace["eval_csv"].read_bytes().splitlines()
+        lines[501] = lines[501][:5] + b"\xff" + lines[501][5:]
+        monkeypatch.setattr("sys.stdin", std_io.TextIOWrapper(
+            std_io.BytesIO(b"\n".join(lines)), encoding="utf-8",
+            errors="surrogateescape"))
+        rc = main(["run", *workspace["base"], "--model", str(workspace["model"]),
+                   "--input", "-"])
+        assert rc == 1
+        assert ("error: line 502: not UTF-8 text: invalid start byte"
+                in capsys.readouterr().err)
+
+    def test_piped_rows_give_the_file_events(self, workspace, capsys):
+        argv = ["run", *workspace["base"], "--model", str(workspace["model"]),
+                "--no-timing", "--input"]
+        assert main([*argv, str(workspace["eval_csv"])]) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(tmagest.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        piped = subprocess.run(
+            [sys.executable, "-m", "tmagest.cli", *argv, "-"], env=env,
+            input=workspace["eval_csv"].read_bytes(), capture_output=True,
+            check=True, timeout=300)
+        assert expected and piped.stdout.decode() == expected
 
 
 class TestEval:

@@ -1,3 +1,4 @@
+import io as std_io
 import json
 import re
 import struct
@@ -664,6 +665,186 @@ class TestLineBlocks:
             tracemalloc.stop()
         # the block arrays and their join, and one block's text and lines
         assert peak < 2.5 * samples.nbytes + (4 << 20)
+
+
+class LineWriter(std_io.RawIOBase):
+    """The read end of a pipe whose writer sends one line at a time, as a
+    live acquisition process does."""
+
+    def __init__(self, data):
+        self._lines = std_io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        line = self._lines.readline(len(buffer))
+        buffer[:len(line)] = line
+        return len(line)
+
+
+def text_stdin_outcome(data, channels, stride):
+    """The stdin reader that read_strides replaced: the universal-newline
+    lines of a strict UTF-8 text stdin, one parse_rows call per stride.
+    Returns (stride bytes, (error reason, error line) or None)."""
+    stdin = std_io.TextIOWrapper(std_io.BufferedReader(LineWriter(data)),
+                                 encoding="utf-8", errors="strict")
+
+    def stdin_lines():
+        i = 0
+        try:
+            for i, line in enumerate(stdin, start=1):
+                yield i, line
+        except UnicodeDecodeError as exc:
+            # the chunk after line i is decoded only once line i is read
+            line = i + 1 + exc.object.count(b"\n", 0, exc.start)
+            raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
+                                      line=line) from exc
+
+    strides = []
+    batch = np.empty((stride, channels))
+    lines, numbers, prev_t = [], [], None
+    try:
+        for i, line in stdin_lines():
+            line = line.strip()
+            if not line or line.startswith("t,"):
+                continue
+            lines.append(line)
+            numbers.append(i)
+            if len(lines) == stride:
+                prev_t = parse_rows(lines, numbers, batch, prev_t)
+                lines, numbers = [], []
+                strides.append(batch.tobytes())
+        parse_rows(lines, numbers, batch, prev_t)
+    except RecordingParseError as exc:
+        return strides, (exc.reason, exc.line)
+    return strides, None
+
+
+def stride_outcome(data, channels, stride):
+    """:func:`text_stdin_outcome` for ``read_strides``."""
+    strides = []
+    try:
+        for batch in tmio.read_strides(std_io.BytesIO(data), channels,
+                                       stride):
+            strides.append(batch.tobytes())
+    except RecordingParseError as exc:
+        return strides, (exc.reason, exc.line)
+    return strides, None
+
+
+SKIPPED = [b"", b"  ", b" \t", b"t,ch0", b"  t,ch0,ch1", b"t,"]
+
+
+@st.composite
+def stdin_streams(draw):
+    """Rows piped on stdin, mutated on lines at either side of the edges of
+    strides, with skipped lines anywhere; returns (data, channels, stride)."""
+    stride = draw(st.sampled_from([1, 2, 3, 20]))
+    channels = draw(st.integers(1, 3))
+    start = draw(st.integers(0, 50))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    pieces = [",".join([str(start + k), *(repr(draw(values))
+                                          for _ in range(channels))]).encode()
+              for k in range(draw(st.integers(0, 3 * stride + 2)))]
+    utf8 = True
+    for _ in range(draw(st.integers(0, 2))):
+        if not pieces:
+            break
+        edge = draw(st.integers(0, 3)) * stride + draw(st.integers(-1, 1))
+        k = min(max(edge, 0), len(pieces) - 1)
+        kind = draw(st.sampled_from(["gap", "value", "ragged", "truncate",
+                                     "utf8"]))
+        at = draw(st.integers(0, len(pieces[k])))
+        fields = pieces[k].split(b",")
+        if kind == "gap":
+            del pieces[k]
+        elif kind == "value" and len(fields) > 1:
+            fields[draw(st.integers(1, len(fields) - 1))] = draw(
+                st.sampled_from([b"nan", b"inf", b"-inf", b"1e999"]))
+            pieces[k] = b",".join(fields)
+        elif kind == "ragged":
+            pieces[k] = (pieces[k].rpartition(b",")[0] if draw(st.booleans())
+                         else pieces[k] + b",1.0")
+        elif kind == "truncate":
+            pieces[k] = pieces[k][:at]
+        elif kind == "utf8":
+            pieces[k] = (pieces[k][:at] + draw(st.sampled_from(NOT_UTF8))
+                         + pieces[k][at:])
+            utf8 = False
+    for _ in range(draw(st.integers(0, 3))):
+        pieces.insert(draw(st.integers(0, len(pieces))),
+                      draw(st.sampled_from(SKIPPED)))
+    # A line that is not UTF-8 is named by its count of b"\n" (see
+    # test_not_utf8_is_named_by_its_newlines), so "\r" ends only UTF-8 text.
+    ends = st.sampled_from(["\n", "\r\n", "\r"] if utf8 else ["\n", "\r\n"])
+    data = b"".join(p + draw(ends).encode() for p in pieces)
+    if pieces and draw(st.booleans()):    # no break after the last line
+        data = data.rstrip(b"\r\n")
+    return data, channels, stride
+
+
+class TestReadStrides:
+    """stdin rows, read a stride at a time through the file decoder."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(stdin_streams())
+    @example((b"t,ch0\n0,1.0\n\n1,2.0\r\n2,nan\r3,4.0\n", 1, 2))
+    @example((b"0,1,2\n\n1,3,4\n  t,ch0,ch1\n2,5,6\n4,7,8\n", 2, 2))
+    @example((b"0,1\n1,2\n2,inf\n", 1, 2))    # a partial last stride
+    @example((b"0,nan\n1,\xff\n", 1, 1))    # stream order, line by line
+    @example((b"0,1.0\n1,2.0\n2,\xff3.0\n", 1, 2))
+    @example((b"0,1.0\n1,2.0\n2,3.0\xe2\x82", 1, 20))
+    def test_strides_equal_the_text_stdin_reader(self, case):
+        data, channels, stride = case
+        assert (stride_outcome(data, channels, stride)
+                == text_stdin_outcome(data, channels, stride))
+
+    @pytest.mark.parametrize("data,line", [
+        (b"0,1.0\n1,\xff\n", 2),           # a C locale gave a float() error
+        (b"t,\xff\n0,1.0\n1,2.0\n", 1),    # a C locale skipped the line
+        (b"0,1.0\r1,\xff\r2,3.0\r", 1),    # "\r" does not count
+    ])
+    def test_not_utf8_is_named_by_its_newlines(self, data, line):
+        # in every locale, as in a file: line 1 + the count of b"\n" before
+        assert stride_outcome(data, 1, 1)[1] == (
+            "not UTF-8 text: invalid start byte", line)
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_rare_line_breaks_split_rows_as_in_a_file(self, brk):
+        data = f"0,1.0{brk}1,2.0\n2,nan\n".encode()
+        strides, error = stride_outcome(data, 1, 2)
+        np.testing.assert_array_equal(np.frombuffer(strides[0]), [1.0, 2.0])
+        assert error == ("ch0 is nan, expected a finite value", 3)
+
+
+class CountingStream(std_io.BytesIO):
+    """A binary stream that counts the lines it has handed out."""
+
+    handed = 0
+
+    def __next__(self):
+        line = super().__next__()
+        self.handed += 1
+        return line
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 20])
+def test_a_stride_is_yielded_before_the_next_line_is_read(stride):
+    lines, rows = [b"t,ch0"], []
+    for t in range(4 * stride):
+        if t % 3 == 1:
+            lines.append([b"", b"t,ch0", b" "][t // 3 % 3])
+        lines.append(b"%d,%d.5" % (t, t))
+        rows.append(len(lines))
+    stream = CountingStream(b"\n".join(lines) + b"\n")
+    strides = tmio.read_strides(stream, 1, stride)
+    for k, batch in enumerate(strides):
+        # the line of the stride's last row is the last line read
+        assert stream.handed == rows[(k + 1) * stride - 1]
+        assert batch[-1, 0] == (k + 1) * stride - 0.5
+    assert k == 3
 
 
 class TestCalibrationJson:
