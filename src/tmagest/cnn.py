@@ -7,17 +7,18 @@ output. For the default 44x80 maps with 8 and 16 filters the shapes run::
     44x80 -> conv 42x78x8 -> pool 21x39x8 -> conv 19x37x16 -> pool 9x18x16
           -> flatten 2592 -> fc 100 -> fc 20 -> softmax over classes
 
-Everything is plain numpy. Training runs SGD in float32; the model's
-weights, the forward pass used for prediction and everything outside
-training are 64-bit. The layers take their dtype from their inputs, so one
-step serves both precisions. conv1 is one GEMM over the 4x4 input patch of
-each pooling window, conv2 is nine GEMMs on shifted views of its input, and
-max pooling routes gradients to the first maximum of each window through a
-stored argmax. An SGD step runs the conv layers in chunks of a few maps so
-their arrays stay in cache. Training is plain SGD over seeded shuffled
-mini-batches; identical seeds give bit-identical models, on one BLAS thread
-or more. Gradients are exact, which the finite-difference tests check in
-float64.
+Everything is plain numpy. Training runs SGD in float32, and the trained
+model keeps its float32 weights. A model's precision is the one dtype of its
+parameters, float32 or float64: the forward pass runs in it, while the maps
+and everything before the network stay 64-bit. The layers take their dtype
+from their inputs, so one step serves both precisions. conv1 is one GEMM
+over the 4x4 input patch of each pooling window, conv2 is nine GEMMs on
+shifted views of its input, and max pooling routes gradients to the first
+maximum of each window through a stored argmax. An SGD step runs the conv
+layers in chunks of a few maps so their arrays stay in cache. Training is
+plain SGD over seeded shuffled mini-batches; identical seeds give
+bit-identical models, on one BLAS thread or more. Gradients are exact,
+which the finite-difference tests check in float64.
 """
 
 from __future__ import annotations
@@ -159,6 +160,12 @@ class CnnModel:
                 raise StructuralError(
                     f"parameter {name} has shape {got}, expected {shape}"
                 )
+        dtypes = {self.params[name].dtype for name in shapes}
+        if len(dtypes) != 1 or not dtypes <= {np.dtype(np.float32),
+                                              np.dtype(np.float64)}:
+            raise StructuralError(
+                "parameters must share one dtype, float32 or float64, got "
+                f"{sorted(map(str, dtypes))}")
         if self.labels is not None:
             if not isinstance(self.labels, (list, tuple)) or not all(
                     isinstance(label, str) for label in self.labels):
@@ -471,15 +478,17 @@ def forward(model: CnnModel, normalized_map: np.ndarray) -> np.ndarray:
 def forward_batch(model: CnnModel, normalized_maps: np.ndarray) -> np.ndarray:
     """(B, classes) probabilities for a (B, rows, cols) stack of normalized
     maps; row i equals ``forward`` of map i up to rounding. Keeps no cache.
+    The maps are cast to the dtype of the model's parameters, and every layer
+    and the probabilities are in that dtype.
 
     Raises:
         StructuralError: If the maps' shape does not match the architecture.
     """
-    data = np.asarray(normalized_maps, dtype=np.float64)
+    params, arch = model.params, model.architecture
+    data = np.asarray(normalized_maps, dtype=params["conv1_w"].dtype)
     if data.ndim != 3:
         raise StructuralError(f"expected a (B, rows, cols) stack, got shape {data.shape}")
-    params, arch = model.params, model.architecture
-    flat = np.empty((data.shape[0], arch.flat_size))
+    flat = np.empty((data.shape[0], arch.flat_size), dtype=data.dtype)
     for c in _chunks(data.shape[0]):
         p1 = _pool_relu(_conv1(params, _conv1_inputs(data[c], arch)))
         p2 = _pool_relu(_windows(_conv2(params, arch, p1), arch.pool2_shape))
@@ -505,7 +514,8 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
     seed. Weight init and epoch shuffles come from dedicated child streams of
     the master seed. Each mini-batch is gathered from the examples' own
     arrays into a float32 batch; the dataset is never copied as a whole.
-    SGD updates float32 weights, which the returned model holds as float64.
+    SGD updates float32 weights, and the returned model keeps them in
+    float32, so it also classifies in float32.
 
     Args:
         dataset: Normalized examples covering every configured gesture.
@@ -568,7 +578,7 @@ def train(dataset: list[TrainingExample], config: SessionConfig,
 
     return CnnModel(
         architecture=arch,
-        params={name: p.astype(np.float64) for name, p in params.items()},
+        params=params,
         bounds=bounds,
         labels=labels,
         calibration=calibration,

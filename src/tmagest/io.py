@@ -12,8 +12,11 @@ embeds.
 
 Models use a small versioned binary container: magic bytes, version, a JSON
 header (architecture, normalization bounds, label table, calibration,
-metadata, tensor manifest), then the raw little-endian float64 tensor data in
-manifest order. Weights round-trip bit-for-bit.
+metadata, tensor dtype, tensor manifest), then the raw tensor data in
+manifest order, little-endian in the dtype of the model's parameters:
+``"<f4"`` for a trained float32 model, ``"<f8"`` for a float64 one. Version 1
+files, which have no dtype field, hold ``"<f8"`` tensors and still load.
+Weights round-trip bit-for-bit.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ from .recording import PHASES, Annotation, Recording
 from .tma import NormalizationBounds
 
 MODEL_MAGIC = b"TMA1"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+# The tensor dtypes a container may declare; version 1 wrote only "<f8".
+MODEL_DTYPES = ("<f4", "<f8")
 
 
 def annotations_path(recording_path: str | Path) -> Path:
@@ -86,10 +91,10 @@ def read_recording(path: str | Path, sample_rate: float,
     """Read a recording CSV (and its annotation sidecar when present).
 
     The file is read and parsed in blocks of :data:`ROW_BLOCK` lines
-    (:func:`_line_blocks`), each into its own array, and the arrays are
-    joined at the end: the reader holds one block's text beside the rows,
-    never the whole file's. It accepts the lines and gives the errors of a
-    whole-file read: a byte that is not UTF-8 anywhere comes first, then the
+    (:func:`_line_blocks`), each into the end of one array grown in place:
+    the reader holds one block's text beside the rows, never the whole
+    file's, and the rows once. It accepts the lines and gives the errors of
+    a whole-file read: a byte that is not UTF-8 anywhere comes first, then the
     header, then the first malformed row, then the first non-finite value.
 
     Raises:
@@ -99,20 +104,20 @@ def read_recording(path: str | Path, sample_rate: float,
             (the recording or its sidecar) and the offending line.
     """
     path = Path(path)
-    parts, prev_t = [], None
+    rows, prev_t = None, None
     with _file_blocks(path) as blocks:
         for number, lines in blocks:
             if number == 1:
                 channels = _recording_channels(lines[0], expected_channels)
+                rows = np.empty((0, channels))
                 number, lines = 2, lines[1:]
-            part = np.empty((len(lines), channels))
+            start = len(rows)
+            rows.resize((start + len(lines), channels))
             prev_t = _parse_blocks(lines, range(number, number + len(lines)),
-                                   part, prev_t)
-            parts.append(part)
-        if not parts:
+                                   rows[start:], prev_t)
+        if rows is None:
             raise RecordingParseError("file is empty, expected a header",
                                       line=1)
-        rows = np.concatenate(parts)
         _check_finite(rows, range(2, len(rows) + 2))
     annotations = []
     side = annotations_path(path)
@@ -209,6 +214,10 @@ def read_strides(fh, channels: int, stride: int) -> Iterator[np.ndarray]:
     anywhere. Each stride passes :func:`parse_rows`, with ``t`` and line
     numbers carried across strides; a partial last stride is checked, then
     dropped. Only the lines the current stride still needs are read.
+
+    A row counts as read when the ``b"\\n"`` that ends it, or the end of the
+    stream, arrives: a live writer should end rows with ``\\n`` or ``\\r\\n``,
+    since rows ended by a lone ``\\r`` wait until the stream closes.
     """
     batch = np.empty((stride, channels))
     rows, numbers, prev_t = [], [], None
@@ -393,13 +402,15 @@ def _header_dict(model: CnnModel) -> dict:
         "calibration": fields(model.calibration),
         "metadata": fields(model.metadata),
         "config": model.config.to_dict() if model.config is not None else None,
+        "dtype": np.result_type(*model.params.values()).newbyteorder("<").str,
         "tensors": [{"name": name, "shape": list(model.params[name].shape)}
                     for name in PARAM_ORDER],
     }
 
 
 def write_model(model: CnnModel, path: str | Path) -> None:
-    header = json.dumps(_header_dict(model), sort_keys=True,
+    fields = _header_dict(model)
+    header = json.dumps(fields, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
@@ -407,7 +418,7 @@ def write_model(model: CnnModel, path: str | Path) -> None:
         fh.write(header)
         for name in PARAM_ORDER:
             fh.write(np.ascontiguousarray(model.params[name],
-                                          dtype="<f8").tobytes())
+                                          dtype=fields["dtype"]).tobytes())
 
 
 def read_model(path: str | Path) -> CnnModel:
@@ -417,9 +428,10 @@ def read_model(path: str | Path) -> CnnModel:
         ModelFormatError: Wrong magic bytes.
         ModelVersionError: Unsupported container version.
         ModelTruncatedError: Fewer payload bytes than the manifest declares.
-        ModelIOError: Malformed header, an unknown or repeated tensor,
-            bytes after the last tensor, or tensor shapes inconsistent with
-            the declared architecture.
+        ModelIOError: Malformed header, a tensor dtype other than
+            ``"<f4"`` or ``"<f8"``, an unknown or repeated tensor, bytes
+            after the last tensor, or tensor shapes inconsistent with the
+            declared architecture.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -428,9 +440,10 @@ def read_model(path: str | Path) -> CnnModel:
     if len(blob) < 12:
         raise ModelTruncatedError(f"{path}: header cut short")
     version, header_len = struct.unpack_from("<II", blob, 4)
-    if version != MODEL_VERSION:
+    if version not in (1, MODEL_VERSION):
         raise ModelVersionError(
-            f"{path}: container version {version}, supported: {MODEL_VERSION}")
+            f"{path}: container version {version}, supported: 1 to "
+            f"{MODEL_VERSION}")
     if len(blob) < 12 + header_len:
         raise ModelTruncatedError(f"{path}: header cut short")
 
@@ -450,6 +463,11 @@ def read_model(path: str | Path) -> CnnModel:
     if not isinstance(manifest, list):
         raise ModelIOError(
             f"{path}: header field 'tensors' is {manifest!r}, expected a list")
+    dtype = header.get("dtype") if version > 1 else "<f8"
+    if dtype not in MODEL_DTYPES:
+        raise ModelIOError(f"{path}: header field 'dtype' is {dtype!r}, "
+                           f"expected one of {MODEL_DTYPES}")
+    dtype = np.dtype(dtype)
 
     params: dict[str, np.ndarray] = {}
     offset = 12 + header_len
@@ -468,12 +486,12 @@ def read_model(path: str | Path) -> CnnModel:
             raise ModelIOError(f"{path}: unknown tensor {name!r}")
         if name in params:
             raise ModelIOError(f"{path}: tensor {name!r} appears twice")
-        nbytes = count * 8
+        nbytes = count * dtype.itemsize
         if offset + nbytes > len(blob):
             raise ModelTruncatedError(f"{path}: tensor '{name}' cut short")
         params[name] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=offset,
-        ).astype(np.float64).reshape(shape)
+            blob, dtype=dtype, count=count, offset=offset,
+        ).astype(dtype.type).reshape(shape)
         offset += nbytes
     if offset != len(blob):
         raise ModelIOError(

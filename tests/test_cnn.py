@@ -11,6 +11,7 @@ import tmagest
 from tmagest.cnn import (
     CHUNK_MAPS,
     PARAM_ORDER,
+    SGD_DTYPE,
     CnnArchitecture,
     CnnModel,
     TrainingExample,
@@ -252,9 +253,48 @@ class TestPrecision:
                                        atol=1e-5 * np.abs(g64).max(),
                                        err_msg=name)
 
-    def test_train_returns_float64_parameters(self, rng):
+    def test_train_returns_float32_parameters(self, rng):
         model = train(toy_dataset(rng, n_per_class=5), toy_config(epochs=1))
-        assert all(p.dtype == np.float64 for p in model.params.values())
+        assert {p.dtype for p in model.params.values()} == {np.dtype(SGD_DTYPE)}
+
+    def test_forward_runs_in_the_parameters_dtype(self, rng):
+        params = initial_params(TINY, rng)
+        maps = rng.random((2 * CHUNK_MAPS + 1, 10, 12))
+        probs64 = forward_batch(tiny_model(params), maps)
+        # float64 parameters give the reference result of the layers
+        flat = np.stack([_conv_forward(params, TINY, m[None])["p2"]
+                         .transpose(1, 2, 3, 0).reshape(-1) for m in maps])
+        a3 = np.maximum(flat @ params["fc1_w"] + params["fc1_b"], 0.0)
+        a4 = np.maximum(a3 @ params["fc2_w"] + params["fc2_b"], 0.0)
+        logits = a4 @ params["out_w"] + params["out_b"]
+        expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        assert probs64.dtype == np.float64
+        np.testing.assert_allclose(probs64, expected, rtol=1e-12, atol=1e-15)
+
+        params32 = {k: v.astype(np.float32) for k, v in params.items()}
+        probs32 = forward_batch(tiny_model(params32), maps)
+        assert probs32.dtype == np.float32
+        assert forward(tiny_model(params32), maps[0]).dtype == np.float32
+        np.testing.assert_allclose(probs32, probs64, rtol=1e-5, atol=1e-6)
+        # float32 maps do not change a float64 model's precision
+        np.testing.assert_array_equal(
+            forward_batch(tiny_model(params), maps.astype(np.float32)),
+            forward_batch(tiny_model(params),
+                          maps.astype(np.float32).astype(np.float64)))
+
+    @pytest.mark.parametrize("dtypes", [
+        {"fc1_w": np.float32},                      # mixed floats
+        {name: np.float16 for name in PARAM_ORDER},
+        {name: np.int64 for name in PARAM_ORDER},
+        {name: np.dtype(">f8") for name in PARAM_ORDER},
+    ], ids=["mixed", "float16", "int64", "big-endian"])
+    def test_model_refuses_other_parameter_dtypes(self, rng, dtypes):
+        params = initial_params(TINY, rng)
+        for name, dtype in dtypes.items():
+            params[name] = params[name].astype(dtype)
+        with pytest.raises(StructuralError, match="one dtype, float32 or "
+                           "float64"):
+            tiny_model(params)
 
 
 BLAS_THREAD_RUN = """

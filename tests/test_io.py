@@ -1,3 +1,4 @@
+import dataclasses
 import io as std_io
 import json
 import re
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from tmagest import io as tmio
 from tmagest.cnn import (
+    PARAM_ORDER,
     CnnArchitecture,
     CnnModel,
     TrainingMetadata,
@@ -213,6 +215,36 @@ def sample_model(rng):
     )
 
 
+def container_header(path):
+    """``((version, header length), header)`` of a model file."""
+    blob = path.read_bytes()
+    lengths = struct.unpack_from("<II", blob, 4)
+    return lengths, json.loads(blob[12:12 + lengths[1]])
+
+
+def write_version1_model(model, path):
+    """Write ``model`` as container version 1 did: the same header without a
+    ``dtype`` field, then every tensor as ``"<f8"``."""
+    def fields(obj):
+        return dataclasses.asdict(obj) if obj is not None else None
+    header = {
+        "architecture": dataclasses.asdict(model.architecture),
+        "bounds": fields(model.bounds),
+        "labels": list(model.labels) if model.labels is not None else None,
+        "calibration": fields(model.calibration),
+        "metadata": fields(model.metadata),
+        "config": model.config.to_dict() if model.config is not None else None,
+        "tensors": [{"name": name, "shape": list(model.params[name].shape)}
+                    for name in PARAM_ORDER],
+    }
+    text = json.dumps(header, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    path.write_bytes(
+        b"TMA1" + struct.pack("<II", 1, len(text)) + text
+        + b"".join(np.ascontiguousarray(model.params[name], dtype="<f8")
+                   .tobytes() for name in PARAM_ORDER))
+
+
 class TestModelContainer:
     def test_round_trip_bitwise(self, tmp_path, rng):
         model = sample_model(rng)
@@ -367,6 +399,68 @@ class TestModelContainer:
                            "'final_loss' is nan, expected a finite number"):
             read_model(path)
 
+    def test_trained_model_round_trips_in_float32(self, tmp_path,
+                                                  trained_setup):
+        model = trained_setup.model
+        path, wide_path = tmp_path / "m.tma", tmp_path / "wide.tma"
+        write_model(model, path)
+        write_model(dataclasses.replace(model, params={
+            k: v.astype(np.float64) for k, v in model.params.items()}),
+            wide_path)
+        (version, header_len), header = container_header(path)
+        assert (version, header["dtype"]) == (2, "<f4")
+        assert container_header(wide_path)[1]["dtype"] == "<f8"
+        payload = path.stat().st_size - 12 - header_len
+        wide_payload = wide_path.stat().st_size - 12 - header_len
+        assert 2 * payload == wide_payload
+        assert path.stat().st_size < 0.55 * wide_path.stat().st_size
+
+        back = read_model(path)
+        for name in PARAM_ORDER:
+            assert back.params[name].dtype == np.float32
+            assert back.params[name].tobytes() == model.params[name].tobytes()
+        arch = model.architecture
+        maps = np.random.default_rng(7).random(
+            (5, arch.input_rows, arch.input_cols))
+        for m in maps:
+            assert predict(back, m) == predict(model, m)
+
+    def test_version1_file_loads_in_float64(self, tmp_path, rng):
+        model = sample_model(rng)
+        model.params = {k: v.astype(np.float32).astype(np.float64)
+                        for k, v in model.params.items()}
+        path = tmp_path / "v1.tma"
+        write_version1_model(model, path)
+        back = read_model(path)
+        for name in PARAM_ORDER:
+            assert back.params[name].dtype == np.float64
+            np.testing.assert_array_equal(back.params[name],
+                                          model.params[name])
+        x = rng.random((14, 12))
+        np.testing.assert_array_equal(forward(back, x), forward(model, x))
+        assert forward(back, x).dtype == np.float64
+        # version 1 has no dtype field: one in its header changes nothing
+        rewrite_header(path, lambda header: header.update({"dtype": "<f4"}))
+        np.testing.assert_array_equal(forward(read_model(path), x),
+                                      forward(model, x))
+
+    @pytest.mark.parametrize("value", [
+        "<fx", "<i8", ">f8", "<f2", "float32", "", 4, 8.0, None, ["<f4"],
+        {"dtype": "<f8"}, "missing",
+    ])
+    def test_bad_tensor_dtype_is_named(self, tmp_path, rng, value):
+        path = tmp_path / "m.tma"
+        write_model(sample_model(rng), path)
+
+        def change(header):
+            if value == "missing":
+                del header["dtype"]
+            else:
+                header["dtype"] = value
+        rewrite_header(path, change)
+        with pytest.raises(ModelIOError, match="header field 'dtype' is "):
+            read_model(path)
+
     @pytest.mark.parametrize("field,value", [
         ("input_rows", 44.0), ("kernel", 3.0), ("conv1_filters", True),
         ("input_cols", "80"),
@@ -391,7 +485,7 @@ JSON_VALUES = st.recursive(
                    | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=8)
 HEADER_KEYS = ("architecture", "bounds", "labels", "calibration", "metadata",
-               "config", "tensors")
+               "config", "dtype", "tensors")
 
 
 @pytest.fixture(scope="module")
@@ -959,9 +1053,10 @@ class TestFuzzedMutations:
                 back = read_model(path)
             except ModelIOError:
                 continue
-            changed = any(
-                not np.array_equal(back.params[k], model.params[k])
-                for k in model.params)
+            # compared as bytes: a flipped sign bit of 0.0 reads back as
+            # -0.0, which is a visible change that == does not see
+            changed = any(back.params[k].tobytes() != model.params[k].tobytes()
+                          for k in model.params)
             changed |= back.labels != model.labels
             changed |= back.bounds != model.bounds
             changed |= back.calibration != model.calibration
