@@ -31,6 +31,16 @@ recordings with the same ``S``, so both meet every block with the same
 matrix and the same arithmetic: offline envelopes equal the streaming ones
 bit for bit.
 
+The same form filters the synthetic generator's carrier:
+:func:`design_butterworth_bandpass` designs a fourth-order Butterworth
+band-pass in numpy as one 8-state system ``(A, B, C, D)``, and
+:func:`block_filter` runs it over a whole recording. There every full block
+is filtered at once, by one batched product with ``T`` and one with ``Psi``,
+the state recursion ``z <- Phi z + Psi X`` loops over blocks, not samples, and
+one batched product with ``Gamma`` adds each block's start state; the short
+last block uses the matrices of its own length. :func:`block_matrices` builds
+``(T, Gamma, Phi, Psi)`` from ``(A, B, C, D)`` for both filters.
+
 Zero-phase (forward-backward) filtering is deliberately not offered: it needs
 future samples and therefore cannot run streaming. The price is the filter's
 group delay, which downstream onset timing simply inherits.
@@ -116,6 +126,89 @@ def design_butterworth_lowpass(cutoff_hz: float, sample_rate: float) -> BiquadCo
     )
 
 
+def design_butterworth_bandpass(
+        low_hz: float, high_hz: float, sample_rate: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Design a fourth-order Butterworth band-pass as one state-space system.
+
+    The band edges are prewarped, ``w = tan(pi * f / sample_rate)``; the
+    analog low-pass prototype's four poles are moved to the band by
+    ``s -> (s^2 + w_low * w_high) / (s * (w_high - w_low))``, and the bilinear
+    transform ``z = (1 + s) / (1 - s)`` maps the eight poles into the unit
+    disc, four zeros to ``z = +1`` and four to ``z = -1``. Each conjugate pole
+    pair becomes one direct-form-II-transposed biquad with numerator
+    ``1 - z^-2``; the gain rides on the first, and the sections run in order
+    of pole radius, the pole nearest the unit circle last.
+
+    Args:
+        low_hz: Lower -3 dB edge in Hz.
+        high_hz: Upper -3 dB edge in Hz.
+        sample_rate: Sampling frequency in Hz.
+
+    Returns:
+        ``(A, B, C, D)`` of the 8-state cascade ``z' = A z + B x``,
+        ``y = C z + D x``: A is 8 x 8, B and C have 8 entries and D is the
+        gain, a float.
+
+    Raises:
+        ConfigError: Unless 0 < low_hz < high_hz < sample_rate / 2.
+    """
+    if not 0 < low_hz < high_hz < sample_rate / 2:
+        raise ConfigError(f"the band must satisfy 0 < low < high < "
+                          f"{sample_rate / 2:g} Hz, got ({low_hz}, {high_hz})")
+    w_low = math.tan(math.pi * low_hz / sample_rate)
+    w_high = math.tan(math.pi * high_hz / sample_rate)
+    bw = w_high - w_low
+    prototype = np.exp(1j * math.pi * np.arange(5, 13, 2) / 8)
+    half = prototype * bw / 2.0
+    root = np.sqrt(half * half - w_low * w_high)
+    analog = np.concatenate([half + root, half - root])
+    gain = bw ** 4 / np.prod(1.0 - analog).real
+    poles = (1.0 + analog) / (1.0 - analog)
+    poles = poles[poles.imag > 0]
+    a = np.zeros((0, 0))
+    b = c = np.zeros(0)
+    d = 1.0
+    for i, p in enumerate(poles[np.argsort(np.abs(poles))]):
+        # one section: b = g * [1, 0, -1], a = [1, -2 Re p, |p|^2]
+        g = gain if i == 0 else 1.0
+        a1, a2 = -2.0 * p.real, abs(p) ** 2
+        sa = np.array([[-a1, 1.0], [-a2, 0.0]])
+        sb = np.array([-a1 * g, -g - a2 * g])
+        # in series: the section's input is the cascade's output so far
+        n = a.shape[0]
+        cascade = np.zeros((n + 2, n + 2))
+        cascade[:n, :n] = a
+        cascade[n:, :n] = np.outer(sb, c)
+        cascade[n:, n:] = sa
+        a, b, c, d = (cascade, np.concatenate([b, sb * d]),
+                      np.concatenate([g * c, [1.0, 0.0]]), g * d)
+    return a, b, c, d
+
+
+def block_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: float,
+                   size: int) -> tuple[np.ndarray, ...]:
+    """``(T, Gamma, Phi, Psi)`` of the system ``z' = a z + b x``,
+    ``y = c z + d x`` over a block of ``size`` samples.
+
+    ``T`` is the ``size``-square lower-triangular Toeplitz matrix of the
+    impulse response ``d, c b, c a b, ...``; row ``i`` of ``Gamma`` is
+    ``c a^i``; ``Phi`` is ``a^size``; column ``j`` of ``Psi`` is
+    ``a^(size-1-j) b``. The matrices for a shorter block hold the same bits
+    as the leading rows and columns (the trailing columns of ``Psi``) of
+    these.
+    """
+    powers = np.empty((size + 1, *a.shape))
+    powers[0] = np.eye(a.shape[0])
+    for k in range(1, size + 1):
+        powers[k] = a @ powers[k - 1]
+    carried = powers[:size] @ b              # row k: a^k b
+    impulse = np.concatenate([[d], carried[:size - 1] @ c])
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    t = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+    return t, c @ powers[:size], powers[size], carried[::-1].T
+
+
 class EnvelopeFilter:
     """Per-channel streaming biquad bank in block state-space form.
 
@@ -142,40 +235,24 @@ class EnvelopeFilter:
         self.coeffs = coeffs
         self.channels = channels
         self.block_size = block_size
-        c, S = coeffs, block_size
         # z' = A z + B x, y = C z + D x with C = [1, 0] and D = b0
-        a = np.array([[-c.a1, 1.0], [-c.a2, 0.0]])
-        b = np.array([c.b1 - c.a1 * c.b0, c.b2 - c.a2 * c.b0])
-        powers = np.empty((S + 1, 2, 2))
-        powers[0] = np.eye(2)
-        for k in range(1, S + 1):
-            powers[k] = a @ powers[k - 1]
-        carried = powers[:S] @ b                 # row k: A^k B
-        impulse = np.concatenate([[c.b0], carried[:S - 1, 0]])
-        lag = np.subtract.outer(np.arange(S), np.arange(S))
-        # Rows 0-1 map to the next state, rows 2.. to the outputs; columns
-        # 0-1 take the state, columns 2.. the input block.
-        full = np.zeros((S + 2, S + 2))
-        full[:2, :2] = powers[S]                 # Phi
-        full[:2, 2:] = carried[::-1].T           # Psi: column j is A^(S-1-j) B
-        full[2:, :2] = powers[:S, 0]             # Gamma: row i is C A^i
-        full[2:, 2:] = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)  # T
-        self._powers = powers
-        self._full = full
+        c = coeffs
+        self._system = (np.array([[-c.a1, 1.0], [-c.a2, 0.0]]),
+                        np.array([c.b1 - c.a1 * c.b0, c.b2 - c.a2 * c.b0]),
+                        np.array([1.0, 0.0]), c.b0)
+        self._full = self._matrix(block_size)
         # Rows 0-1 hold the state between calls; the block is copied below it
         # so one product advances both.
-        self._work = np.zeros((S + 2, channels))
+        self._work = np.zeros((block_size + 2, channels))
 
     def _matrix(self, r: int) -> np.ndarray:
-        """The (r + 2)-square block matrix for a block of r <= S samples."""
-        S = self.block_size
-        if r == S:
-            return self._full
-        m = np.empty((r + 2, r + 2))
-        m[:2, :2] = self._powers[r]
-        m[:2, 2:] = self._full[:2, 2 + S - r:]
-        m[2:] = self._full[2:r + 2, :r + 2]
-        return m
+        """The (r + 2)-square block matrix for a block of r <= S samples.
+
+        Rows 0-1 map to the next state, rows 2.. to the outputs; columns 0-1
+        take the state, columns 2.. the input block.
+        """
+        t, gamma, phi, psi = block_matrices(*self._system, r)
+        return np.block([[phi, psi], [gamma, t]])
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter a (samples, channels) block in time order.
@@ -193,7 +270,8 @@ class EnvelopeFilter:
         for start in range(0, block.shape[0], S):
             r = min(S, block.shape[0] - start)
             work[2:r + 2] = block[start:start + r]
-            res = np.dot(self._matrix(r), work[:r + 2])
+            m = self._full if r == S else self._matrix(r)
+            res = np.dot(m, work[:r + 2])
             work[:2] = res[:2]
             out[start:start + r] = res[2:]
         return out
@@ -209,3 +287,36 @@ def envelope_stream(raw: np.ndarray, coeffs: BiquadCoefficients,
     raw = np.asarray(raw, dtype=np.float64)
     filt = EnvelopeFilter(coeffs, raw.shape[1], block_size)
     return filt.process(np.abs(raw))
+
+
+def block_filter(system: tuple, x: np.ndarray, block_size: int) -> np.ndarray:
+    """Filter each column of a (samples, channels) array from zero state.
+
+    ``system`` is ``(A, B, C, D)`` as :func:`design_butterworth_bandpass`
+    returns it. All full blocks of ``block_size`` samples are filtered
+    together: one batched product with ``T`` gives every block's response to
+    its own input and one with ``Psi`` the state each block adds, the
+    recursion ``z <- Phi z + Psi X_k`` runs once per block, and one batched
+    product with ``Gamma`` adds each block's response to the state it starts
+    from. The last ``r < block_size`` samples use the ``r``-step matrices,
+    so the input is never padded. The result agrees with a per-sample
+    recursion to rounding, not bit for bit.
+    """
+    t, gamma, phi, psi = block_matrices(*system, block_size)
+    n, channels = x.shape
+    blocks = n // block_size
+    full = blocks * block_size
+    y = np.empty((n, channels))
+    xb = x[:full].reshape(blocks, block_size, channels)
+    yb = y[:full].reshape(blocks, block_size, channels)
+    np.matmul(t, xb, out=yb)
+    # states[k]: the state after block k, first only the part its input adds
+    states = np.matmul(psi, xb)
+    step = np.empty((psi.shape[0], channels))
+    for prev, cur in zip(states, states[1:]):
+        cur += np.dot(phi, prev, out=step)
+    yb[1:] += np.matmul(gamma, states[:-1])
+    state = states[-1] if blocks else np.zeros((psi.shape[0], channels))
+    r = n - full
+    y[full:] = t[:r, :r] @ x[full:] + gamma[:r] @ state
+    return y

@@ -16,7 +16,8 @@ metadata, tensor dtype, tensor manifest), then the raw tensor data in
 manifest order, little-endian in the dtype of the model's parameters:
 ``"<f4"`` for a trained float32 model, ``"<f8"`` for a float64 one. Version 1
 files, which have no dtype field, hold ``"<f8"`` tensors and still load.
-Weights round-trip bit-for-bit.
+A header key its version does not define is refused; an optional field that
+is missing reads as null. Weights round-trip bit-for-bit.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ MODEL_MAGIC = b"TMA1"
 MODEL_VERSION = 2
 # The tensor dtypes a container may declare; version 1 wrote only "<f8".
 MODEL_DTYPES = ("<f4", "<f8")
+# The header keys of each container version. Any other key is refused, so a
+# flipped bit in a key's name cannot drop a field; a missing optional key
+# still reads as null.
+_V1_HEADER_KEYS = frozenset({"architecture", "bounds", "labels", "calibration",
+                             "metadata", "config", "tensors"})
+MODEL_HEADER_KEYS = {1: _V1_HEADER_KEYS, 2: _V1_HEADER_KEYS | {"dtype"}}
 
 
 def annotations_path(recording_path: str | Path) -> Path:
@@ -428,7 +435,8 @@ def read_model(path: str | Path) -> CnnModel:
         ModelFormatError: Wrong magic bytes.
         ModelVersionError: Unsupported container version.
         ModelTruncatedError: Fewer payload bytes than the manifest declares.
-        ModelIOError: Malformed header, a tensor dtype other than
+        ModelIOError: Malformed header, a header key the container
+            version does not define, a tensor dtype other than
             ``"<f4"`` or ``"<f8"``, an unknown or repeated tensor, bytes
             after the last tensor, or tensor shapes inconsistent with the
             declared architecture.
@@ -460,6 +468,9 @@ def read_model(path: str | Path) -> CnnModel:
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelIOError(f"{path}: malformed header: {exc}") from exc
 
+    unknown = sorted(set(header) - MODEL_HEADER_KEYS[version])
+    if unknown:
+        raise ModelIOError(f"{path}: unknown header field {unknown[0]!r}")
     if not isinstance(manifest, list):
         raise ModelIOError(
             f"{path}: header field 'tensors' is {manifest!r}, expected a list")

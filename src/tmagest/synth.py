@@ -1,8 +1,8 @@
 """Synthetic multi-channel sEMG sessions with ground-truth annotations.
 
-Each channel is zero-mean broadband noise (the carrier, band-limited,
-amplitude-compressed, and scaled to unit standard deviation) modulated by a
-slowly varying gain::
+Each channel is zero-mean broadband noise (the carrier: band-limited to
+20-95 Hz by a fourth-order Butterworth band-pass, amplitude-compressed, and
+scaled to unit standard deviation) modulated by a slowly varying gain::
 
     signal[t, l] = carrier[t, l] * (floor + sum_g amp_g * gain_g[l] * prof_g(t))
 
@@ -17,8 +17,12 @@ that total signal power during a hold, relative to rest, matches the target::
 
     mean_l (floor + amp * gain_l)^2 = 10^(snr_db / 10) * floor^2
 
-Everything is a pure function of (script, templates, seed): identical inputs
-give bit-identical recordings.
+Both sides scale with ``floor^2``, so ``amp / floor`` is solved at floor = 1.
+
+The band-pass is :func:`tmagest.dsp.design_butterworth_bandpass`, run by
+:func:`tmagest.dsp.block_filter` in blocks of 128 samples: synthesis needs
+numpy only. Everything is a pure function of (script, templates, seed):
+identical inputs give bit-identical recordings.
 """
 
 from __future__ import annotations
@@ -29,12 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dsp
 from .config import SessionConfig, is_finite_real
 from .errors import ConfigError
 from .recording import PHASE_FLEXION, PHASE_RETURN, Annotation, Recording
 
 _CARRIER_BAND_HZ = (20.0, 95.0)
-# _solve_amplitude squares the floor: below this the square is subnormal
+# samples per block of the carrier's band-pass (dsp.block_filter)
+_CARRIER_BLOCK = 128
+# the SNR is a ratio to rest power, floor ** 2: below this it is subnormal
 _MIN_NOISE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
 
 
@@ -160,26 +167,27 @@ def _activation_knots(start: float, tpl: GestureTemplate
 
 
 def _solve_amplitude(gains: np.ndarray, floor: float, snr_db: float) -> float:
-    """Modulation amplitude so hold power over rest power hits the SNR."""
+    """Modulation amplitude so hold power over rest power hits the SNR.
+
+    The amplitude scales with the floor, so it is solved at floor = 1 and
+    then scaled: no square of the floor can underflow or overflow.
+    """
     s = 10.0 ** (snr_db / 10.0)
     L = gains.shape[0]
     a = float(np.sum(gains * gains))
-    b = 2.0 * floor * float(np.sum(gains))
-    c = L * floor * floor * (1.0 - s)
-    return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    b = 2.0 * float(np.sum(gains))
+    c = L * (1.0 - s)
+    return floor * ((-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a))
 
 
 def _carrier(rng: np.random.Generator, n: int, channels: int,
              sample_rate: float, compression: float) -> np.ndarray:
     """Unit-variance broadband noise carrier.
 
-    Gaussian noise confined to the sEMG band, then amplitude-compressed
-    (``sign(x) * |x|**a``) and rescaled to unit standard deviation.
+    Gaussian noise confined to the sEMG band by a fourth-order Butterworth
+    band-pass, then amplitude-compressed (``sign(x) * |x|**a``) and rescaled
+    to unit standard deviation.
     """
-    # Imported here, so that importing tmagest does not load scipy.
-    from scipy import signal as sp_signal
-
-    white = rng.standard_normal((n, channels))
     low, high = _CARRIER_BAND_HZ
     nyq = sample_rate / 2.0
     if high >= nyq:
@@ -187,12 +195,16 @@ def _carrier(rng: np.random.Generator, n: int, channels: int,
     if low >= high:
         raise ConfigError(f"a sample rate of {sample_rate:g} Hz leaves no room "
                           f"for the carrier band above {low:g} Hz")
-    sos = sp_signal.butter(4, [low / nyq, high / nyq], btype="bandpass",
-                           output="sos")
-    shaped = sp_signal.sosfilt(sos, white, axis=0)
+    band = dsp.design_butterworth_bandpass(low, high, sample_rate)
+    shaped = dsp.block_filter(band, rng.standard_normal((n, channels)),
+                              _CARRIER_BLOCK)
     if compression != 1.0:
-        shaped = np.sign(shaped) * np.abs(shaped) ** compression
-    return shaped / shaped.std(axis=0)
+        # sign(x) * |x|**a, in place
+        magnitude = np.abs(shaped)
+        magnitude **= compression
+        shaped = np.copysign(magnitude, shaped, out=magnitude)
+    shaped /= shaped.std(axis=0)
+    return shaped
 
 
 def generate(script: SessionScript, templates: dict[str, GestureTemplate],

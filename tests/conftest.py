@@ -1,6 +1,9 @@
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 # One BLAS thread: a second one slows the small GEMMs of the SGD step while
@@ -48,6 +51,16 @@ def small_config():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def run_python(code: str, **env) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on the sources
+    of this checkout, with ``env`` added to the environment."""
+    src = str(Path(synth.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
 
 
 def rewrite_header(path, change):

@@ -469,7 +469,7 @@ class TestSettingsIngress:
         self.assert_refused(tmp_path, [f"{flag}={value}"], field)
 
     @pytest.mark.parametrize("flags,field", [
-        (["--noise-floor=1e10", "--snr=3000"],
+        (["--noise-floor=1e160", "--snr=3000"],
          "noise_floor, snr_db and burst_gain"),
         (["--mode=sequence", "--events=-5"], "count"),
     ])

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from tmagest import synth
 from tmagest.config import SessionConfig
 from tmagest.dsp import (
     EnvelopeFilter,
+    block_filter,
+    design_butterworth_bandpass,
     design_butterworth_lowpass,
     envelope_stream,
 )
 from tmagest.errors import ConfigError, StructuralError
 
 S = SessionConfig().map_stride    # the engine's filter block
+CARRIER_BLOCK = synth._CARRIER_BLOCK
 
 
 def measured_sine_gain(coeffs, freq_hz, fs, seconds=40.0):
@@ -206,3 +210,137 @@ class TestInvariants:
         x = rng.normal(size=(1000, 4))
         np.testing.assert_array_equal(envelope_stream(x, c, S),
                                       envelope_stream(x, c, S))
+
+
+def envelope_block_matrix(coeffs, size, r):
+    """Reference: the (r + 2)-square block matrix of an EnvelopeFilter of
+    block size ``size`` for a block of ``r`` samples, built from the biquad's
+    own recursion without :func:`tmagest.dsp.block_matrices`."""
+    c, S = coeffs, size
+    a = np.array([[-c.a1, 1.0], [-c.a2, 0.0]])
+    b = np.array([c.b1 - c.a1 * c.b0, c.b2 - c.a2 * c.b0])
+    powers = np.empty((S + 1, 2, 2))
+    powers[0] = np.eye(2)
+    for k in range(1, S + 1):
+        powers[k] = a @ powers[k - 1]
+    carried = powers[:S] @ b
+    impulse = np.concatenate([[c.b0], carried[:S - 1, 0]])
+    lag = np.subtract.outer(np.arange(S), np.arange(S))
+    full = np.zeros((S + 2, S + 2))
+    full[:2, :2] = powers[S]
+    full[:2, 2:] = carried[::-1].T
+    full[2:, :2] = powers[:S, 0]
+    full[2:, 2:] = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+    if r == S:
+        return full
+    m = np.empty((r + 2, r + 2))
+    m[:2, :2] = powers[r]
+    m[:2, 2:] = full[:2, 2 + S - r:]
+    m[2:] = full[2:r + 2, :r + 2]
+    return m
+
+
+class TestSharedBlockMatrices:
+    @pytest.mark.parametrize("fc,fs", [(2.0, 200.0), (0.5, 100.0),
+                                       (10.0, 1000.0), (40.0, 4000.0),
+                                       (95.0, 200.0)])
+    def test_envelope_filter_keeps_its_bytes(self, fc, fs):
+        # the engine's and the offline envelopes depend on these bits
+        c = design_butterworth_lowpass(fc, fs)
+        for size in (1, 2, 7, 20, 64):
+            filt = EnvelopeFilter(c, 2, size)
+            assert filt._full.tobytes() == \
+                envelope_block_matrix(c, size, size).tobytes()
+            for r in range(1, size):
+                assert filt._matrix(r).tobytes() == \
+                    envelope_block_matrix(c, size, r).tobytes()
+
+
+def carrier_band(fs):
+    """The synthetic carrier's band at ``fs``, clamped as ``synth`` clamps it."""
+    low, high = synth._CARRIER_BAND_HZ
+    return low, min(high, 0.95 * fs / 2)
+
+
+# 150 Hz puts the 95 Hz edge above Nyquist, so the band is clamped
+BAND_RATES = [200.0, 1000.0, 4000.0, 150.0]
+
+
+def frequency_response(system, w):
+    """H(e^{jw}) = C (e^{jw} I - A)^-1 B + D of a state-space system."""
+    a, b, c, d = system
+    eye = np.eye(a.shape[0])
+    return np.array([c @ np.linalg.solve(np.exp(1j * x) * eye - a, b) + d
+                     for x in w])
+
+
+class TestBandpassDesign:
+    @pytest.mark.parametrize("fs", BAND_RATES)
+    def test_matches_scipy_zpk(self, fs):
+        low, high = carrier_band(fs)
+        a, b, c, d = design_butterworth_bandpass(low, high, fs)
+        z, p, k = sp_signal.butter(4, [low, high], btype="bandpass",
+                                   output="zpk", fs=fs)
+        assert a.shape == (8, 8) and b.shape == c.shape == (8,)
+        np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(a)),
+                                   np.sort_complex(p), rtol=0, atol=1e-10)
+        assert d == pytest.approx(k, rel=1e-12)
+        # the zeros, four at +1 and four at -1, are multiple roots, so they
+        # are compared as the numerator's coefficients: (z^2 - 1)^4
+        np.testing.assert_allclose(np.poly(a - np.outer(b, c) / d),
+                                   np.poly(z), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(np.poly(z), [1, 0, -4, 0, 6, 0, -4, 0, 1],
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("fs", BAND_RATES)
+    def test_matches_scipy_sos_response(self, fs):
+        low, high = carrier_band(fs)
+        sos = sp_signal.butter(4, [low, high], btype="bandpass", output="sos",
+                               fs=fs)
+        w, want = sp_signal.sosfreqz(sos, worN=64)
+        got = frequency_response(design_butterworth_bandpass(low, high, fs), w)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("low,high,fs", [
+        (0.0, 95.0, 200.0), (-1.0, 95.0, 200.0), (95.0, 20.0, 200.0),
+        (20.0, 20.0, 200.0), (20.0, 100.0, 200.0), (20.0, 95.0, 0.0),
+    ])
+    def test_domain_errors(self, low, high, fs):
+        with pytest.raises(ConfigError, match="the band must satisfy"):
+            design_butterworth_bandpass(low, high, fs)
+
+
+class TestBlockFilter:
+    @pytest.mark.parametrize("fs", BAND_RATES)
+    @pytest.mark.parametrize("n", [1, 2, CARRIER_BLOCK - 1, CARRIER_BLOCK,
+                                   CARRIER_BLOCK + 1, 37 * CARRIER_BLOCK + 5])
+    def test_matches_sosfilt(self, rng, fs, n):
+        low, high = carrier_band(fs)
+        sos = sp_signal.butter(4, [low, high], btype="bandpass", output="sos",
+                               fs=fs)
+        x = rng.standard_normal((n, 3))
+        want = sp_signal.sosfilt(sos, x, axis=0)
+        got = block_filter(design_butterworth_bandpass(low, high, fs), x,
+                           CARRIER_BLOCK)
+        # the two round differently, by some 1e-13 of the output's scale; an
+        # output that crosses zero has no relative error of its own there
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=1e-10 * np.abs(want).max())
+
+    @pytest.mark.parametrize("size", [1, 5, 64])
+    def test_any_block_size_gives_the_same_filter(self, rng, size):
+        system = design_butterworth_bandpass(20.0, 95.0, 200.0)
+        x = rng.standard_normal((1000, 2))
+        want = block_filter(system, x, CARRIER_BLOCK)
+        np.testing.assert_allclose(block_filter(system, x, size), want,
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_input_is_untouched_and_output_is_causal(self, rng):
+        system = design_butterworth_bandpass(20.0, 95.0, 200.0)
+        x = rng.standard_normal((700, 2))
+        before = x.copy()
+        y = block_filter(system, x, CARRIER_BLOCK)
+        np.testing.assert_array_equal(x, before)
+        x[300:] = 99.0
+        np.testing.assert_array_equal(block_filter(system, x, CARRIER_BLOCK)[:300],
+                                      y[:300])

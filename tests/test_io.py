@@ -304,6 +304,49 @@ class TestModelContainer:
         with pytest.raises(ModelIOError):
             read_model(path)
 
+    def test_flipped_bit_in_a_null_key_is_refused(self, tmp_path, rng):
+        # 'f' ^ 0x04 == 'b': the model has no config, so the flipped name
+        # would read as a missing key, and a missing key reads as null
+        path = tmp_path / "m.tma"
+        write_model(sample_model(rng), path)
+        blob = path.read_bytes()
+        assert blob.count(b'"config":null') == 1
+        path.write_bytes(blob.replace(b'"config":null', b'"conbig":null'))
+        with pytest.raises(ModelIOError,
+                           match="unknown header field 'conbig'"):
+            read_model(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_unknown_header_key_is_named(self, tmp_path, rng, version):
+        path = tmp_path / "m.tma"
+        model = sample_model(rng)
+        if version == 1:
+            write_version1_model(model, path)
+        else:
+            write_model(model, path)
+        rewrite_header(path, lambda header: header.update(
+            {"zzz": 1, "notes": None}))
+        with pytest.raises(ModelIOError, match="unknown header field 'notes'"):
+            read_model(path)
+
+    @pytest.mark.parametrize("write", [write_model, write_version1_model])
+    def test_missing_optional_keys_read_as_null(self, tmp_path, rng, write):
+        path = tmp_path / "m.tma"
+        model = sample_model(rng)
+        write(model, path)
+
+        def drop(header):
+            for key in ("bounds", "labels", "calibration", "metadata",
+                        "config"):
+                del header[key]
+        rewrite_header(path, drop)
+        back = read_model(path)
+        assert (back.bounds, back.labels, back.calibration, back.metadata,
+                back.config) == (None, None, None, None, None)
+        for name in model.params:
+            np.testing.assert_array_equal(back.params[name],
+                                          model.params[name])
+
     @staticmethod
     def rewrite(path, manifest_extra=(), payload_extra=b""):
         """Re-frame a written model with more manifest entries and bytes."""
@@ -439,10 +482,11 @@ class TestModelContainer:
         x = rng.random((14, 12))
         np.testing.assert_array_equal(forward(back, x), forward(model, x))
         assert forward(back, x).dtype == np.float64
-        # version 1 has no dtype field: one in its header changes nothing
+        # version 1 has no dtype field: one in its header is refused, as a
+        # version-2 file whose version number was flipped to 1 would be
         rewrite_header(path, lambda header: header.update({"dtype": "<f4"}))
-        np.testing.assert_array_equal(forward(read_model(path), x),
-                                      forward(model, x))
+        with pytest.raises(ModelIOError, match="unknown header field 'dtype'"):
+            read_model(path)
 
     @pytest.mark.parametrize("value", [
         "<fx", "<i8", ">f8", "<f2", "float32", "", 4, 8.0, None, ["<f4"],

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from tmagest import synth
 from tmagest.config import SessionConfig
 from tmagest.dsp import design_butterworth_lowpass, envelope_stream
@@ -283,7 +284,8 @@ class TestGenerate:
         assert np.isfinite(10.0 ** (snr_db / 10.0))
 
     @pytest.mark.parametrize("script,timing", [
-        (dict(noise_floor=1e10, snr_db=3000.0), {}),
+        # the amplitude, floor * 10^150 * ..., passes the float range
+        (dict(noise_floor=1e160, snr_db=3000.0), {}),
         ({}, dict(burst_gain=1e308)),
     ], ids=["floor-and-snr", "burst"])
     def test_overflowing_samples_rejected(self, script, timing):
@@ -292,6 +294,17 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="every sample is finite"):
             generate(blocked_script(("a", "b"), templates, 1, **script),
                      templates, config)
+
+    def test_large_floor_and_snr_render_when_the_samples_fit(self):
+        # the rest power times the SNR, 4 * 1e20 * 1e300, overflows, but
+        # the samples, near 1e161, do not
+        config = SessionConfig(channels=4, gestures=("a", "b"))
+        templates = default_template_set(4, ("a", "b"))
+        rec = generate(blocked_script(("a", "b"), templates, 1,
+                                      noise_floor=1e10, snr_db=3000.0),
+                       templates, config)
+        assert np.isfinite(rec.samples).all()
+        assert 1e159 < np.abs(rec.samples).max() < 1e163
 
     def test_zero_snr_leaves_the_hold_at_the_floor(self):
         # 0 dB is the edge of the model: the activation amplitude is 0
@@ -302,6 +315,28 @@ class TestGenerate:
         script.carrier_compression = 1.0
         rec = generate(script, templates, config)
         assert rec.num_samples > 0
+
+
+BLAS_THREAD_SYNTH = """
+import hashlib
+from tmagest import synth
+from tmagest.config import SessionConfig
+
+config = SessionConfig()
+templates = synth.default_template_set(config.channels, config.gestures)
+script = synth.blocked_script(config.gestures, templates, 2, seed=7)
+samples = synth.generate(script, templates, config).samples
+print(samples.shape, hashlib.sha256(samples.tobytes()).hexdigest())
+"""
+
+
+def test_recording_does_not_depend_on_blas_threads():
+    # the carrier's band-pass runs as batched matrix products
+    outputs = [run_python(BLAS_THREAD_SYNTH, OPENBLAS_NUM_THREADS=threads,
+                          OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+               for threads in ("1", "2")]
+    assert outputs[0].startswith("(")
+    assert outputs[0] == outputs[1]
 
 
 class TestScripts:
