@@ -20,6 +20,7 @@ import dataclasses
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import get_type_hints
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import cnn, io, pipeline, synth
 from .config import SessionConfig
 from .engine import Engine, event_to_dict, iter_batches, run_replay
-from .errors import TmagestError
+from .errors import RecordingParseError, TmagestError, UsageError
 from .onset import ThresholdCalibration, calibrate_threshold
 from .recording import Recording
 
@@ -187,17 +188,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args, fallback=model.config)
     if args.no_suppression:
         config = dataclasses.replace(config, suppress_alternate_onsets=False)
-    if args.input == "-":
-        strides = io.read_strides(sys.stdin.buffer, config.channels,
-                                  config.map_stride)
-        events = filter(None, map(Engine(model, config).step, strides))
-    else:
-        [recording] = _read_recordings([args.input], config)
-        events = run_replay(recording, model, config, pacing=args.pacing)
-    for event in events:
-        print(json.dumps(event_to_dict(event,
-                                       include_timing=not args.no_timing)),
-              flush=True)
+    path = None if args.input == "-" else args.input
+    with open(path, "rb") if path else nullcontext(sys.stdin.buffer) as fh:
+        strides = io.read_strides(fh, config.channels, config.map_stride)
+        try:
+            for event in run_replay(strides, model, config, args.pacing):
+                print(json.dumps(event_to_dict(
+                    event, include_timing=not args.no_timing)), flush=True)
+        except RecordingParseError as exc:    # a file's errors name it
+            raise RecordingParseError(exc.reason, exc.line, path) from exc
     return 0
 
 
@@ -216,6 +215,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.iterations < 1:
+        raise UsageError(f"--iterations is {args.iterations}, need at least 1")
     model = io.read_model(args.model)
     config = _load_config(args, fallback=model.config)
     # Force the full classify path on every stride: threshold below any

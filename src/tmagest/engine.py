@@ -25,7 +25,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .config import SessionConfig
 from .dsp import EnvelopeFilter, design_butterworth_lowpass
 from .errors import ConfigError, StructuralError, UsageError
 from .onset import OnsetDetector, difference
-from .recording import Recording
 from .tma import FrameRing, feature_matrix
 
 logger = logging.getLogger(__name__)
@@ -194,9 +193,10 @@ def iter_batches(samples: np.ndarray, stride: int) -> Iterator[np.ndarray]:
         yield samples[start:start + stride]
 
 
-def run_replay(recording: Recording, model: CnnModel, config: SessionConfig,
-               pacing: str = "fast") -> Iterator[object]:
-    """Feed a recording through the engine, yielding events as they fire.
+def run_replay(strides: Iterable[np.ndarray], model: CnnModel,
+               config: SessionConfig, pacing: str = "fast") -> Iterator[object]:
+    """Feed strides of raw samples (see :func:`iter_batches`) through the
+    engine, yielding events as they fire.
 
     ``pacing="realtime"`` sleeps between strides to mimic live acquisition;
     ``"fast"`` runs unthrottled. The emitted event sequence is identical
@@ -204,19 +204,14 @@ def run_replay(recording: Recording, model: CnnModel, config: SessionConfig,
     real-time budget is logged, never dropped.
 
     Raises:
-        ConfigError: If the recording's sampling rate differs from the config.
+        ConfigError: If the pacing is unknown.
     """
     if pacing not in ("fast", "realtime"):
         raise ConfigError(f"unknown pacing '{pacing}'")
-    if recording.sample_rate != config.sample_rate:
-        raise ConfigError(
-            f"recording at {recording.sample_rate} Hz, config expects "
-            f"{config.sample_rate} Hz"
-        )
     engine = Engine(model, config)
     budget_s = config.map_stride / config.sample_rate
     next_deadline = time.perf_counter() + budget_s
-    for batch in iter_batches(recording.samples, config.map_stride):
+    for batch in strides:
         start = time.perf_counter()
         event = engine.step(batch)
         if event is not None:

@@ -5,7 +5,7 @@ channel values are rendered with shortest round-trip precision so write/read
 is value-exact. Annotations ride in a sidecar CSV (``n,gesture,phase``)
 derived from the recording path; rows piped on stdin obey the same checks.
 A recording CSV is written and read in blocks of :data:`ROW_BLOCK` lines, so
-its whole text is never held, and stdin a stride at a time, both through one
+its whole text is never held, and a pipe a stride at a time, both through one
 decoder (:func:`_line_blocks`): UTF-8 in any locale, lines broken as by
 ``str.splitlines``. A calibration is a JSON object, which the model header
 embeds.
@@ -156,9 +156,9 @@ def _line_blocks(fh, size: Callable[[], int]
     after a ``b"\\n"``, split by ``str.splitlines``. A block ends on a whole
     line break and UTF-8 sequence, so the blocks hold the lines of
     ``read().splitlines()`` in text mode (which also breaks at ``\\r``,
-    ``\\x0c``, ``\\x85``, ``\\u2028`` and the like). A byte that is not
-    UTF-8 ends in a :class:`RecordingParseError` naming line 1 + the count
-    of ``b"\\n"`` before it.
+    ``\\x0c``, ``\\x85``, ``\\u2028`` and the like). After the lines before
+    its line, a byte that is not UTF-8 ends in a :class:`RecordingParseError`
+    naming line 1 + the count of ``b"\\n"`` before it.
     """
     number, newlines = 1, 0
     while chunk := list(islice(fh, size())):
@@ -166,6 +166,8 @@ def _line_blocks(fh, size: Callable[[], int]
         try:
             lines = raw.decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:
+            if good := raw.rfind(b"\n", 0, exc.start) + 1:
+                yield number, raw[:good].decode("utf-8").splitlines()
             line = newlines + raw.count(b"\n", 0, exc.start) + 1
             raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
                                       line=line) from exc
@@ -215,20 +217,25 @@ def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
 
 def read_strides(fh, channels: int, stride: int) -> Iterator[np.ndarray]:
     """Each ``(stride, channels)`` block of the rows on the binary stream
-    ``fh``, yielded in one reused array as soon as its last row is read.
+    ``fh``, yielded as a view that holds until the next one is asked for.
 
     Lines blank after ``strip()`` or starting with ``t,`` are skipped
     anywhere. Each stride passes :func:`parse_rows`, with ``t`` and line
-    numbers carried across strides; a partial last stride is checked, then
-    dropped. Only the lines the current stride still needs are read.
+    numbers carried across strides, and the strides before the first bad
+    one are yielded; a partial last stride is checked, then dropped.
 
-    A row counts as read when the ``b"\\n"`` that ends it, or the end of the
-    stream, arrives: a live writer should end rows with ``\\n`` or ``\\r\\n``,
-    since rows ended by a lone ``\\r`` wait until the stream closes.
+    A seekable stream never waits on a writer, so it is read and parsed
+    :data:`ROW_BLOCK` lines at a time. Any other stream is read only as far
+    as the current stride needs: a row counts as read when the ``b"\\n"``
+    that ends it, or the end of the stream, arrives. A live writer should
+    end rows with ``\\n`` or ``\\r\\n``, since rows ended by a lone ``\\r``
+    wait until the stream closes.
     """
-    batch = np.empty((stride, channels))
+    seekable = fh.seekable()
+    out = np.empty((stride, channels))
     rows, numbers, prev_t = [], [], None
-    for first, lines in _line_blocks(fh, lambda: stride - len(rows)):
+    for first, lines in _line_blocks(
+            fh, lambda: ROW_BLOCK if seekable else stride - len(rows)):
         rows += map(str.strip, lines)
         numbers += range(first, first + len(lines))
         # a line starting with "t," sorts at or after "t,", so the filter
@@ -237,11 +244,22 @@ def read_strides(fh, channels: int, stride: int) -> Iterator[np.ndarray]:
             kept = [row and not row.startswith("t,") for row in rows]
             rows[:] = compress(rows, kept)
             numbers[:] = compress(numbers, kept)
-        while len(rows) >= stride:
-            prev_t = parse_rows(rows[:stride], numbers[:stride], batch, prev_t)
-            del rows[:stride], numbers[:stride]
-            yield batch
-    parse_rows(rows, numbers, batch, prev_t)
+        full = len(rows) - len(rows) % stride
+        if len(out) < full:    # a block, or a byte line split at "\r"
+            out = np.empty((full, channels))
+        try:    # all full strides in one call; else one at a time, in order
+            prev_t = parse_rows(rows[:full], numbers[:full], out, prev_t)
+            checked = full
+        except RecordingParseError:
+            checked = 0
+        for start in range(0, full, stride):
+            part = slice(start, start + stride)
+            if start >= checked:
+                prev_t = parse_rows(rows[part], numbers[part], out[part],
+                                    prev_t)
+            yield out[part]
+        del rows[:full], numbers[:full]
+    parse_rows(rows, numbers, out, prev_t)
 
 
 def _parse_blocks(lines: Sequence[str], line_numbers: Sequence[int],

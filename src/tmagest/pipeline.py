@@ -18,8 +18,8 @@ import numpy as np
 from .cnn import CnnModel, TrainingExample
 from .config import SessionConfig
 from .dsp import design_butterworth_lowpass, envelope_stream
-from .engine import Prediction, run_replay
-from .errors import UsageError
+from .engine import Prediction, iter_batches, run_replay
+from .errors import ConfigError, UsageError
 from .onset import difference_series
 from .recording import PHASE_FLEXION, PHASE_REST, PHASE_RETURN, Recording
 from .tma import (NormalizationBounds, TmaMap, feature_matrix,
@@ -244,12 +244,17 @@ def evaluate(model: CnnModel, recording: Recording,
     event then counts as a false positive.
 
     Raises:
-        ConfigError: If model and config disagree on map geometry.
+        ConfigError: If model and config disagree on map geometry, or the
+            recording's sampling rate differs from the config's.
         UsageError: If the model is missing bounds or labels.
     """
     model.require_ready()
+    if recording.sample_rate != config.sample_rate:
+        raise ConfigError(f"recording at {recording.sample_rate} Hz, config "
+                          f"expects {config.sample_rate} Hz")
     gestures = model.labels
-    events = list(run_replay(recording, model, config, pacing="fast"))
+    events = list(run_replay(iter_batches(recording.samples, config.map_stride),
+                             model, config, pacing="fast"))
 
     flexions = recording.onsets(PHASE_FLEXION)
     returns = recording.onsets(PHASE_RETURN)

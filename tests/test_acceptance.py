@@ -234,7 +234,9 @@ def test_criterion_8_structural_invariants(trained_setup, tmp_path):
 
     # classified/suppressed alternation on the synthetic session
     setup = trained_setup
-    replay = list(run_replay(setup.eval_recording, setup.model, setup.config))
+    replay = list(run_replay(iter_batches(setup.eval_recording.samples,
+                                          setup.config.map_stride),
+                             setup.model, setup.config))
     alternate_ok = all(
         isinstance(e, Prediction) == (i % 2 == 0)
         for i, e in enumerate(replay))

@@ -16,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tmagest
+from tmagest import engine as engine_mod
 from tmagest.cli import main
 from tmagest.config import SessionConfig
-from tmagest.io import read_model, read_recording
+from tmagest.io import ROW_BLOCK, annotations_path, read_model, read_recording
 
 from conftest import SMALL_CONFIG_KWARGS, rewrite_header
 
@@ -364,6 +365,62 @@ class TestRun:
         assert expected and piped.stdout.decode() == expected
 
 
+    @pytest.mark.parametrize("sidecar", [None, "n,gesture,phase\n1\n"])
+    def test_sidecar_is_not_read(self, workspace, capsys, tmp_path, sidecar):
+        # run streams the rows alone, so a missing or malformed annotation
+        # sidecar leaves its events as they are
+        argv = ["run", *workspace["base"], "--model", str(workspace["model"]),
+                "--no-timing", "--input"]
+        assert main([*argv, str(workspace["eval_csv"])]) == 0
+        expected = capsys.readouterr().out
+        path = tmp_path / "r.csv"
+        path.write_bytes(workspace["eval_csv"].read_bytes())
+        if sidecar is not None:
+            annotations_path(path).write_text(sidecar)
+        assert main([*argv, str(path)]) == 0
+        assert expected and capsys.readouterr().out == expected
+
+    def test_bad_row_in_a_file_ends_the_run_after_the_strides_before_it(
+            self, workspace, capsys, tmp_path, monkeypatch):
+        # a NaN in the file's second block of lines: the events of every
+        # stride before its stride come out, then the error naming the file
+        argv = ["run", *workspace["base"], "--model", str(workspace["model"]),
+                "--no-timing", "--input"]
+        assert main([*argv, str(workspace["eval_csv"])]) == 0
+        clean = capsys.readouterr().out.splitlines(keepends=True)
+        lines = workspace["eval_csv"].read_text().splitlines()
+        t = ROW_BLOCK + 500
+        assert len(lines) > t + 2
+        cols = lines[t + 1].split(",")
+        lines[t + 1] = ",".join(cols[:3] + ["nan"] + cols[4:])
+        (tmp_path / "late.csv").write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "late.csv"]) == 1
+        captured = capsys.readouterr()
+        stride = SMALL_CONFIG_KWARGS["map_stride"]
+        before = [e for e in clean if json.loads(e)["n"] < t - t % stride]
+        assert before and len(before) < len(clean)
+        assert captured.out == "".join(before)
+        assert captured.err == (f"error: late.csv: line {t + 2}: ch2 is nan, "
+                                "expected a finite value\n")
+
+    @pytest.mark.parametrize("pacing", ["fast", "realtime"])
+    def test_pacing_applies_to_stdin(self, workspace, capsys, monkeypatch,
+                                     pacing):
+        # stdin is paced as a file is: a writer faster than real time waits
+        sleeps = []
+        monkeypatch.setattr(engine_mod.time, "sleep", sleeps.append)
+        rows = b"\n".join(workspace["eval_csv"].read_bytes().splitlines()[:401])
+        monkeypatch.setattr("sys.stdin", std_io.TextIOWrapper(
+            std_io.BytesIO(rows), encoding="utf-8"))
+        rc = main(["run", *workspace["base"], "--model", str(workspace["model"]),
+                   "--input", "-", "--pacing", pacing])
+        assert rc == 0
+        if pacing == "realtime":    # 40 strides, each far under 50 ms
+            assert len(sleeps) > 20
+        else:
+            assert sleeps == []
+
 class TestEval:
     def test_table_and_report(self, workspace, capsys):
         report_path = workspace["root"] / "report.json"
@@ -400,6 +457,16 @@ class TestBench:
         assert sgd[4:] == ["ms", "fwd+bwd"]
         for row in (single, batched):
             assert float(row[2]) > 0 and row[3] == "us/map"
+
+
+    @pytest.mark.parametrize("iterations", ["0", "-5", "-30"])
+    def test_iterations_below_one_is_error_exit_1(self, workspace,
+                                                  iterations):
+        rc, out, err = run_quietly(["bench", *workspace["base"], "--model",
+                                    str(workspace["model"]), "--iterations",
+                                    iterations])
+        assert rc == 1 and out == ""
+        assert err == f"error: --iterations is {iterations}, need at least 1\n"
 
 
 def run_quietly(argv):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from tmagest.engine import (
 )
 from tmagest.errors import ConfigError, StructuralError, UsageError
 from tmagest.onset import OnsetDetector, difference_series
-from tmagest.recording import Recording
 from tmagest.tma import feature_matrix
 
 
@@ -28,6 +28,10 @@ def drive(engine, samples):
         if e is not None:
             events.append(e)
     return events
+
+
+def replay_strides(setup):
+    return iter_batches(setup.eval_recording.samples, setup.config.map_stride)
 
 
 class TestStep:
@@ -44,7 +48,7 @@ class TestStep:
             engine.step(np.zeros((trained_setup.config.map_stride, 2)))
 
     def test_alternation_on_synthetic_stream(self, trained_setup):
-        events = list(run_replay(trained_setup.eval_recording,
+        events = list(run_replay(replay_strides(trained_setup),
                                  trained_setup.model, trained_setup.config))
         assert len(events) >= 4
         for i, event in enumerate(events):
@@ -56,7 +60,7 @@ class TestStep:
     def test_no_suppression_classifies_everything(self, trained_setup):
         config = dataclasses.replace(trained_setup.config,
                                      suppress_alternate_onsets=False)
-        events = list(run_replay(trained_setup.eval_recording,
+        events = list(run_replay(replay_strides(trained_setup),
                                  trained_setup.model, config))
         assert events
         assert all(isinstance(e, Prediction) for e in events)
@@ -77,7 +81,7 @@ class TestStep:
         assert 1500 <= events[0].n < 1650
 
     def test_prediction_cadence(self, trained_setup):
-        events = list(run_replay(trained_setup.eval_recording,
+        events = list(run_replay(replay_strides(trained_setup),
                                  trained_setup.model, trained_setup.config))
         ns = [e.n for e in events if isinstance(e, Prediction)]
         assert len(ns) >= 2
@@ -85,7 +89,7 @@ class TestStep:
                    for a, b in zip(ns, ns[1:]))
 
     def test_compute_micros_positive(self, trained_setup):
-        events = list(run_replay(trained_setup.eval_recording,
+        events = list(run_replay(replay_strides(trained_setup),
                                  trained_setup.model, trained_setup.config))
         assert all(e.compute_micros > 0 for e in events)
 
@@ -201,7 +205,7 @@ class TestStep:
 
 class TestReplay:
     def test_streaming_equals_replay(self, trained_setup):
-        replay_events = list(run_replay(trained_setup.eval_recording,
+        replay_events = list(run_replay(replay_strides(trained_setup),
                                         trained_setup.model,
                                         trained_setup.config))
         engine = Engine(trained_setup.model, trained_setup.config)
@@ -216,32 +220,49 @@ class TestReplay:
         # realtime pacing sleeps through the recording, so replay only the
         # whole strides up to the first event
         config = trained_setup.config
-        first = next(run_replay(trained_setup.eval_recording,
+        samples = trained_setup.eval_recording.samples
+        first = next(run_replay(replay_strides(trained_setup),
                                 trained_setup.model, config, "fast"))
         end = (first.n // config.map_stride + 1) * config.map_stride
-        short = Recording(sample_rate=config.sample_rate,
-                          samples=trained_setup.eval_recording.samples[:end])
-        fast = list(run_replay(short, trained_setup.model, config, "fast"))
-        real = list(run_replay(short, trained_setup.model, config, "realtime"))
+        fast = list(run_replay(iter_batches(samples[:end], config.map_stride),
+                               trained_setup.model, config, "fast"))
+        real = list(run_replay(iter_batches(samples[:end], config.map_stride),
+                               trained_setup.model, config, "realtime"))
         assert fast
         assert [(type(e).__name__, e.n) for e in fast] == \
                [(type(e).__name__, e.n) for e in real]
 
+    @pytest.mark.parametrize("pacing", ["fast", "realtime"])
+    def test_overrun_is_logged_when_paced(self, trained_setup, monkeypatch,
+                                          caplog, pacing):
+        # a step slower than its map_stride / sample_rate budget is logged,
+        # never dropped, and only where strides are paced
+        config = trained_setup.config
+        budget_s = config.map_stride / config.sample_rate
+        step = Engine.step
+
+        def slow(engine, batch):
+            time.sleep(1.2 * budget_s)
+            return step(engine, batch)
+
+        monkeypatch.setattr(Engine, "step", slow)
+        strides = iter_batches(np.zeros((3 * config.map_stride,
+                                         config.channels)), config.map_stride)
+        with caplog.at_level("WARNING", logger=engine_mod.__name__):
+            assert list(run_replay(strides, trained_setup.model, config,
+                                   pacing)) == []
+        overruns = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("stride overran")]
+        assert len(overruns) == (3 if pacing == "realtime" else 0)
+
     def test_empty_recording(self, trained_setup):
         config = trained_setup.config
-        empty = Recording(sample_rate=config.sample_rate,
-                          samples=np.empty((0, config.channels)))
+        empty = iter_batches(np.empty((0, config.channels)), config.map_stride)
         assert list(run_replay(empty, trained_setup.model, config)) == []
-
-    def test_sample_rate_mismatch(self, trained_setup):
-        rec = Recording(sample_rate=100.0,
-                        samples=np.zeros((40, trained_setup.config.channels)))
-        with pytest.raises(ConfigError):
-            list(run_replay(rec, trained_setup.model, trained_setup.config))
 
     def test_unknown_pacing(self, trained_setup):
         with pytest.raises(ConfigError):
-            list(run_replay(trained_setup.eval_recording,
+            list(run_replay(replay_strides(trained_setup),
                             trained_setup.model, trained_setup.config,
                             pacing="warp"))
 

@@ -859,12 +859,15 @@ def text_stdin_outcome(data, channels, stride):
     return strides, None
 
 
-def stride_outcome(data, channels, stride):
-    """:func:`text_stdin_outcome` for ``read_strides``."""
+def stride_outcome(data, channels, stride, seekable=False):
+    """:func:`text_stdin_outcome` for ``read_strides``, on a seekable stream
+    or on the read end of a pipe."""
+    stream = (std_io.BytesIO(data) if seekable
+              else std_io.BufferedReader(LineWriter(data)))
+    assert stream.seekable() == seekable
     strides = []
     try:
-        for batch in tmio.read_strides(std_io.BytesIO(data), channels,
-                                       stride):
+        for batch in tmio.read_strides(stream, channels, stride):
             strides.append(batch.tobytes())
     except RecordingParseError as exc:
         return strides, (exc.reason, exc.line)
@@ -923,7 +926,8 @@ def stdin_streams(draw):
 
 
 class TestReadStrides:
-    """stdin rows, read a stride at a time through the file decoder."""
+    """Streamed rows, read through the file decoder: a stride at a time from
+    a pipe, a block of lines at a time from a seekable stream."""
 
     @settings(max_examples=400, deadline=None)
     @given(stdin_streams())
@@ -933,10 +937,34 @@ class TestReadStrides:
     @example((b"0,nan\n1,\xff\n", 1, 1))    # stream order, line by line
     @example((b"0,1.0\n1,2.0\n2,\xff3.0\n", 1, 2))
     @example((b"0,1.0\n1,2.0\n2,3.0\xe2\x82", 1, 20))
+    @example((b"0,0.0\r1,0.0\n", 1, 1))    # two strides in one byte line
     def test_strides_equal_the_text_stdin_reader(self, case):
         data, channels, stride = case
-        assert (stride_outcome(data, channels, stride)
-                == text_stdin_outcome(data, channels, stride))
+        expected = text_stdin_outcome(data, channels, stride)
+        assert stride_outcome(data, channels, stride) == expected
+        for block in (1, 5, tmio.ROW_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tmio, "ROW_BLOCK", block)
+                assert stride_outcome(data, channels, stride,
+                                      seekable=True) == expected
+
+    @pytest.mark.parametrize("faults", [
+        [(5000, b"nan")], [(5000, b"\xff")], [(5000, None)],
+        [(4100, b"inf"), (8000, None)],    # an inf before a gap: stream order
+        [(9000, b"1e999"), (4096 + 20, None)],
+    ])
+    def test_an_error_in_the_second_row_block(self, faults):
+        # a seekable stream gives the strides and the first error of a pipe,
+        # also when a block holds more than one bad stride
+        rows = [b"%d,%d.5,1.0" % (t, t) for t in range(3 * tmio.ROW_BLOCK)]
+        for row, value in faults:
+            rows[row] = (value.join([b"%d," % row, b",1.0"])
+                         if value else b"%d,1.0,1.0" % (row + 1))
+        data = b"\n".join([b"t,ch0,ch1", *rows, b""])
+        piped = stride_outcome(data, 2, 20)
+        assert stride_outcome(data, 2, 20, seekable=True) == piped
+        first = min(row for row, _ in faults)
+        assert len(piped[0]) == first // 20 and piped[1][1] == first + 2
 
     @pytest.mark.parametrize("data,line", [
         (b"0,1.0\n1,\xff\n", 2),           # a C locale gave a float() error
@@ -958,9 +986,13 @@ class TestReadStrides:
 
 
 class CountingStream(std_io.BytesIO):
-    """A binary stream that counts the lines it has handed out."""
+    """The read end of a pipe, which cannot seek, counting the lines it has
+    handed out."""
 
     handed = 0
+
+    def seekable(self):
+        return False
 
     def __next__(self):
         line = super().__next__()
@@ -968,19 +1000,48 @@ class CountingStream(std_io.BytesIO):
         return line
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3, 20])
-def test_a_stride_is_yielded_before_the_next_line_is_read(stride):
+class SeekableCountingStream(CountingStream):
+    def seekable(self):
+        return True
+
+
+def counted_rows(stride):
+    """Four strides of rows with skipped lines between them, and the line
+    number of each row."""
     lines, rows = [b"t,ch0"], []
     for t in range(4 * stride):
         if t % 3 == 1:
             lines.append([b"", b"t,ch0", b" "][t // 3 % 3])
         lines.append(b"%d,%d.5" % (t, t))
         rows.append(len(lines))
-    stream = CountingStream(b"\n".join(lines) + b"\n")
+    return b"\n".join(lines) + b"\n", rows
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 20])
+def test_a_stride_is_yielded_before_the_next_line_is_read(stride):
+    data, rows = counted_rows(stride)
+    stream = CountingStream(data)
     strides = tmio.read_strides(stream, 1, stride)
     for k, batch in enumerate(strides):
         # the line of the stride's last row is the last line read
         assert stream.handed == rows[(k + 1) * stride - 1]
+        assert batch[-1, 0] == (k + 1) * stride - 0.5
+    assert k == 3
+
+
+@pytest.mark.parametrize("block", [1, 4, 7, tmio.ROW_BLOCK])
+@pytest.mark.parametrize("stride", [1, 2, 3, 20])
+def test_a_seekable_stream_is_read_row_block_lines_at_a_time(
+        monkeypatch, stride, block):
+    data, rows = counted_rows(stride)
+    monkeypatch.setattr(tmio, "ROW_BLOCK", block)
+    stream = SeekableCountingStream(data)
+    strides = tmio.read_strides(stream, 1, stride)
+    for k, batch in enumerate(strides):
+        # the block holding the stride's last row is the last block read
+        last = rows[(k + 1) * stride - 1]
+        assert stream.handed == min(-(-last // block) * block,
+                                    data.count(b"\n"))
         assert batch[-1, 0] == (k + 1) * stride - 0.5
     assert k == 3
 

@@ -284,6 +284,12 @@ class TestEvaluate:
             evaluate(bare, trained_setup.eval_recording,
                      trained_setup.config)
 
+    def test_sample_rate_mismatch(self, trained_setup):
+        rec = Recording(sample_rate=100.0,
+                        samples=np.zeros((40, trained_setup.config.channels)))
+        with pytest.raises(ConfigError, match="recording at 100.0 Hz"):
+            evaluate(trained_setup.model, rec, trained_setup.config)
+
 
 class TestMissedOnsetAccounting:
     def test_unmatched_flexion_truth_lands_in_missed_column(
