@@ -192,6 +192,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with open(path, "rb") if path else nullcontext(sys.stdin.buffer) as fh:
         strides = io.read_strides(fh, config.channels, config.map_stride)
         try:
+            if path and not fh.peek(1):    # an empty pipe is just no rows
+                raise RecordingParseError("file is empty, expected a header",
+                                          line=1)
             for event in run_replay(strides, model, config, args.pacing):
                 print(json.dumps(event_to_dict(
                     event, include_timing=not args.no_timing)), flush=True)

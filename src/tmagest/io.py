@@ -134,16 +134,17 @@ def read_recording(path: str | Path, sample_rate: float,
                      annotations=annotations)
 
 
-def _recording_channels(header: str, expected: int | None) -> int:
+def _recording_channels(header: str, expected: int | None,
+                        line: int = 1) -> int:
     """The channel count that a recording's header line declares."""
     names = header.split(",")
     if names[0] != "t" or len(names) < 2:
         raise RecordingParseError(
-            f"bad header {header!r}, expected 't,ch0,...'", line=1)
+            f"bad header {header!r}, expected 't,ch0,...'", line=line)
     channels = len(names) - 1
     if expected is not None and channels != expected:
         raise RecordingParseError(
-            f"file has {channels} channels, expected {expected}", line=1)
+            f"file has {channels} channels, expected {expected}", line=line)
     return channels
 
 
@@ -219,31 +220,34 @@ def read_strides(fh, channels: int, stride: int) -> Iterator[np.ndarray]:
     """Each ``(stride, channels)`` block of the rows on the binary stream
     ``fh``, yielded as a view that holds until the next one is asked for.
 
-    Lines blank after ``strip()`` or starting with ``t,`` are skipped
-    anywhere. Each stride passes :func:`parse_rows`, with ``t`` and line
-    numbers carried across strides, and the strides before the first bad
-    one are yielded; a partial last stride is checked, then dropped.
+    Lines blank after ``strip()`` are skipped anywhere, and so are header
+    lines, those starting with ``t,``, once they declare ``channels``
+    channels. A header that declares another count is the header error of
+    :func:`read_recording` at its line, raised after the strides before it
+    and once the lines before it are read. Each stride passes
+    :func:`parse_rows`, with ``t`` and line numbers carried across strides,
+    and the strides before the first bad one are yielded; a partial last
+    stride is checked, then dropped.
 
-    A seekable stream never waits on a writer, so it is read and parsed
-    :data:`ROW_BLOCK` lines at a time. Any other stream is read only as far
-    as the current stride needs: a row counts as read when the ``b"\\n"``
-    that ends it, or the end of the stream, arrives. A live writer should
-    end rows with ``\\n`` or ``\\r\\n``, since rows ended by a lone ``\\r``
-    wait until the stream closes.
+    A seekable stream never waits on a writer, so it is read and parsed in
+    blocks of :data:`ROW_BLOCK` rows (``stride`` rows if that is more): each
+    read tops the rows held up to a block. Any other stream is read only as
+    far as the current stride needs: a row counts as read when the
+    ``b"\\n"`` that ends it, or the end of the stream, arrives. A live writer
+    should end rows with ``\\n`` or ``\\r\\n``, since rows ended by a lone
+    ``\\r`` wait until the stream closes.
     """
-    seekable = fh.seekable()
+    block = max(ROW_BLOCK, stride) if fh.seekable() else stride
     out = np.empty((stride, channels))
     rows, numbers, prev_t = [], [], None
-    for first, lines in _line_blocks(
-            fh, lambda: ROW_BLOCK if seekable else stride - len(rows)):
+    for first, lines in _line_blocks(fh, lambda: block - len(rows)):
         rows += map(str.strip, lines)
         numbers += range(first, first + len(lines))
+        bad_header = None
         # a line starting with "t," sorts at or after "t,", so the filter
         # runs only when a blank line or such a line may be held
         if "" in rows or max(rows) >= "t,":
-            kept = [row and not row.startswith("t,") for row in rows]
-            rows[:] = compress(rows, kept)
-            numbers[:] = compress(numbers, kept)
+            bad_header = _drop_skipped(rows, numbers, channels)
         full = len(rows) - len(rows) % stride
         if len(out) < full:    # a block, or a byte line split at "\r"
             out = np.empty((full, channels))
@@ -259,7 +263,30 @@ def read_strides(fh, channels: int, stride: int) -> Iterator[np.ndarray]:
                                     prev_t)
             yield out[part]
         del rows[:full], numbers[:full]
+        if bad_header is not None:
+            raise bad_header
     parse_rows(rows, numbers, out, prev_t)
+
+
+def _drop_skipped(rows: list[str], numbers: list[int],
+                  channels: int) -> RecordingParseError | None:
+    """Drop the blank and header lines from ``rows`` and their ``numbers``.
+
+    At a header that does not declare ``channels`` channels both lists are
+    cut before it, and its error is returned, not raised, so that the rows
+    before it are parsed first."""
+    error = None
+    for k in [k for k, row in enumerate(rows) if row.startswith("t,")]:
+        try:
+            _recording_channels(rows[k], channels, numbers[k])
+        except RecordingParseError as exc:
+            error = exc
+            del rows[k:], numbers[k:]
+            break
+    kept = [row and not row.startswith("t,") for row in rows]
+    rows[:] = compress(rows, kept)
+    numbers[:] = compress(numbers, kept)
+    return error
 
 
 def _parse_blocks(lines: Sequence[str], line_numbers: Sequence[int],

@@ -4,7 +4,8 @@ Extraction mirrors how the classifier is used online: the envelope stream is
 computed causally in filter blocks of ``map_stride`` samples, the engine's
 stride, and is therefore bit-identical to the streaming envelopes; one
 activation map is taken at every sample time inside a window centered on each
-labeled onset. Evaluation replays a recording through the very same engine
+labeled onset, and features are computed only for the frames those maps
+cover. Evaluation replays a recording through the very same engine
 code path used live and scores the emitted events against the ground truth.
 """
 
@@ -37,10 +38,17 @@ def _envelopes(recording: Recording, config: SessionConfig) -> np.ndarray:
 
 
 def _extract(recording: Recording, config: SessionConfig,
-             ) -> tuple[np.ndarray, list[TmaMap], list[TrainingExample]]:
-    """The recording's feature matrix, the columns that each kept onset's
-    maps cover and its examples. Spans and maps are read-only views into the
-    matrix; the returned matrix itself stays writeable."""
+             ) -> tuple[np.ndarray, list[TrainingExample]]:
+    """The feature columns that the kept onsets' maps cover, and the examples.
+
+    Each kept onset's span, the ``map_width + extraction_width - 1``
+    envelope frames that its maps cover, is gathered in onset order, and one
+    :func:`~tmagest.tma.feature_matrix` over them gives a compact
+    ``(feature_rows, kept * span)`` matrix; the whole recording's matrix is
+    never built. A feature column depends only on its own frame, so every
+    map holds the bits it would take from the whole recording's matrix. The
+    maps are read-only views into the compact matrix, which itself stays
+    writeable."""
     onsets = recording.onsets(PHASE_FLEXION)
     if not onsets:
         raise UsageError("recording has no labeled onsets to extract around")
@@ -51,15 +59,12 @@ def _extract(recording: Recording, config: SessionConfig,
                 f"onsets at {a} and {b} are closer than the extraction "
                 f"width ({config.extraction_width}); labels would overlap"
             )
-    feats = feature_matrix(_envelopes(recording, config))
-    shared = feats.view()
-    shared.flags.writeable = False
     n_samples = recording.num_samples
     width = config.extraction_width
     half = width // 2
     map_w = config.map_width
-    spans: list[TmaMap] = []
-    examples: list[TrainingExample] = []
+    span = map_w + width - 1
+    kept = []
     for a in onsets:
         lo = a.n - half
         if lo - map_w + 1 < 0 or lo + width - 1 >= n_samples:
@@ -68,14 +73,22 @@ def _extract(recording: Recording, config: SessionConfig,
                 a.n,
             )
             continue
-        spans.append(TmaMap(end_index=lo + width - 1,
-                            data=shared[:, lo - map_w + 1:lo + width]))
-        for t in range(lo, lo + width):
+        kept.append((lo, a.gesture))
+    firsts = np.array([lo - map_w + 1 for lo, _ in kept], dtype=np.intp)
+    frames = (firsts[:, None] + np.arange(span)).ravel()
+    feats = feature_matrix(_envelopes(recording, config)[frames])
+    shared = feats.view()
+    shared.flags.writeable = False
+    examples: list[TrainingExample] = []
+    for i, (lo, gesture) in enumerate(kept):
+        col = i * span
+        for k in range(width):
             examples.append(TrainingExample(
-                map=TmaMap(end_index=t, data=shared[:, t - map_w + 1:t + 1]),
-                label=a.gesture,
+                map=TmaMap(end_index=lo + k,
+                           data=shared[:, col + k:col + k + map_w]),
+                label=gesture,
             ))
-    return feats, spans, examples
+    return feats, examples
 
 
 def extract_training_set(recording: Recording,
@@ -86,14 +99,15 @@ def extract_training_set(recording: Recording,
     ``[n0 - w/2, n0 + w/2)`` where ``w`` is the extraction width - exactly
     ``w`` maps per onset, all labeled with the onset's gesture. Onsets whose
     window (including map history) would leave the recording are dropped with
-    a warning. The returned maps are read-only views into one shared feature
-    matrix.
+    a warning. The returned maps are read-only views into one shared matrix
+    that holds only the feature columns they cover, each onset's span of
+    ``map_width + w - 1`` columns after the one before.
 
     Raises:
         UsageError: If the recording has no labeled onsets, or labeled onsets
             are closer together than the extraction width.
     """
-    return _extract(recording, config)[2]
+    return _extract(recording, config)[1]
 
 
 def training_set(recordings: list[Recording], config: SessionConfig,
@@ -101,20 +115,19 @@ def training_set(recordings: list[Recording], config: SessionConfig,
     """Normalized training examples of every recording, and their bounds.
 
     The bounds are those that :func:`~tmagest.tma.fit_normalization` gives
-    on the raw maps of :func:`extract_training_set`, taken once over the
-    columns that each onset's maps cover rather than once per map. Then
-    each recording's feature matrix is normalized once, in place, and made
-    read-only, so every map holds the values of its normalized copy.
+    on the raw maps of :func:`extract_training_set`, taken once over each
+    recording's shared matrix of the columns its maps cover rather than
+    once per map. Then each shared matrix is normalized once, in place, and
+    made read-only, so every map holds the values of its normalized copy.
 
     Raises:
         ConfigError: If no recording yields an example.
         UsageError: As :func:`extract_training_set`.
     """
     extracted = [_extract(rec, config) for rec in recordings]
-    examples = [ex for _, _, exs in extracted for ex in exs]
-    bounds = fit_normalization(span for _, spans, _ in extracted
-                               for span in spans)
-    for feats, _, _ in extracted:
+    examples = [ex for _, exs in extracted for ex in exs]
+    bounds = fit_normalization(feats for feats, _ in extracted if feats.size)
+    for feats, _ in extracted:
         normalize_array(feats, bounds, config.channels, out=feats)
         feats.flags.writeable = False
     return examples, bounds

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -178,8 +178,9 @@ class NormalizationBounds:
             raise ConfigError("second-order bounds must satisfy min < max")
 
 
-def fit_normalization(maps: Iterable[TmaMap] | Sequence[TmaMap]) -> NormalizationBounds:
-    """Global per-region min/max over a training set of maps.
+def fit_normalization(maps: Iterable[TmaMap | np.ndarray]) -> NormalizationBounds:
+    """Global per-region min/max over a training set of maps, or of the
+    (feature_rows, n) matrices that hold their columns.
 
     A degenerate region (min == max, e.g. an all-zero training set) is widened
     by one unit so the scaling stays defined.
@@ -187,10 +188,11 @@ def fit_normalization(maps: Iterable[TmaMap] | Sequence[TmaMap]) -> Normalizatio
     fo_min = fo_max = so_min = so_max = None
     channels = None
     for m in maps:
+        data = m.data if isinstance(m, TmaMap) else m
         if channels is None:
-            channels = channels_for_rows(m.rows)
-        first = m.data[:channels]
-        second = m.data[channels:]
+            channels = channels_for_rows(data.shape[0])
+        first = data[:channels]
+        second = data[channels:]
         fo_min = first.min() if fo_min is None else min(fo_min, first.min())
         fo_max = first.max() if fo_max is None else max(fo_max, first.max())
         so_min = second.min() if so_min is None else min(so_min, second.min())

@@ -404,6 +404,36 @@ class TestRun:
         assert captured.err == (f"error: late.csv: line {t + 2}: ch2 is nan, "
                                 "expected a finite value\n")
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_header_of_other_channels_is_refused_at_its_line(
+            self, workspace, tmp_path, monkeypatch, source):
+        # a 2-channel file run with the 4-channel model: the header's
+        # error, as read_recording gives it, not the first row's
+        path = tmp_path / "two.csv"
+        path.write_bytes(b"t,ch0,ch1\n0,1.0,2.0\n1,1.0,2.0\n")
+        named = f"{path}: "
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", std_io.TextIOWrapper(
+                std_io.BytesIO(path.read_bytes()), encoding="utf-8"))
+            path, named = "-", ""
+        rc, out, err = run_quietly(["run", *workspace["base"], "--model",
+                                    str(workspace["model"]), "--input",
+                                    str(path)])
+        assert (rc, out) == (1, "")
+        assert err == f"error: {named}line 1: file has 2 channels, expected 4\n"
+
+    def test_empty_file_is_error_empty_stdin_is_no_rows(
+            self, workspace, tmp_path, monkeypatch):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        argv = ["run", *workspace["base"], "--model", str(workspace["model"]),
+                "--input"]
+        assert run_quietly([*argv, str(path)]) == (
+            1, "", f"error: {path}: line 1: file is empty, expected a header\n")
+        monkeypatch.setattr("sys.stdin", std_io.TextIOWrapper(
+            std_io.BytesIO(b""), encoding="utf-8"))
+        assert run_quietly([*argv, "-"]) == (0, "", "")
+
     @pytest.mark.parametrize("pacing", ["fast", "realtime"])
     def test_pacing_applies_to_stdin(self, workspace, capsys, monkeypatch,
                                      pacing):

@@ -823,7 +823,9 @@ class LineWriter(std_io.RawIOBase):
 
 def text_stdin_outcome(data, channels, stride):
     """The stdin reader that read_strides replaced: the universal-newline
-    lines of a strict UTF-8 text stdin, one parse_rows call per stride.
+    lines of a strict UTF-8 text stdin, one parse_rows call per stride,
+    plus the header check that read_strides added: a ``t,`` line must
+    declare ``channels`` channels when it is read.
     Returns (stride bytes, (error reason, error line) or None)."""
     stdin = std_io.TextIOWrapper(std_io.BufferedReader(LineWriter(data)),
                                  encoding="utf-8", errors="strict")
@@ -845,6 +847,10 @@ def text_stdin_outcome(data, channels, stride):
     try:
         for i, line in stdin_lines():
             line = line.strip()
+            if line.startswith("t,") and line.count(",") != channels:
+                raise RecordingParseError(
+                    f"file has {line.count(',')} channels, expected "
+                    f"{channels}", line=i)
             if not line or line.startswith("t,"):
                 continue
             lines.append(line)
@@ -966,6 +972,18 @@ class TestReadStrides:
         first = min(row for row, _ in faults)
         assert len(piped[0]) == first // 20 and piped[1][1] == first + 2
 
+    @pytest.mark.parametrize("seekable", [False, True])
+    def test_a_header_of_other_channels_ends_the_rows_at_its_line(
+            self, seekable):
+        # the strides before it come out; the partial one before it is not
+        # parsed, as before a byte that is not UTF-8
+        data = b"t,ch0\n0,1.0\n1,2.0\n2,nan\n  t,ch0,ch1 \n3,4.0\n"
+        assert stride_outcome(data, 1, 2, seekable) == (
+            [np.array([1.0, 2.0]).tobytes()],
+            ("file has 2 channels, expected 1", 5))
+        assert stride_outcome(data, 2, 2, seekable) == (
+            [], ("file has 1 channels, expected 2", 1))
+
     @pytest.mark.parametrize("data,line", [
         (b"0,1.0\n1,\xff\n", 2),           # a C locale gave a float() error
         (b"t,\xff\n0,1.0\n1,2.0\n", 1),    # a C locale skipped the line
@@ -1029,21 +1047,53 @@ def test_a_stride_is_yielded_before_the_next_line_is_read(stride):
     assert k == 3
 
 
+def lines_read_per_stride(data, stride, block):
+    """The lines handed out by the time each stride is yielded when every
+    read tops the rows held up to ``max(block, stride)`` lines."""
+    lines = data.splitlines()
+    size = max(block, stride)
+    handed = held = 0
+    at_stride = []
+    while handed < len(lines):
+        read = lines[handed:handed + size - held]
+        handed += len(read)
+        held += sum(1 for line in read
+                    if line.strip() and not line.strip().startswith(b"t,"))
+        at_stride += [handed] * (held // stride)
+        held %= stride
+    return at_stride
+
+
 @pytest.mark.parametrize("block", [1, 4, 7, tmio.ROW_BLOCK])
 @pytest.mark.parametrize("stride", [1, 2, 3, 20])
-def test_a_seekable_stream_is_read_row_block_lines_at_a_time(
-        monkeypatch, stride, block):
+def test_a_seekable_stream_reads_up_to_a_block_of_rows(monkeypatch, stride,
+                                                       block):
     data, rows = counted_rows(stride)
     monkeypatch.setattr(tmio, "ROW_BLOCK", block)
     stream = SeekableCountingStream(data)
-    strides = tmio.read_strides(stream, 1, stride)
-    for k, batch in enumerate(strides):
-        # the block holding the stride's last row is the last block read
-        last = rows[(k + 1) * stride - 1]
-        assert stream.handed == min(-(-last // block) * block,
-                                    data.count(b"\n"))
+    expected = lines_read_per_stride(data, stride, block)
+    for k, batch in enumerate(tmio.read_strides(stream, 1, stride)):
+        assert stream.handed == expected[k]
         assert batch[-1, 0] == (k + 1) * stride - 0.5
-    assert k == 3
+    assert k == 3 == len(expected) - 1
+
+
+@pytest.mark.parametrize("stride", [1, 20, 7])
+def test_each_block_of_a_seekable_stream_is_parsed_in_one_pass(monkeypatch,
+                                                               stride):
+    # each read holds at most ROW_BLOCK rows, so every parse_rows call of a
+    # file of a few blocks is one _parse_block call: 4 for 3.5 blocks
+    calls = []
+    parse_block = tmio._parse_block
+    monkeypatch.setattr(tmio, "_parse_block", lambda lines, *args: (
+        calls.append(len(lines)) or parse_block(lines, *args)))
+    n = 7 * tmio.ROW_BLOCK // 2 // 140 * 140
+    data = b"".join(b"t,ch0\n" if t == 0 else b"%d,1.5\n" % (t - 1)
+                    for t in range(n + 1))
+    strides = list(tmio.read_strides(std_io.BytesIO(data), 1, stride))
+    assert len(strides) == n // stride
+    assert max(calls) <= tmio.ROW_BLOCK and sum(calls) == n
+    assert len(calls) == -(-n // (tmio.ROW_BLOCK - tmio.ROW_BLOCK % stride))
 
 
 class TestCalibrationJson:

@@ -3,8 +3,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tmagest import cnn, io, synth
+from tmagest import cnn, io, pipeline, synth
 from tmagest.config import SessionConfig
 from tmagest.dsp import design_butterworth_lowpass, envelope_stream
 from tmagest.errors import ConfigError, UsageError
@@ -15,8 +17,9 @@ from tmagest.pipeline import (
     extract_training_set,
     training_set,
 )
-from tmagest.recording import PHASE_FLEXION, Annotation, Recording
-from tmagest.tma import fit_normalization, normalize_array
+from tmagest.recording import (PHASE_FLEXION, PHASE_REST, PHASE_RETURN,
+                               Annotation, Recording)
+from tmagest.tma import TmaMap, feature_matrix, fit_normalization, normalize_array
 
 from conftest import SMALL_CONFIG_KWARGS, make_templates
 
@@ -165,6 +168,165 @@ class TestTrainingSet:
     def test_no_recordings_rejected(self, small_config):
         with pytest.raises(ConfigError):
             training_set([], small_config)
+
+
+def whole_matrix_extract(recording, config):
+    """The _extract that built the feature matrix of the whole recording,
+    kept as the oracle of the span-only one: the matrix, each kept onset's
+    span of the columns its maps cover, and the examples."""
+    onsets = recording.onsets(PHASE_FLEXION)
+    if not onsets:
+        raise UsageError("recording has no labeled onsets to extract around")
+    marks = [a.n for a in recording.annotations if a.phase != PHASE_REST]
+    for a, b in zip(marks, marks[1:]):
+        if b - a < config.extraction_width:
+            raise UsageError(
+                f"onsets at {a} and {b} are closer than the extraction "
+                f"width ({config.extraction_width}); labels would overlap"
+            )
+    feats = feature_matrix(pipeline._envelopes(recording, config))
+    shared = feats.view()
+    shared.flags.writeable = False
+    n_samples = recording.num_samples
+    width = config.extraction_width
+    half = width // 2
+    map_w = config.map_width
+    spans, examples = [], []
+    for a in onsets:
+        lo = a.n - half
+        if lo - map_w + 1 < 0 or lo + width - 1 >= n_samples:
+            pipeline.logger.warning(
+                "dropping onset at %d: extraction window leaves the recording",
+                a.n,
+            )
+            continue
+        spans.append(TmaMap(end_index=lo + width - 1,
+                            data=shared[:, lo - map_w + 1:lo + width]))
+        for t in range(lo, lo + width):
+            examples.append(cnn.TrainingExample(
+                map=TmaMap(end_index=t, data=shared[:, t - map_w + 1:t + 1]),
+                label=a.gesture,
+            ))
+    return feats, spans, examples
+
+
+def whole_matrix_training_set(recordings, config):
+    """training_set over :func:`whole_matrix_extract`, as it was."""
+    extracted = [whole_matrix_extract(rec, config) for rec in recordings]
+    examples = [ex for _, _, exs in extracted for ex in exs]
+    bounds = fit_normalization(span for _, spans, _ in extracted
+                               for span in spans)
+    for feats, _, _ in extracted:
+        normalize_array(feats, bounds, config.channels, out=feats)
+    return examples, bounds
+
+
+class Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def outcome(call, *args):
+    """``call(*args)``, which returns examples and bounds (or None), as
+    comparable data: each example's label, end index and map bytes, the
+    bounds' bytes and the warnings logged; or the error's type and text and
+    the warnings."""
+    handler = Warnings()
+    pipeline.logger.addHandler(handler)
+    try:
+        examples, bounds = call(*args)
+    except (UsageError, ConfigError) as exc:
+        return type(exc), str(exc), handler.messages
+    finally:
+        pipeline.logger.removeHandler(handler)
+    maps = [(ex.label, ex.map.end_index, ex.map.data.shape,
+             ex.map.data.tobytes()) for ex in examples]
+    if bounds is not None:
+        bounds = np.array(dataclasses.astuple(bounds)).tobytes()
+    return maps, bounds, handler.messages
+
+
+@st.composite
+def extraction_cases(draw):
+    """A small config and one to three labeled recordings: onsets anywhere,
+    some at either edge, flexion onsets close enough for their spans to
+    overlap, return onsets between some of them."""
+    map_width = draw(st.integers(1, 6))
+    config = SessionConfig(**{
+        **SMALL_CONFIG_KWARGS, "map_width": map_width,
+        "map_stride": draw(st.integers(1, map_width)),
+        "extraction_width": draw(st.integers(2, 9)),
+        "channels": draw(st.integers(1, 3))})
+    width = config.extraction_width
+    span = map_width + width - 1
+    recordings = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_samples = draw(st.integers(1, 6 * span))
+        n = draw(st.integers(0, span))
+        annotations = []
+        while n < n_samples:
+            phase = draw(st.sampled_from([PHASE_FLEXION, PHASE_FLEXION,
+                                          PHASE_FLEXION, PHASE_RETURN,
+                                          PHASE_REST]))
+            annotations.append(Annotation(
+                n=n, gesture=draw(st.sampled_from(config.gestures)),
+                phase=phase))
+            # spans that overlap or not, and now and then labels too close
+            too_close = draw(st.integers(0, 29)) == 0
+            n += width - 1 if too_close else draw(st.integers(width, span + 2))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        recordings.append(Recording(
+            sample_rate=config.sample_rate,
+            samples=rng.normal(size=(n_samples, config.channels)),
+            annotations=annotations))
+    return config, recordings
+
+
+class TestSpanExtraction:
+    """The span-only extraction against the whole-matrix one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(extraction_cases())
+    def test_equals_the_whole_matrix_extraction(self, case):
+        config, recordings = case
+        for rec in recordings:
+            assert outcome(
+                lambda r, c: (extract_training_set(r, c), None), rec, config
+            ) == outcome(
+                lambda r, c: (whole_matrix_extract(r, c)[2], None), rec, config)
+        assert outcome(training_set, recordings, config) == outcome(
+            whole_matrix_training_set, recordings, config)
+
+    def test_two_recordings_of_a_synthetic_session(self, two_recordings):
+        config, recordings = two_recordings
+        got = outcome(training_set, recordings, config)
+        assert got == outcome(whole_matrix_training_set, recordings, config)
+        assert len(got[0]) == 3 * len(config.gestures) * config.extraction_width
+
+    def test_maps_share_one_matrix_of_their_spans(self, two_recordings):
+        # the memory bound: one recording's maps are views into one array
+        # of exactly feature_rows x kept x (map_width + extraction_width - 1)
+        # float64, whatever the recording's length
+        config, recordings = two_recordings
+        examples, _ = training_set(recordings, config)
+        span = config.map_width + config.extraction_width - 1
+        start = 0
+        for rec in recordings:
+            kept = len(rec.onsets(PHASE_FLEXION))
+            maps = [ex.map.data for ex in
+                    examples[start:start + kept * config.extraction_width]]
+            start += len(maps)
+            base = maps[0].base
+            assert all(m.base is base for m in maps)
+            assert base.dtype == np.float64 and base.flags.owndata
+            assert base.shape == (config.feature_rows, kept * span)
+            assert base.nbytes == config.feature_rows * kept * span * 8
+            assert base.nbytes < rec.num_samples * config.feature_rows * 8 / 4
+        assert start == len(examples)
 
 
 class TestCalibrationSegments:

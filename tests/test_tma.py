@@ -230,6 +230,13 @@ class TestNormalization:
         assert b.first_order_max == 5.0
         assert b.second_order_max == 5.0
 
+    def test_fit_on_matrices_equals_the_fit_on_their_maps(self, rng):
+        # a matrix of side-by-side map columns gives the bounds of its maps
+        data = rng.uniform(-1.0, 3.0, (5, 12))
+        maps = [self.make_map(data[:, k:k + 4]) for k in range(0, 12, 4)]
+        assert fit_normalization([data[:, :8], data[:, 8:]]) == \
+            fit_normalization(maps)
+
     def test_fit_empty_errors(self):
         with pytest.raises(ConfigError):
             fit_normalization([])
