@@ -192,9 +192,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with open(path, "rb") if path else nullcontext(sys.stdin.buffer) as fh:
         strides = io.read_strides(fh, config.channels, config.map_stride)
         try:
-            if path and not fh.peek(1):    # an empty pipe is just no rows
-                raise RecordingParseError("file is empty, expected a header",
-                                          line=1)
+            # a file starts with its header, as for eval; a pipe, named or
+            # stdin, need not
+            if path and fh.seekable():
+                io.read_header(fh, config.channels)
             for event in run_replay(strides, model, config, args.pacing):
                 print(json.dumps(event_to_dict(
                     event, include_timing=not args.no_timing)), flush=True)

@@ -2,13 +2,18 @@
 
 Recordings are human-inspectable CSV with header ``t,ch0,...,ch{L-1}``; the
 channel values are rendered with shortest round-trip precision so write/read
-is value-exact. Annotations ride in a sidecar CSV (``n,gesture,phase``)
-derived from the recording path; rows piped on stdin obey the same checks.
-A recording CSV is written and read in blocks of :data:`ROW_BLOCK` lines, so
-its whole text is never held, and a pipe a stride at a time, both through one
-decoder (:func:`_line_blocks`): UTF-8 in any locale, lines broken as by
-``str.splitlines``. A calibration is a JSON object, which the model header
-embeds.
+is value-exact. Every recording, from a file or a pipe, is read by one row
+reader (:func:`_rows`) with one grammar: a file given by path starts with its
+header; lines blank after ``strip()`` are skipped anywhere, and so are ``t,``
+lines that declare the channel count; every other line is a row. The first
+bad line in stream order is the error, whatever is wrong with it: bytes that
+are not UTF-8, a header of another count, a malformed row or a non-finite
+value. The text is decoded by :func:`_line_blocks`: UTF-8 in any locale,
+lines broken as by ``str.splitlines``. A file is read in blocks of
+:data:`ROW_BLOCK` lines, so its whole text is never held, and a pipe a stride
+at a time. Annotations ride in a sidecar CSV (``n,gesture,phase``) derived
+from the recording path, read whole. A calibration is a JSON object, which
+the model header embeds.
 
 Models use a small versioned binary container: magic bytes, version, a JSON
 header (architecture, normalization bounds, label table, calibration,
@@ -97,41 +102,47 @@ def read_recording(path: str | Path, sample_rate: float,
                    expected_channels: int | None = None) -> Recording:
     """Read a recording CSV (and its annotation sidecar when present).
 
-    The file is read and parsed in blocks of :data:`ROW_BLOCK` lines
-    (:func:`_line_blocks`), each into the end of one array grown in place:
-    the reader holds one block's text beside the rows, never the whole
-    file's, and the rows once. It accepts the lines and gives the errors of
-    a whole-file read: a byte that is not UTF-8 anywhere comes first, then the
-    header, then the first malformed row, then the first non-finite value.
+    Line 1 must be the header (:func:`read_header`). The rows are read by
+    :func:`_rows` in blocks of :data:`ROW_BLOCK` lines, each into the end of
+    one array grown in place: the reader holds one block's text beside the
+    rows, never the whole file's, and the rows once.
 
     Raises:
-        RecordingParseError: On a malformed header or row, a column-count
-            mismatch, non-consecutive sample indices or a NaN or infinite
-            value, or bytes that are not UTF-8; the error names the file
-            (the recording or its sidecar) and the offending line.
+        RecordingParseError: At the first bad line of the file: a missing,
+            malformed or other-count header, a malformed row, a
+            column-count mismatch, non-consecutive sample indices, a NaN or
+            infinite value, or bytes that are not UTF-8; the error names the
+            file (the recording or its sidecar) and the offending line.
     """
     path = Path(path)
-    rows, prev_t = None, None
-    with _file_blocks(path) as blocks:
-        for number, lines in blocks:
-            if number == 1:
-                channels = _recording_channels(lines[0], expected_channels)
-                rows = np.empty((0, channels))
-                number, lines = 2, lines[1:]
-            start = len(rows)
-            rows.resize((start + len(lines), channels))
-            prev_t = _parse_blocks(lines, range(number, number + len(lines)),
-                                   rows[start:], prev_t)
-        if rows is None:
-            raise RecordingParseError("file is empty, expected a header",
-                                      line=1)
-        _check_finite(rows, range(2, len(rows) + 2))
+    with _named(path), open(path, "rb") as fh:
+        channels = read_header(fh, expected_channels)
+        samples = np.empty((0, channels))
+        for rows in _rows(fh, channels, lambda: ROW_BLOCK):
+            start = len(samples)
+            samples.resize((start + len(rows), channels))
+            samples[start:] = rows
     annotations = []
     side = annotations_path(path)
     if side.exists():
-        annotations = read_annotations(side, len(rows))
-    return Recording(sample_rate=sample_rate, samples=rows,
+        annotations = read_annotations(side, len(samples))
+    return Recording(sample_rate=sample_rate, samples=samples,
                      annotations=annotations)
+
+
+def read_header(fh, expected: int | None) -> int:
+    """The channel count that the header on line 1 of the seekable binary
+    stream ``fh`` declares; ``fh`` is left at its start.
+
+    A file given by path starts with its header: an empty file, or a first
+    line that is blank or a row, is a :class:`RecordingParseError` at line 1,
+    as is a header that declares other than ``expected`` channels.
+    """
+    first = next(_line_blocks(fh, lambda: 1), None)
+    fh.seek(0)
+    if first is None:
+        raise RecordingParseError("file is empty, expected a header", line=1)
+    return _recording_channels(first[1][0].strip(), expected)
 
 
 def _recording_channels(header: str, expected: int | None,
@@ -162,8 +173,7 @@ def _line_blocks(fh, size: Callable[[], int]
     naming line 1 + the count of ``b"\\n"`` before it.
     """
     number, newlines = 1, 0
-    while chunk := list(islice(fh, size())):
-        raw = b"".join(chunk)
+    while raw := b"".join(islice(fh, size())):
         try:
             lines = raw.decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:
@@ -172,28 +182,19 @@ def _line_blocks(fh, size: Callable[[], int]
             line = newlines + raw.count(b"\n", 0, exc.start) + 1
             raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
                                       line=line) from exc
+        newlines += raw.count(b"\n")
+        del raw    # while the block is parsed, its text is held once
         yield number, lines
         number += len(lines)
-        newlines += len(chunk)
 
 
 @contextmanager
-def _file_blocks(path: Path):
-    """The :data:`ROW_BLOCK` line blocks of the file at ``path``. A
-    :class:`RecordingParseError` raised in the block is held until the rest
-    of the file is decoded, so that a byte that is not UTF-8 anywhere in it
-    takes precedence, and is raised again with ``path`` in its message."""
-    with open(path, "rb") as fh:
-        blocks = _line_blocks(fh, lambda: ROW_BLOCK)
-        try:
-            try:
-                yield blocks
-            except RecordingParseError:
-                for _ in blocks:
-                    pass
-                raise
-        except RecordingParseError as exc:
-            raise RecordingParseError(exc.reason, exc.line, path) from exc
+def _named(path: Path):
+    """Name ``path`` in a :class:`RecordingParseError` raised in the block."""
+    try:
+        yield
+    except RecordingParseError as exc:
+        raise RecordingParseError(exc.reason, exc.line, path) from exc
 
 
 def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
@@ -203,95 +204,12 @@ def parse_rows(lines: Sequence[str], line_numbers: Sequence[int],
     Each row needs ``out.shape[1] + 1`` columns, an integer ``t`` one above
     the previous row's (``prev_t`` carries it from an earlier block) and
     finite values. A :class:`RecordingParseError` names the first bad row by
-    its entry in ``line_numbers``.
+    its entry in ``line_numbers``, once the rows before it are written.
 
     Rows go in blocks of :data:`ROW_BLOCK`. :func:`_parse_block` reads a
     block of canonical rows in one pass; any other block goes through the
     row loop, which defines the accepted language and the error text.
     """
-    prev_t = _parse_blocks(lines, line_numbers, out, prev_t)
-    # Checked once over all rows, so a structural error anywhere still
-    # takes precedence over a non-finite value before it.
-    _check_finite(out[:len(lines)], line_numbers)
-    return prev_t
-
-
-def read_strides(fh, channels: int, stride: int) -> Iterator[np.ndarray]:
-    """Each ``(stride, channels)`` block of the rows on the binary stream
-    ``fh``, yielded as a view that holds until the next one is asked for.
-
-    Lines blank after ``strip()`` are skipped anywhere, and so are header
-    lines, those starting with ``t,``, once they declare ``channels``
-    channels. A header that declares another count is the header error of
-    :func:`read_recording` at its line, raised after the strides before it
-    and once the lines before it are read. Each stride passes
-    :func:`parse_rows`, with ``t`` and line numbers carried across strides,
-    and the strides before the first bad one are yielded; a partial last
-    stride is checked, then dropped.
-
-    A seekable stream never waits on a writer, so it is read and parsed in
-    blocks of :data:`ROW_BLOCK` rows (``stride`` rows if that is more): each
-    read tops the rows held up to a block. Any other stream is read only as
-    far as the current stride needs: a row counts as read when the
-    ``b"\\n"`` that ends it, or the end of the stream, arrives. A live writer
-    should end rows with ``\\n`` or ``\\r\\n``, since rows ended by a lone
-    ``\\r`` wait until the stream closes.
-    """
-    block = max(ROW_BLOCK, stride) if fh.seekable() else stride
-    out = np.empty((stride, channels))
-    rows, numbers, prev_t = [], [], None
-    for first, lines in _line_blocks(fh, lambda: block - len(rows)):
-        rows += map(str.strip, lines)
-        numbers += range(first, first + len(lines))
-        bad_header = None
-        # a line starting with "t," sorts at or after "t,", so the filter
-        # runs only when a blank line or such a line may be held
-        if "" in rows or max(rows) >= "t,":
-            bad_header = _drop_skipped(rows, numbers, channels)
-        full = len(rows) - len(rows) % stride
-        if len(out) < full:    # a block, or a byte line split at "\r"
-            out = np.empty((full, channels))
-        try:    # all full strides in one call; else one at a time, in order
-            prev_t = parse_rows(rows[:full], numbers[:full], out, prev_t)
-            checked = full
-        except RecordingParseError:
-            checked = 0
-        for start in range(0, full, stride):
-            part = slice(start, start + stride)
-            if start >= checked:
-                prev_t = parse_rows(rows[part], numbers[part], out[part],
-                                    prev_t)
-            yield out[part]
-        del rows[:full], numbers[:full]
-        if bad_header is not None:
-            raise bad_header
-    parse_rows(rows, numbers, out, prev_t)
-
-
-def _drop_skipped(rows: list[str], numbers: list[int],
-                  channels: int) -> RecordingParseError | None:
-    """Drop the blank and header lines from ``rows`` and their ``numbers``.
-
-    At a header that does not declare ``channels`` channels both lists are
-    cut before it, and its error is returned, not raised, so that the rows
-    before it are parsed first."""
-    error = None
-    for k in [k for k, row in enumerate(rows) if row.startswith("t,")]:
-        try:
-            _recording_channels(rows[k], channels, numbers[k])
-        except RecordingParseError as exc:
-            error = exc
-            del rows[k:], numbers[k:]
-            break
-    kept = [row and not row.startswith("t,") for row in rows]
-    rows[:] = compress(rows, kept)
-    numbers[:] = compress(numbers, kept)
-    return error
-
-
-def _parse_blocks(lines: Sequence[str], line_numbers: Sequence[int],
-                  out: np.ndarray, prev_t: int | None) -> int | None:
-    """:func:`parse_rows` without its finiteness check."""
     for start in range(0, len(lines), ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
         t = _parse_block(lines[block], out[block], prev_t)
@@ -302,14 +220,74 @@ def _parse_blocks(lines: Sequence[str], line_numbers: Sequence[int],
     return prev_t
 
 
-def _check_finite(rows: np.ndarray, line_numbers: Sequence[int]) -> None:
-    """Name the line of the first NaN or infinite value in ``rows``."""
-    finite = np.isfinite(rows)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise RecordingParseError(
-            f"ch{col} is {rows[row, col]}, expected a finite value",
-            line=line_numbers[row])
+def read_strides(fh, channels: int, stride: int) -> Iterator[np.ndarray]:
+    """Each ``(stride, channels)`` block of the rows on the binary stream
+    ``fh``, in order: the rows of :func:`_rows`, which needs no header (a
+    caller reading a file checks line 1 with :func:`read_header`). The
+    strides before the first bad line are yielded, then its error is
+    raised; a partial last stride is checked, then dropped.
+
+    A seekable stream never waits on a writer, so it is read and parsed in
+    blocks of :data:`ROW_BLOCK` rows (``stride`` rows if that is more): each
+    read tops the rows held up to a block. Any other stream is read only as
+    far as the current stride needs: a row counts as read when the
+    ``b"\\n"`` that ends it, or the end of the stream, arrives. A live writer
+    should end rows with ``\\n`` or ``\\r\\n``, since rows ended by a lone
+    ``\\r`` wait until the stream closes.
+    """
+    size = max(ROW_BLOCK, stride) if fh.seekable() else stride
+    held = np.empty((0, channels))
+    for rows in _rows(fh, channels, lambda: size - len(held)):
+        held = np.concatenate((held, rows))
+        full = len(held) - len(held) % stride
+        for start in range(0, full, stride):
+            yield held[start:start + stride]
+        held = held[full:]
+
+
+def _rows(fh, channels: int, size: Callable[[], int]
+          ) -> Iterator[np.ndarray]:
+    """The rows of each :func:`_line_blocks` block of the binary stream
+    ``fh``, parsed and checked into one ``(rows, channels)`` array.
+
+    Each line is stripped. Blank lines are skipped, and so are lines
+    starting with ``t,`` that declare ``channels`` channels; every other
+    line is a row for :func:`parse_rows`, with ``t`` carried across blocks.
+    At the first bad line the rows before it are yielded, then its error is
+    raised.
+    """
+    prev_t = None
+    for first, lines in _line_blocks(fh, size):
+        lines = list(map(str.strip, lines))
+        numbers, error = range(first, first + len(lines)), None
+        # a line starting with "t," sorts at or after "t,", so the filter
+        # runs only when a blank line or such a line may be in the block
+        if "" in lines or max(lines) >= "t,":
+            lines, numbers, error = _drop_skipped(lines, numbers, channels)
+        rows = np.empty((len(lines), channels))
+        try:
+            prev_t = parse_rows(lines, numbers, rows, prev_t)
+        except RecordingParseError as exc:
+            error, rows = exc, rows[:numbers.index(exc.line)]
+        yield rows
+        if error is not None:
+            raise error
+
+
+def _drop_skipped(lines: list[str], numbers: Sequence[int], channels: int
+                  ) -> tuple[list[str], list[int], RecordingParseError | None]:
+    """The rows among ``lines``, their ``numbers`` and the error of the first
+    header that does not declare ``channels`` channels, if any; the rows
+    stop before that header."""
+    error = None
+    for k in [k for k, line in enumerate(lines) if line.startswith("t,")]:
+        try:
+            _recording_channels(lines[k], channels, numbers[k])
+        except RecordingParseError as exc:
+            error, lines, numbers = exc, lines[:k], numbers[:k]
+            break
+    kept = [line and not line.startswith("t,") for line in lines]
+    return list(compress(lines, kept)), list(compress(numbers, kept)), error
 
 
 def _parse_block(lines: Sequence[str], out: np.ndarray,
@@ -319,8 +297,9 @@ def _parse_block(lines: Sequence[str], out: np.ndarray,
     The block is taken only when every line has ``out.shape[1]`` commas, the
     ``t`` fields read exactly ``str(prev_t + 1), str(prev_t + 2), ...`` (from
     the first row's ``int()`` when ``prev_t`` is None) and every value parses
-    with ``float()``. The row loop would then split the same fields and give
-    the same bits. ``out`` is written only once the whole block has passed.
+    with ``float()`` to a finite number. The row loop would then split the
+    same fields and give the same bits. ``out`` is written only once the
+    whole block has passed.
     """
     channels = out.shape[1]
     if not all(line.count(",") == channels for line in lines):
@@ -340,13 +319,15 @@ def _parse_block(lines: Sequence[str], out: np.ndarray,
         values = np.fromiter(map(float, fields), np.float64, len(fields))
     except ValueError:
         return None
+    if not np.isfinite(values).all():
+        return None
     out[:len(lines)] = values.reshape(len(lines), channels)
     return last
 
 
 def _parse_row_loop(lines: Sequence[str], line_numbers: Sequence[int],
                     out: np.ndarray, prev_t: int | None) -> int | None:
-    """The row-by-row reference parse; leaves finiteness to the caller."""
+    """The row-by-row reference parse."""
     width = out.shape[1] + 1
     for k, line in enumerate(lines):
         parts = line.split(",")
@@ -356,13 +337,19 @@ def _parse_row_loop(lines: Sequence[str], line_numbers: Sequence[int],
                 line=line_numbers[k])
         try:
             t = int(parts[0])
-            out[k] = [float(p) for p in parts[1:]]
+            values = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise RecordingParseError(str(exc), line=line_numbers[k]) from exc
         if prev_t is not None and t != prev_t + 1:
             raise RecordingParseError(
                 f"sample index {t} does not follow {prev_t}",
                 line=line_numbers[k])
+        for col, value in enumerate(values):
+            if not math.isfinite(value):
+                raise RecordingParseError(
+                    f"ch{col} is {value}, expected a finite value",
+                    line=line_numbers[k])
+        out[k] = values
         prev_t = t
     return prev_t
 
@@ -372,9 +359,10 @@ def read_annotations(path: str | Path, num_samples: int) -> list[Annotation]:
     samples; a :class:`RecordingParseError` names the file and the offending
     line, also of an annotation outside the recording."""
     path = Path(path)
-    with _file_blocks(path) as blocks:
+    with _named(path), open(path, "rb") as fh:
         # a sidecar holds a few rows per gesture, so it is read whole
-        lines = [line for _, block in blocks for line in block]
+        lines = [line for _, block in _line_blocks(fh, lambda: ROW_BLOCK)
+                 for line in block]
         if not lines or lines[0] != "n,gesture,phase":
             raise RecordingParseError("bad annotation header", line=1)
         out = []

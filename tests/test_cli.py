@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import unittest.mock
 from pathlib import Path
 
@@ -434,6 +435,30 @@ class TestRun:
             std_io.BytesIO(b""), encoding="utf-8"))
         assert run_quietly([*argv, "-"]) == (0, "", "")
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_named_pipe_needs_no_header(self, workspace, tmp_path,
+                                          monkeypatch):
+        # a named pipe cannot seek back to its first line, and is read as
+        # stdin is: rows without a header give stdin's events
+        rows = b"".join(workspace["eval_csv"].read_bytes().splitlines(
+            keepends=True)[1:])
+        argv = ["run", *workspace["base"], "--model", str(workspace["model"]),
+                "--no-timing", "--input"]
+        monkeypatch.setattr("sys.stdin", std_io.TextIOWrapper(
+            std_io.BytesIO(rows), encoding="utf-8"))
+        expected = run_quietly([*argv, "-"])
+        assert expected[0] == 0 and expected[1]
+        fifo = tmp_path / "rows"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(rows,),
+                                  daemon=True)
+        writer.start()
+        try:
+            assert run_quietly([*argv, str(fifo)]) == expected
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+
     @pytest.mark.parametrize("pacing", ["fast", "realtime"])
     def test_pacing_applies_to_stdin(self, workspace, capsys, monkeypatch,
                                      pacing):
@@ -450,6 +475,68 @@ class TestRun:
             assert len(sleeps) > 20
         else:
             assert sleeps == []
+
+def reading_commands(workspace, path):
+    """The argv of each command that reads the recording at ``path``."""
+    model = ["--model", str(workspace["model"])]
+    return [["run", *workspace["base"], *model, "--no-timing", "--input",
+             str(path)],
+            ["eval", *workspace["base"], *model, "--input", str(path)],
+            ["calibrate", *workspace["base"], "--recording", str(path)]]
+
+
+class TestOneReader:
+    """run, eval and calibrate read a recording file by one grammar and
+    report its first bad line alike."""
+
+    @pytest.mark.parametrize("fault,error", [
+        ("empty", "line 1: file is empty, expected a header"),
+        ("blank", "line 1: bad header '', expected 't,ch0,...'"),
+        ("no header", "line 1: bad header '0,"),
+        ("channels", "line 1: file has 8 channels, expected 4"),
+        ("nan then short", "line 3: ch1 is nan, expected a finite value"),
+    ])
+    def test_every_command_gives_the_same_error(self, workspace, tmp_path,
+                                                fault, error):
+        lines = workspace["eval_csv"].read_bytes().splitlines()
+        assert len(lines) > 5000
+        if fault == "empty":
+            lines = []
+        elif fault == "blank":
+            lines = [b"", b""]
+        elif fault == "no header":
+            del lines[0]
+        elif fault == "channels":
+            lines[0] = b"t," + b",".join(b"ch%d" % i for i in range(8))
+        else:
+            lines[2] = b"1,0.5,nan,0.5,0.5"
+            lines[4999] = b"4998,0.5"
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        outcomes = [run_quietly(argv)
+                    for argv in reading_commands(workspace, path)]
+        assert outcomes[0][2].startswith(f"error: {path}: {error}")
+        assert outcomes == [(1, "", outcomes[0][2])] * 3
+
+    def test_blank_lines_and_a_repeated_header_are_skipped(self, workspace,
+                                                           tmp_path):
+        lines = workspace["eval_csv"].read_bytes().splitlines()
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"\n".join(
+            [*lines[:300], b"", lines[0], b"  ", *lines[300:], b""]))
+        annotations_path(path).write_bytes(
+            annotations_path(workspace["eval_csv"]).read_bytes())
+        def untimed(argv):    # eval's table ends with the compute times
+            rc, out, err = run_quietly(argv)
+            return rc, re.sub(r"prediction compute: .*\n", "", out), err
+
+        for clean, spaced in zip(
+                reading_commands(workspace, workspace["eval_csv"]),
+                reading_commands(workspace, path)):
+            expected = untimed(clean)
+            assert expected[0] == 0 and expected[1]
+            assert untimed(spaced) == expected
+
 
 class TestEval:
     def test_table_and_report(self, workspace, capsys):

@@ -141,14 +141,15 @@ class TestRecordingCsv:
             for t, row in enumerate(samples))
         assert path.read_bytes() == expected.encode("utf-8")
 
-    def test_structural_error_in_later_block_beats_earlier_nan(self, tmp_path):
+    def test_earlier_nan_beats_structural_error_in_later_block(self, tmp_path):
+        # the first bad line wins, whatever is wrong with it
         rows = [f"{t},1.0,2.0" for t in range(6000)]
         rows[1] = "1,nan,2.0"      # line 3, first block
         rows[4998] = "4998,1.0"    # line 5000, second block
         path = tmp_path / "two_faults.csv"
         path.write_text("t,ch0,ch1\n" + "\n".join(rows) + "\n")
         with pytest.raises(RecordingParseError,
-                           match="line 5000: row has 2 columns, expected 3"):
+                           match="line 3: ch0 is nan, expected a finite value"):
             read_recording(path, sample_rate=200.0)
 
     @pytest.mark.parametrize("bad_row", [1, 30000])
@@ -700,7 +701,8 @@ NOT_UTF8 = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf0\x9f\x98"]
 @st.composite
 def csv_files(draw):
     """The bytes of a recording CSV, mutated on lines at either side of the
-    edges of line blocks, and the block size; returns (data, block)."""
+    edges of line blocks, with blank lines and headers inserted there, and
+    the block size; returns (data, block)."""
     block = draw(st.sampled_from([1, 2, 3, 5]))
     channels = draw(st.integers(1, 3))
     values = st.floats(allow_nan=False, allow_infinity=False)
@@ -712,11 +714,15 @@ def csv_files(draw):
     pieces = [",".join(line).encode() for line in lines]
     for _ in range(draw(st.integers(0, 3))):
         edge = draw(st.integers(0, 4)) * block + draw(st.integers(-1, 1))
-        k = min(max(edge, 0), len(lines) - 1)
+        k = min(max(edge, 0), len(pieces) - 1)
         kind = draw(st.sampled_from(["end", "break", "utf8", "value",
-                                     "ragged"]))
+                                     "ragged", "skipped"]))
         at = draw(st.integers(0, len(pieces[k])))
-        if kind == "end":
+        if kind == "skipped":    # before line k: blank, or a header
+            pieces.insert(k, draw(st.sampled_from(
+                [b"", b" \t", pieces[0], b"  " + pieces[0], b"t,"])))
+            ends.insert(k, "\n")
+        elif kind == "end":
             ends[k] = draw(st.sampled_from(LINE_BREAKS))
         elif kind == "break":
             pieces[k] = (pieces[k][:at]
@@ -739,29 +745,51 @@ def csv_files(draw):
     return data, block
 
 
-def whole_file_outcome(path):
-    """The whole-file reader that read_recording replaced: read() and
-    splitlines() in text mode, then one parse_rows call over every row.
-    Returns (shape, array bytes) or (error reason, error line)."""
-    try:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
-                                      line=line) from exc
-        if not lines:
-            raise RecordingParseError("file is empty, expected a header",
-                                      line=1)
-        header = lines[0].split(",")
-        if header[0] != "t" or len(header) < 2:
+def rows_line_by_line(lines, channels):
+    """The rows of the ``(line number, line)`` pairs ``lines``, each parsed
+    alone: stripped lines that are blank, or start with ``t,`` and declare
+    ``channels`` channels, are skipped."""
+    prev_t = None
+    for number, line in lines:
+        line = line.strip()
+        if line.startswith("t,") and line.count(",") != channels:
             raise RecordingParseError(
-                f"bad header {lines[0]!r}, expected 't,ch0,...'", line=1)
-        rows = np.empty((len(lines) - 1, len(header) - 1))
-        parse_rows(lines[1:], range(2, len(lines) + 1), rows)
+                f"file has {line.count(',')} channels, expected {channels}",
+                line=number)
+        if line and not line.startswith("t,"):
+            row = np.empty((1, channels))
+            prev_t = parse_rows([line], [number], row, prev_t)
+            yield row
+
+
+def whole_file_outcome(path):
+    """The file read whole and decoded in text mode, split by splitlines()
+    and parsed line by line; line 1 must be the header. The lines before a
+    byte that is not UTF-8 are parsed before its error is raised.
+    Returns (shape, array bytes) or (error reason, error line)."""
+    data = path.read_bytes()
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+        bad = RecordingParseError(f"not UTF-8 text: {exc.reason}",
+                                  line=data.count(b"\n", 0, exc.start) + 1)
+    lines = text.splitlines()
+    try:
+        if not lines:
+            raise bad or RecordingParseError(
+                "file is empty, expected a header", line=1)
+        header = lines[0].strip()
+        if not header.startswith("t,"):
+            raise RecordingParseError(
+                f"bad header {header!r}, expected 't,ch0,...'", line=1)
+        channels = header.count(",")
+        rows = list(rows_line_by_line(enumerate(lines, start=1), channels))
+        if bad:
+            raise bad
     except RecordingParseError as exc:
         return exc.reason, exc.line
+    rows = np.concatenate(rows) if rows else np.empty((0, channels))
     return rows.shape, rows.tobytes()
 
 
@@ -782,6 +810,9 @@ class TestLineBlocks:
     @example((b"t,ch0\n0,1.0\n1,nan\n2,1.0\r3,1.0\n", 2))
     @example((b"t,ch0\n0,1.0\n1,\xff\n2,1.0\n3,1.0\r\n", 1))
     @example((b"t,ch0\n0,1.0\x852,1.0\n", 2))
+    @example((b"t,ch0\n0,nan\n1,1.0\n2,1,1\n", 2))    # NaN, then a bad row
+    @example((b"t,ch0\n0,1,1\n1,\xff\n", 2))    # a bad row, then not UTF-8
+    @example((b"\n\nt,ch0\n", 1))    # the header is not on line 1
     def test_blocks_equal_the_whole_file_reader(self, case):
         data, block = case
         with tempfile.TemporaryDirectory() as root:
@@ -822,10 +853,8 @@ class LineWriter(std_io.RawIOBase):
 
 
 def text_stdin_outcome(data, channels, stride):
-    """The stdin reader that read_strides replaced: the universal-newline
-    lines of a strict UTF-8 text stdin, one parse_rows call per stride,
-    plus the header check that read_strides added: a ``t,`` line must
-    declare ``channels`` channels when it is read.
+    """The universal-newline lines of a strict UTF-8 text stdin, parsed line
+    by line, a stride reported as soon as its last row is parsed.
     Returns (stride bytes, (error reason, error line) or None)."""
     stdin = std_io.TextIOWrapper(std_io.BufferedReader(LineWriter(data)),
                                  encoding="utf-8", errors="strict")
@@ -841,25 +870,13 @@ def text_stdin_outcome(data, channels, stride):
             raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
                                       line=line) from exc
 
-    strides = []
-    batch = np.empty((stride, channels))
-    lines, numbers, prev_t = [], [], None
+    strides, rows = [], []
     try:
-        for i, line in stdin_lines():
-            line = line.strip()
-            if line.startswith("t,") and line.count(",") != channels:
-                raise RecordingParseError(
-                    f"file has {line.count(',')} channels, expected "
-                    f"{channels}", line=i)
-            if not line or line.startswith("t,"):
-                continue
-            lines.append(line)
-            numbers.append(i)
-            if len(lines) == stride:
-                prev_t = parse_rows(lines, numbers, batch, prev_t)
-                lines, numbers = [], []
-                strides.append(batch.tobytes())
-        parse_rows(lines, numbers, batch, prev_t)
+        for row in rows_line_by_line(stdin_lines(), channels):
+            rows.append(row)
+            if len(rows) == stride:
+                strides.append(np.concatenate(rows).tobytes())
+                rows = []
     except RecordingParseError as exc:
         return strides, (exc.reason, exc.line)
     return strides, None
@@ -944,6 +961,7 @@ class TestReadStrides:
     @example((b"0,1.0\n1,2.0\n2,\xff3.0\n", 1, 2))
     @example((b"0,1.0\n1,2.0\n2,3.0\xe2\x82", 1, 20))
     @example((b"0,0.0\r1,0.0\n", 1, 1))    # two strides in one byte line
+    @example((b"0,nan\n1,1,1\n", 1, 2))    # a NaN, then a bad row, one stride
     def test_strides_equal_the_text_stdin_reader(self, case):
         data, channels, stride = case
         expected = text_stdin_outcome(data, channels, stride)
@@ -975,10 +993,14 @@ class TestReadStrides:
     @pytest.mark.parametrize("seekable", [False, True])
     def test_a_header_of_other_channels_ends_the_rows_at_its_line(
             self, seekable):
-        # the strides before it come out; the partial one before it is not
-        # parsed, as before a byte that is not UTF-8
+        # the strides before it come out, and the first bad line wins: a
+        # NaN in the partial stride before the header, else the header
         data = b"t,ch0\n0,1.0\n1,2.0\n2,nan\n  t,ch0,ch1 \n3,4.0\n"
         assert stride_outcome(data, 1, 2, seekable) == (
+            [np.array([1.0, 2.0]).tobytes()],
+            ("ch0 is nan, expected a finite value", 4))
+        assert stride_outcome(data.replace(b"nan", b"3.0"), 1, 2,
+                              seekable) == (
             [np.array([1.0, 2.0]).tobytes()],
             ("file has 2 channels, expected 1", 5))
         assert stride_outcome(data, 2, 2, seekable) == (

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 import tmagest
@@ -43,3 +46,21 @@ def test_synth_does_not_load_scipy(tmp_path):
             "print(rc, 'scipy' in sys.modules)")
     assert run_python(code).splitlines()[-1] == "0 False"
     assert out.stat().st_size > 0
+
+
+
+def test_perfbench_traced_names_resolve(monkeypatch):
+    # the benchmark's traced run wraps each (owner, attribute) of its
+    # TRACE_TARGETS, looked up as tracing.Tracer.patched does; a function
+    # moved or renamed here would fail that run, so it fails this test first
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    protocol = importlib.import_module("protocol")
+
+    def lookup(owner, attr):
+        if isinstance(owner, type):
+            return owner.__dict__.get(attr)
+        return getattr(owner, attr, None)
+
+    missing = [name for owner, attr, name, _ in protocol.TRACE_TARGETS
+               if not callable(lookup(owner, attr))]
+    assert missing == []
