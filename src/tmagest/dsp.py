@@ -31,15 +31,14 @@ recordings with the same ``S``, so both meet every block with the same
 matrix and the same arithmetic: offline envelopes equal the streaming ones
 bit for bit.
 
-The same form filters the synthetic generator's carrier:
+The same class filters the synthetic generator's carrier:
 :func:`design_butterworth_bandpass` designs a fourth-order Butterworth
 band-pass in numpy as one 8-state system ``(A, B, C, D)``, and
-:func:`block_filter` runs it over a whole recording. There every full block
-is filtered at once, by one batched product with ``T`` and one with ``Psi``,
-the state recursion ``z <- Phi z + Psi X`` loops over blocks, not samples, and
-one batched product with ``Gamma`` adds each block's start state; the short
-last block uses the matrices of its own length. :func:`block_matrices` builds
-``(T, Gamma, Phi, Psi)`` from ``(A, B, C, D)`` for both filters.
+:class:`EnvelopeFilter` takes that system in place of a biquad and runs it
+by the same per-block product. :meth:`BiquadCoefficients.state_space` turns
+a biquad into ``(A, B, C, D)``, for the envelope and for each band-pass
+section, and :func:`block_matrices` builds ``(T, Gamma, Phi, Psi)`` from
+``(A, B, C, D)`` for both filters.
 
 Zero-phase (forward-backward) filtering is deliberately not offered: it needs
 future samples and therefore cannot run streaming. The price is the filter's
@@ -90,6 +89,15 @@ class BiquadCoefficients:
     def is_stable(self) -> bool:
         # Jury criterion for a second-order denominator.
         return abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2
+
+    def state_space(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """``(A, B, C, D)`` of the direct-form-II-transposed recursion:
+        ``z' = A z + B x`` and ``y = C z + D x`` with ``C = [1, 0]`` and
+        ``D = b0``."""
+        return (np.array([[-self.a1, 1.0], [-self.a2, 0.0]]),
+                np.array([self.b1 - self.a1 * self.b0,
+                          self.b2 - self.a2 * self.b0]),
+                np.array([1.0, 0.0]), self.b0)
 
 
 def design_butterworth_lowpass(cutoff_hz: float, sample_rate: float) -> BiquadCoefficients:
@@ -172,9 +180,8 @@ def design_butterworth_bandpass(
     for i, p in enumerate(poles[np.argsort(np.abs(poles))]):
         # one section: b = g * [1, 0, -1], a = [1, -2 Re p, |p|^2]
         g = gain if i == 0 else 1.0
-        a1, a2 = -2.0 * p.real, abs(p) ** 2
-        sa = np.array([[-a1, 1.0], [-a2, 0.0]])
-        sb = np.array([-a1 * g, -g - a2 * g])
+        sa, sb, sc, sd = BiquadCoefficients(
+            b0=g, b1=0.0, b2=-g, a1=-2.0 * p.real, a2=abs(p) ** 2).state_space()
         # in series: the section's input is the cascade's output so far
         n = a.shape[0]
         cascade = np.zeros((n + 2, n + 2))
@@ -182,7 +189,7 @@ def design_butterworth_bandpass(
         cascade[n:, :n] = np.outer(sb, c)
         cascade[n:, n:] = sa
         a, b, c, d = (cascade, np.concatenate([b, sb * d]),
-                      np.concatenate([g * c, [1.0, 0.0]]), g * d)
+                      np.concatenate([sd * c, sc]), sd * d)
     return a, b, c, d
 
 
@@ -210,46 +217,45 @@ def block_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: float,
 
 
 class EnvelopeFilter:
-    """Per-channel streaming biquad bank in block state-space form.
+    """Per-channel streaming filter bank in block state-space form.
 
-    :meth:`process` walks its input in blocks of ``block_size`` samples from
-    the input's first sample; a short final block of ``r`` samples uses the
-    ``r``-step matrices (the leading ``r`` rows of ``T`` and ``Gamma``,
-    ``Phi = A^r`` and the last ``r`` columns of ``Psi``). Successive calls
-    whose lengths are multiples of ``block_size`` (the last may be shorter)
-    therefore give the same outputs, bit for bit, as one call over the
-    concatenated input; this is what keeps the engine's stride-by-stride
-    envelopes equal to :func:`envelope_stream`.
+    ``coeffs`` is the envelope's :class:`BiquadCoefficients` or any system
+    ``(A, B, C, D)`` of ``k`` states, such as the carrier's band-pass from
+    :func:`design_butterworth_bandpass`. :meth:`process` walks its input in
+    blocks of ``block_size`` samples from the input's first sample; a short
+    final block of ``r`` samples uses the ``r``-step matrices (the leading
+    ``r`` rows of ``T`` and ``Gamma``, ``Phi = A^r`` and the last ``r``
+    columns of ``Psi``). Successive calls whose lengths are multiples of
+    ``block_size`` (the last may be shorter) therefore give the same outputs,
+    bit for bit, as one call over the concatenated input; this is what keeps
+    the engine's stride-by-stride envelopes equal to :func:`envelope_stream`.
 
     One instance owns the filter memory of one logical stream and must be
     stepped by a single caller in sample order. Coefficients are immutable
     and may be shared between instances.
     """
 
-    def __init__(self, coeffs: BiquadCoefficients, channels: int,
+    def __init__(self, coeffs: BiquadCoefficients | tuple, channels: int,
                  block_size: int):
         if channels < 1:
             raise ConfigError(f"channels must be >= 1, got {channels}")
         if block_size < 1:
             raise ConfigError(f"block_size must be >= 1, got {block_size}")
-        self.coeffs = coeffs
         self.channels = channels
         self.block_size = block_size
-        # z' = A z + B x, y = C z + D x with C = [1, 0] and D = b0
-        c = coeffs
-        self._system = (np.array([[-c.a1, 1.0], [-c.a2, 0.0]]),
-                        np.array([c.b1 - c.a1 * c.b0, c.b2 - c.a2 * c.b0]),
-                        np.array([1.0, 0.0]), c.b0)
+        self._system = (coeffs.state_space()
+                        if isinstance(coeffs, BiquadCoefficients) else coeffs)
+        self._states = self._system[0].shape[0]
         self._full = self._matrix(block_size)
-        # Rows 0-1 hold the state between calls; the block is copied below it
-        # so one product advances both.
-        self._work = np.zeros((block_size + 2, channels))
+        # The first k rows hold the state between calls; the block is copied
+        # below it so one product advances both.
+        self._work = np.zeros((self._states + block_size, channels))
 
     def _matrix(self, r: int) -> np.ndarray:
-        """The (r + 2)-square block matrix for a block of r <= S samples.
+        """The (k + r)-square block matrix for a block of r <= S samples.
 
-        Rows 0-1 map to the next state, rows 2.. to the outputs; columns 0-1
-        take the state, columns 2.. the input block.
+        The first k rows map to the next state, the rest to the outputs; the
+        first k columns take the state, the rest the input block.
         """
         t, gamma, phi, psi = block_matrices(*self._system, r)
         return np.block([[phi, psi], [gamma, t]])
@@ -265,15 +271,15 @@ class EnvelopeFilter:
             raise StructuralError(
                 f"expected a (n, {self.channels}) block, got {block.shape}"
             )
-        work, S = self._work, self.block_size
+        work, S, k = self._work, self.block_size, self._states
         out = np.empty_like(block)
         for start in range(0, block.shape[0], S):
             r = min(S, block.shape[0] - start)
-            work[2:r + 2] = block[start:start + r]
+            work[k:k + r] = block[start:start + r]
             m = self._full if r == S else self._matrix(r)
-            res = np.dot(m, work[:r + 2])
-            work[:2] = res[:2]
-            out[start:start + r] = res[2:]
+            res = np.dot(m, work[:k + r])
+            work[:k] = res[:k]
+            out[start:start + r] = res[k:]
         return out
 
 
@@ -287,36 +293,3 @@ def envelope_stream(raw: np.ndarray, coeffs: BiquadCoefficients,
     raw = np.asarray(raw, dtype=np.float64)
     filt = EnvelopeFilter(coeffs, raw.shape[1], block_size)
     return filt.process(np.abs(raw))
-
-
-def block_filter(system: tuple, x: np.ndarray, block_size: int) -> np.ndarray:
-    """Filter each column of a (samples, channels) array from zero state.
-
-    ``system`` is ``(A, B, C, D)`` as :func:`design_butterworth_bandpass`
-    returns it. All full blocks of ``block_size`` samples are filtered
-    together: one batched product with ``T`` gives every block's response to
-    its own input and one with ``Psi`` the state each block adds, the
-    recursion ``z <- Phi z + Psi X_k`` runs once per block, and one batched
-    product with ``Gamma`` adds each block's response to the state it starts
-    from. The last ``r < block_size`` samples use the ``r``-step matrices,
-    so the input is never padded. The result agrees with a per-sample
-    recursion to rounding, not bit for bit.
-    """
-    t, gamma, phi, psi = block_matrices(*system, block_size)
-    n, channels = x.shape
-    blocks = n // block_size
-    full = blocks * block_size
-    y = np.empty((n, channels))
-    xb = x[:full].reshape(blocks, block_size, channels)
-    yb = y[:full].reshape(blocks, block_size, channels)
-    np.matmul(t, xb, out=yb)
-    # states[k]: the state after block k, first only the part its input adds
-    states = np.matmul(psi, xb)
-    step = np.empty((psi.shape[0], channels))
-    for prev, cur in zip(states, states[1:]):
-        cur += np.dot(phi, prev, out=step)
-    yb[1:] += np.matmul(gamma, states[:-1])
-    state = states[-1] if blocks else np.zeros((psi.shape[0], channels))
-    r = n - full
-    y[full:] = t[:r, :r] @ x[full:] + gamma[:r] @ state
-    return y

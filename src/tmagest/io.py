@@ -112,10 +112,15 @@ def read_recording(path: str | Path, sample_rate: float,
             malformed or other-count header, a malformed row, a
             column-count mismatch, non-consecutive sample indices, a NaN or
             infinite value, or bytes that are not UTF-8; the error names the
-            file (the recording or its sidecar) and the offending line.
+            file (the recording or its sidecar) and the offending line. A
+            path that cannot seek, such as a named pipe, is refused before
+            any byte is read; :func:`read_strides` streams one.
     """
     path = Path(path)
     with _named(path), open(path, "rb") as fh:
+        if not fh.seekable():    # read_header seeks back to line 1
+            raise RecordingParseError(
+                "cannot seek; a recording is read from a regular file")
         channels = read_header(fh, expected_channels)
         samples = np.empty((0, channels))
         for rows in _rows(fh, channels, lambda: ROW_BLOCK):

@@ -537,6 +537,37 @@ class TestOneReader:
             assert expected[0] == 0 and expected[1]
             assert untimed(spaced) == expected
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_named_pipe_is_refused_by_the_whole_file_readers(
+            self, workspace, tmp_path):
+        # eval, train and calibrate read line 1 and seek back; a pipe cannot,
+        # so it is refused before any byte is read (run streams it instead)
+        fifo = tmp_path / "rows"
+        os.mkfifo(fifo)
+        model, base = ["--model", str(workspace["model"])], workspace["base"]
+        for argv in (["eval", *base, *model, "--input", str(fifo)],
+                     ["calibrate", *base, "--recording", str(fifo)],
+                     ["train", *base, "--recording", str(fifo),
+                      "--out", str(tmp_path / "m.tma")]):
+            writer = threading.Thread(
+                target=write_ignoring_broken_pipe,
+                args=(fifo, workspace["eval_csv"].read_bytes()), daemon=True)
+            writer.start()
+            try:
+                assert run_quietly(argv) == (
+                    1, "", f"error: {fifo}: cannot seek; a recording is read "
+                    "from a regular file\n")
+            finally:
+                writer.join(timeout=60)
+            assert not writer.is_alive()
+        assert not (tmp_path / "m.tma").exists()
+
+
+def write_ignoring_broken_pipe(path, data):
+    """Write ``data`` to the named pipe ``path``; a reader may close first."""
+    with contextlib.suppress(BrokenPipeError):
+        path.write_bytes(data)
+
 
 class TestEval:
     def test_table_and_report(self, workspace, capsys):

@@ -8,7 +8,6 @@ from tmagest import synth
 from tmagest.config import SessionConfig
 from tmagest.dsp import (
     EnvelopeFilter,
-    block_filter,
     design_butterworth_bandpass,
     design_butterworth_lowpass,
     envelope_stream,
@@ -147,11 +146,15 @@ class TestFilterStep:
         with pytest.raises(StructuralError):
             filt.process(np.zeros((1, 7)))
 
-    def test_strides_equal_one_call_and_envelope_stream(self, rng):
+    @pytest.mark.parametrize("c", [
+        design_butterworth_lowpass(2.0, 200.0),
+        # the carrier's band-pass carries 8 states across calls
+        design_butterworth_bandpass(20.0, 95.0, 200.0),
+    ], ids=["biquad", "bandpass"])
+    def test_strides_equal_one_call_and_envelope_stream(self, rng, c):
         # 303 samples: a short final block follows the whole ones
-        c = design_butterworth_lowpass(2.0, 200.0)
         x = rng.normal(size=(303, 3))
-        for size in (1, 7, 20):
+        for size in (1, 7, 20, CARRIER_BLOCK):
             whole = EnvelopeFilter(c, 3, size).process(np.abs(x))
             stepper = EnvelopeFilter(c, 3, size)
             strides = np.concatenate([stepper.process(np.abs(x[i:i + size]))
@@ -310,7 +313,14 @@ class TestBandpassDesign:
             design_butterworth_bandpass(low, high, fs)
 
 
-class TestBlockFilter:
+def bandpass_filter(system, x, block_size):
+    """``x`` through the band-pass ``system`` from zero state, in one call."""
+    return EnvelopeFilter(system, x.shape[1], block_size).process(x)
+
+
+class TestBandpassFilter:
+    """:class:`EnvelopeFilter` running the carrier's 8-state band-pass."""
+
     @pytest.mark.parametrize("fs", BAND_RATES)
     @pytest.mark.parametrize("n", [1, 2, CARRIER_BLOCK - 1, CARRIER_BLOCK,
                                    CARRIER_BLOCK + 1, 37 * CARRIER_BLOCK + 5])
@@ -320,8 +330,8 @@ class TestBlockFilter:
                                fs=fs)
         x = rng.standard_normal((n, 3))
         want = sp_signal.sosfilt(sos, x, axis=0)
-        got = block_filter(design_butterworth_bandpass(low, high, fs), x,
-                           CARRIER_BLOCK)
+        got = bandpass_filter(design_butterworth_bandpass(low, high, fs), x,
+                              CARRIER_BLOCK)
         # the two round differently, by some 1e-13 of the output's scale; an
         # output that crosses zero has no relative error of its own there
         np.testing.assert_allclose(got, want, rtol=1e-10,
@@ -331,16 +341,16 @@ class TestBlockFilter:
     def test_any_block_size_gives_the_same_filter(self, rng, size):
         system = design_butterworth_bandpass(20.0, 95.0, 200.0)
         x = rng.standard_normal((1000, 2))
-        want = block_filter(system, x, CARRIER_BLOCK)
-        np.testing.assert_allclose(block_filter(system, x, size), want,
+        want = bandpass_filter(system, x, CARRIER_BLOCK)
+        np.testing.assert_allclose(bandpass_filter(system, x, size), want,
                                    rtol=1e-10, atol=1e-12)
 
     def test_input_is_untouched_and_output_is_causal(self, rng):
         system = design_butterworth_bandpass(20.0, 95.0, 200.0)
         x = rng.standard_normal((700, 2))
         before = x.copy()
-        y = block_filter(system, x, CARRIER_BLOCK)
+        y = bandpass_filter(system, x, CARRIER_BLOCK)
         np.testing.assert_array_equal(x, before)
         x[300:] = 99.0
-        np.testing.assert_array_equal(block_filter(system, x, CARRIER_BLOCK)[:300],
-                                      y[:300])
+        np.testing.assert_array_equal(
+            bandpass_filter(system, x, CARRIER_BLOCK)[:300], y[:300])

@@ -6,11 +6,13 @@ import pytest
 import tmagest
 from conftest import run_python
 
-# The per-sample object API that the block API replaced, and the wrappers
-# that only tests called.
+# The per-sample object API that the block API replaced, the wrappers that
+# only tests called, and the carrier's second block filter (EnvelopeFilter
+# runs the band-pass).
 DELETED = ("RawSample", "EnvelopeFrame", "rectify", "assemble_map",
            "build_feature_vector", "normalize", "zero_params",
-           "write_difference_csv", "loss_and_gradients", "DifferencePoint")
+           "write_difference_csv", "loss_and_gradients", "DifferencePoint",
+           "block_filter")
 
 
 def test_every_exported_name_resolves():

@@ -331,7 +331,7 @@ print(samples.shape, hashlib.sha256(samples.tobytes()).hexdigest())
 
 
 def test_recording_does_not_depend_on_blas_threads():
-    # the carrier's band-pass runs as batched matrix products
+    # the carrier's band-pass runs as one matrix product per block
     outputs = [run_python(BLAS_THREAD_SYNTH, OPENBLAS_NUM_THREADS=threads,
                           OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
                for threads in ("1", "2")]
