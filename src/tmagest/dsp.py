@@ -56,6 +56,10 @@ import numpy as np
 
 from .errors import ConfigError, StructuralError
 
+# rows that envelope_stream rectifies and filters at a time, rounded down to
+# whole filter blocks
+_SLICE_ROWS = 4096
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -289,7 +293,17 @@ def envelope_stream(raw: np.ndarray, coeffs: BiquadCoefficients,
 
     With ``block_size`` equal to the engine's map stride the result equals,
     bit for bit, the envelopes the engine computes stride by stride.
+
+    The recording is rectified and filtered into one output array in slices
+    of whole filter blocks: the most blocks that fit in :data:`_SLICE_ROWS`
+    rows, at least one. Beside the input and the output only a slice is
+    held, and by :class:`EnvelopeFilter`'s block contract the result equals
+    one call over the whole rectified recording.
     """
     raw = np.asarray(raw, dtype=np.float64)
     filt = EnvelopeFilter(coeffs, raw.shape[1], block_size)
-    return filt.process(np.abs(raw))
+    out = np.empty_like(raw)
+    step = block_size * max(1, _SLICE_ROWS // block_size)
+    for start in range(0, raw.shape[0], step):
+        out[start:start + step] = filt.process(np.abs(raw[start:start + step]))
+    return out

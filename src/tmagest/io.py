@@ -125,7 +125,10 @@ def read_recording(path: str | Path, sample_rate: float,
         samples = np.empty((0, channels))
         for rows in _rows(fh, channels, lambda: ROW_BLOCK):
             start = len(samples)
-            samples.resize((start + len(rows), channels))
+            # No view of samples outlives its statement, so the reference
+            # check is skipped: it also counts the references that a trace
+            # or profile hook holds to this frame's locals, and refuses.
+            samples.resize((start + len(rows), channels), refcheck=False)
             samples[start:] = rows
     annotations = []
     side = annotations_path(path)

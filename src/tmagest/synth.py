@@ -210,6 +210,13 @@ def _carrier(rng: np.random.Generator, n: int, channels: int,
     return shaped
 
 
+def _term(t: np.ndarray, lo: int, hi: int, amp: float, gains: np.ndarray,
+          knots_t: list[float], knots_v: list[float]) -> np.ndarray:
+    """``amp * profile * gains`` of one activation on the samples
+    ``lo:hi``, a new (hi - lo, channels) array."""
+    return amp * np.interp(t[lo:hi], knots_t, knots_v)[:, None] * gains[None, :]
+
+
 def generate(script: SessionScript, templates: dict[str, GestureTemplate],
              config: SessionConfig) -> Recording:
     """Render a script into a labeled recording.
@@ -219,6 +226,14 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
     only on the samples strictly between its first and last knot times:
     elsewhere its profile is 0.0, and adding ``amp * 0.0 * gain`` would leave
     every value's bits unchanged, so the cost grows with samples + events.
+
+    The carrier is modulated in place: samples outside every span are
+    multiplied by the noise floor and each span by its own span-sized
+    ``amp * profile * gains + floor`` (a sample that two spans share by
+    rounding takes both terms, in event order). Every sample is still
+    ``carrier * (floor + terms)`` rounded as before, so beside the samples
+    the render holds span-sized arrays only; the peak, about twice the
+    samples, is the carrier's band-pass and compression.
 
     Raises:
         ConfigError: On an unknown gesture id, overlapping activations,
@@ -257,30 +272,48 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
         raise ConfigError(f"the script renders {'one sample' if n else 'no samples'}"
                           "; at least 2 are needed")
     rng = np.random.default_rng(script.seed)
+    floor = script.noise_floor
     try:
-        carrier = _carrier(rng, n, channels, fs, script.carrier_compression)
+        # the carrier becomes the samples, multiplied in place
+        samples = _carrier(rng, n, channels, fs, script.carrier_compression)
         t = np.arange(n) / fs
-        modulation = np.full((n, channels), script.noise_floor)
-        annotations = []
+        spans, annotations = [], []
         # settings that overflow show as non-finite samples, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             for event in script.events:
                 tpl = templates[event.gesture]
-                amp = _solve_amplitude(tpl.gains, script.noise_floor,
-                                       script.snr_db)
+                amp = _solve_amplitude(tpl.gains, floor, script.snr_db)
                 knots_t, knots_v = _activation_knots(event.start_s, tpl)
-                lo = np.searchsorted(t, knots_t[0], side="right")
-                hi = np.searchsorted(t, knots_t[-1], side="left")
-                profile = np.interp(t[lo:hi], knots_t, knots_v)
-                modulation[lo:hi] += (amp * profile[:, None]
-                                      * tpl.gains[None, :])
+                lo = int(np.searchsorted(t, knots_t[0], side="right"))
+                hi = int(np.searchsorted(t, knots_t[-1], side="left"))
+                spans.append((lo, hi, amp, tpl.gains, knots_t, knots_v))
                 annotations.append(Annotation(
                     n=int(round(event.start_s * fs)),
                     gesture=event.gesture, phase=PHASE_FLEXION))
                 annotations.append(Annotation(
                     n=int(round((event.start_s + tpl.release_start_s) * fs)),
                     gesture=event.gesture, phase=PHASE_RETURN))
-            samples = carrier * modulation
+            rendered = 0    # samples[:rendered] are final
+            for i, (lo, hi, *activation) in enumerate(spans):
+                samples[rendered:lo] *= floor
+                lo = rendered = max(lo, rendered)
+                if lo >= hi:
+                    continue
+                modulation = _term(t, lo, hi, *activation)
+                modulation += floor
+                # a later span may share a sample with this one: the end
+                # knot can lie above the start + active_s that the overlap
+                # check lets the next activation start at
+                for j in range(i + 1, len(spans)):
+                    later_lo, later_hi, *later = spans[j]
+                    if later_lo >= hi:
+                        break
+                    a, b = max(later_lo, lo), min(later_hi, hi)
+                    if a < b:
+                        modulation[a - lo:b - lo] += _term(t, a, b, *later)
+                samples[lo:hi] *= modulation
+                rendered = hi
+            samples[rendered:] *= floor
     except MemoryError as exc:
         raise ConfigError(f"rendering {n} samples of {channels} channels "
                           "needs more memory than is available") from exc

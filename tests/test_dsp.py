@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,27 @@ class TestFilterStep:
                                       for i in range(0, len(x), size)])
             np.testing.assert_array_equal(strides, whole)
             np.testing.assert_array_equal(envelope_stream(x, c, size), whole)
+
+    def test_slices_equal_one_call(self, rng):
+        # envelope_stream works through 4096-row slices of whole blocks:
+        # 9003 rows end in a partial slice and a short final block
+        c = design_butterworth_lowpass(2.0, 200.0)
+        x = rng.normal(size=(9003, 3))
+        for size in (7, S, CARRIER_BLOCK, 4096, 5000):
+            whole = EnvelopeFilter(c, 3, size).process(np.abs(x))
+            np.testing.assert_array_equal(envelope_stream(x, c, size), whole)
+
+    def test_envelope_stream_peak_memory_bounded_by_the_output(self, rng):
+        # rectified a slice at a time: no second recording-sized array
+        c = design_butterworth_lowpass(2.0, 200.0)
+        raw = rng.normal(size=(60_000, 8))
+        tracemalloc.start()
+        try:
+            env = envelope_stream(raw, c, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * env.nbytes + (1 << 20)
 
     def test_matches_scipy_lfilter(self, rng):
         # independent oracle for the recursion itself

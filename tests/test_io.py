@@ -3,6 +3,7 @@ import io as std_io
 import json
 import re
 import struct
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -834,6 +835,26 @@ class TestLineBlocks:
             tracemalloc.stop()
         # the block arrays and their join, and one block's text and lines
         assert peak < 2.5 * samples.nbytes + (4 << 20)
+
+    def test_read_under_a_trace_hook_equals_a_plain_read(self, tmp_path, rng):
+        # a trace hook holds references to the reader's locals, which numpy's
+        # reference check on the in-place growth would count
+        path = tmp_path / "r.csv"
+        write_recording(Recording(sample_rate=200.0,
+                                  samples=rng.normal(size=(tmio.ROW_BLOCK + 5, 2))),
+                        path)
+        plain = read_recording(path, sample_rate=200.0).samples
+
+        def tracer(frame, event, arg):
+            return tracer
+
+        hook = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            traced = read_recording(path, sample_rate=200.0).samples
+        finally:
+            sys.settrace(hook)
+        assert traced.tobytes() == plain.tobytes()
 
 
 class LineWriter(std_io.RawIOBase):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -454,6 +456,21 @@ def generate_full_length(script, templates, config):
                      annotations=annotations)
 
 
+def spans(script, templates, config):
+    """``(lo, hi)`` of each activation: the samples strictly between its
+    first and last knot times."""
+    fs = config.sample_rate
+    n = len(generate_full_length(script, templates, config).samples)
+    t = np.arange(n) / fs
+    out = []
+    for event in script.events:
+        knots_t, _ = synth._activation_knots(event.start_s,
+                                             templates[event.gesture])
+        out.append((int(np.searchsorted(t, knots_t[0], side="right")),
+                    int(np.searchsorted(t, knots_t[-1], side="left"))))
+    return out
+
+
 def assert_renders_equal(script, templates, config):
     got = generate(script, templates, config)
     want = generate_full_length(script, templates, config)
@@ -538,3 +555,83 @@ class TestSpanRendering:
             config.gestures, templates, 10, np.random.default_rng(71),
             lead_s=0.35, rest_s=1.0, seed=71)
         assert_renders_equal(script, templates, config)
+
+    @pytest.mark.parametrize("start, seconds, past_end", [
+        (7.0012, 1e-4, 0),
+        # on sample 1400, with knots that all round to 7.0: lo passes hi
+        (7.0, 1e-20, 1),
+    ])
+    def test_span_without_samples_between_two_others(self, start, seconds,
+                                                      past_end):
+        config = SessionConfig()
+        templates = default_template_set(config.channels, config.gestures)
+        first, second = config.gestures[:2]
+        templates["blip"] = GestureTemplate(
+            "blip", templates[second].gains, rise_s=seconds, hold_s=seconds,
+            fall_s=seconds, settle_s=0.0)
+        script = SessionScript(events=[
+            ScriptedGesture(first, 1.0, 0.5),
+            ScriptedGesture("blip", start, 0.5),
+            ScriptedGesture(second, 8.0, 1.0)], seed=3)
+        lo, hi = spans(script, templates, config)[1]
+        assert lo - hi == past_end
+        assert_renders_equal(script, templates, config)
+
+    def test_span_ends_where_the_next_one_starts(self):
+        # the first end knot lies one ulp above 18.7, so its span ends just
+        # after sample 3740, where the second span starts
+        config = SessionConfig()
+        templates = default_template_set(config.channels, config.gestures)
+        first, second = config.gestures[:2]
+        script = SessionScript(events=[
+            ScriptedGesture(first, 13.35, 0.0),
+            ScriptedGesture(second, 18.7, 1.0)], seed=71)
+        (_, hi), (lo, _) = spans(script, templates, config)
+        assert hi == lo == 3741
+        assert_renders_equal(script, templates, config)
+
+    def test_spans_sharing_a_sample(self):
+        # the end knot lies two ulps above start + active_s, where the next
+        # activation may start, with sample 788 (t = 3.94) between them
+        config = SessionConfig(channels=4, gestures=("a", "b"))
+        templates = {
+            "a": GestureTemplate("a", [1.0, 0.5, 0.0, 0.2],
+                                 rise_s=0.03127486674449444, settle_s=0.0,
+                                 hold_s=0.07700031451243337,
+                                 fall_s=0.08766707255051354),
+            "b": GestureTemplate("b", [0.0, 0.3, 1.0, 0.7])}
+        start = 3.712782879448064
+        script = SessionScript(events=[
+            ScriptedGesture("a", start, 0.0),
+            ScriptedGesture("b", start + templates["a"].active_s, 0.5)],
+            seed=5, tail_s=0.5)
+        (_, hi), (lo, _) = spans(script, templates, config)
+        assert lo == 788 == hi - 1
+        assert_renders_equal(script, templates, config)
+
+    def test_span_ends_at_the_last_sample(self):
+        config = SessionConfig()
+        templates = default_template_set(config.channels, config.gestures)
+        script = SessionScript(events=[
+            ScriptedGesture(config.gestures[0], 1.0, 1.0),
+            ScriptedGesture(config.gestures[1], 7.5, 0.0)],
+            seed=9, tail_s=0.0)
+        rec = generate(script, templates, config)
+        assert spans(script, templates, config)[-1][1] == rec.num_samples
+        assert_renders_equal(script, templates, config)
+
+    def test_peak_memory_bounded_by_the_samples(self):
+        # the carrier is modulated in place: the peak is its band-pass and
+        # compression, two arrays of the samples' size, not three
+        config = SessionConfig()
+        templates = default_template_set(config.channels, config.gestures)
+        script = balanced_sequence_script(
+            config.gestures, templates, 30, np.random.default_rng(5), seed=5)
+        tracemalloc.start()
+        try:
+            samples = generate(script, templates, config).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.shape == (63_300, 8)
+        assert peak < 2.2 * samples.nbytes + (1 << 20)
