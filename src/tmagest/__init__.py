@@ -7,7 +7,8 @@ from .dsp import (
     design_butterworth_lowpass,
     envelope_stream,
 )
-from .engine import Engine, Prediction, SuppressedOnset, run_replay
+from .engine import (Engine, Prediction, SuppressedOnset, difference_series,
+                     run_replay)
 from .errors import TmagestError
 from .cnn import (
     CnnArchitecture,
@@ -23,7 +24,6 @@ from .onset import (
     ThresholdCalibration,
     calibrate_threshold,
     difference,
-    difference_series,
 )
 from .pipeline import (EvaluationReport, evaluate, extract_training_set,
                        training_set)

@@ -1,22 +1,18 @@
-"""The streaming recognition loop.
+"""The streaming recognition loop and its difference signal.
 
-Per iteration the engine waits for one stride of new raw samples and extends
-the envelopes. It builds the feature columns of the stride's new samples only
-and their column terms of the difference signal against the previous
-stride's columns (:func:`~tmagest.onset.difference`). The difference at the
-newest sample is the square root of the sum of the newest ``map_width``
-terms, which equals :func:`~tmagest.onset.difference_series` at the same
-index bit for bit. When the difference crosses the calibrated threshold
-outside the refractory window, the engine classifies the newest
-``map_width`` feature columns, the map ending at the newest sample - unless
-the config's ``suppress_alternate_onsets`` is set and this onset is the
-expected return to neutral, in which case the onset is reported without
-classification.
+Per iteration the engine waits for one stride of new raw samples, extends
+the envelopes, builds the stride's new feature columns only and pushes them
+to a :class:`DifferenceSignal`, the front end that calibration runs whole
+recordings through too (:func:`difference_series`). When the difference
+crosses the calibrated threshold outside the refractory window, the engine
+classifies the map ending at the newest sample, the newest ``map_width``
+columns - unless the config's ``suppress_alternate_onsets`` is set and this
+onset is the expected return to neutral, which is reported unclassified.
 
 The engine owns all mutable state - the filter memory, a ring of the newest
-feature columns, a ring of their column terms, the previous stride's columns,
-the detector and the suppression flag - and must be stepped by one caller in
-order. Emitted events are immutable values.
+feature columns, the difference signal, the detector and the suppression
+flag - and must be stepped by one caller in order. Emitted events are
+immutable values.
 """
 
 from __future__ import annotations
@@ -38,6 +34,9 @@ from .tma import FrameRing, feature_matrix
 
 logger = logging.getLogger(__name__)
 
+# Samples per feature-matrix slice of difference_series, in whole strides.
+SERIES_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -56,6 +55,61 @@ class SuppressedOnset:
     n: int
     d_value: float
     compute_micros: float
+
+
+class DifferenceSignal:
+    """The difference signal of a stream of feature columns: a ring holds the
+    newest ``map_width`` terms (:func:`~tmagest.onset.difference`) against
+    the columns one stride earlier, and each stride end ``n >= map_width +
+    map_stride - 1`` gets the square root of the ring's window sum. A term
+    does not depend on the columns pushed with it, so any split into whole
+    strides gives the same bits. Single-owner, sequential use.
+    """
+
+    def __init__(self, map_width: int, map_stride: int):
+        self._stride = map_stride
+        self._terms = FrameRing(map_width, 1, map_stride)
+        self._prev: np.ndarray | None = None    # the last stride's columns
+        self._count = 0
+
+    def push(self, cols: np.ndarray) -> list[tuple[int, float]]:
+        """Take the (rows, k) feature columns of the next k samples, k a
+        positive whole number of strides (else a :class:`StructuralError`);
+        returns the ``(n, d)`` point of each stride end that has one."""
+        S, k, t = self._stride, cols.shape[1], self._count
+        if k == 0 or k % S:
+            raise StructuralError(f"{k} columns are not whole strides of {S}")
+        self._count += k
+        prev, self._prev = self._prev, cols[:, k - S:]
+        if prev is None:
+            cols, prev, t = cols[:, S:], cols[:, :-S], t + S
+        elif k > S:
+            prev = np.concatenate((prev, cols[:, :-S]), axis=1)
+        terms = difference(cols, prev)
+        points = []
+        for a in range(0, terms.size, S):
+            self._terms.push_values(t + a, terms[a:a + S, None])
+            if self._terms.is_full:
+                points.append((t + a + S - 1,
+                               math.sqrt(self._terms.window().sum())))
+        return points
+
+
+def difference_series(envelopes: np.ndarray, map_width: int, map_stride: int,
+                      min_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(ns, values)`` arrays of the difference signal of a (samples,
+    channels) envelope block at ``n >= min_index`` (e.g. past the filter
+    warm-up), from a :class:`DifferenceSignal` pushed the feature columns of
+    :data:`SERIES_BLOCK` samples at a time, so that it holds one slice's
+    feature matrix. A trailing partial stride is dropped."""
+    signal = DifferenceSignal(map_width, map_stride)
+    step = max(SERIES_BLOCK - SERIES_BLOCK % map_stride, map_stride)
+    env = envelopes[:envelopes.shape[0] - envelopes.shape[0] % map_stride]
+    points = [p for a in range(0, env.shape[0], step)
+              for p in signal.push(feature_matrix(env[a:a + step]))
+              if p[0] >= min_index]
+    return (np.array([n for n, _ in points], dtype=np.int64),
+            np.array([d for _, d in points], dtype=np.float64))
 
 
 def event_to_dict(event, include_timing: bool = True) -> dict:
@@ -118,10 +172,9 @@ class Engine:
         self._filter = EnvelopeFilter(coeffs, config.channels, config.map_stride)
         self._cols = FrameRing(config.map_width, config.feature_rows,
                                config.map_stride)
-        self._terms = FrameRing(config.map_width, 1, config.map_stride)
+        self._signal = DifferenceSignal(config.map_width, config.map_stride)
         self._detector = OnsetDetector(self.threshold, config.refractory,
                                        warmup_end=config.warmup_samples)
-        self._prev_cols: np.ndarray | None = None
         self._expect_flexion = True
         self._count = 0
 
@@ -159,14 +212,10 @@ class Engine:
         self._count += cfg.map_stride
         cols = feature_matrix(frames)
         self._cols.push_values(t, cols.T)
-        prev, self._prev_cols = self._prev_cols, cols
-        if prev is None:
+        points = self._signal.push(cols)
+        if not points:
             return None
-        self._terms.push_values(t, difference(cols, prev)[:, None])
-        if not self._terms.is_full:
-            return None
-        hit = self._detector.step(self._count - 1,
-                                  math.sqrt(self._terms.window().sum()))
+        hit = self._detector.step(*points[0])
         if hit is None:
             return None
         if cfg.suppress_alternate_onsets:

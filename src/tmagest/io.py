@@ -32,6 +32,7 @@ import math
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, fields as dataclass_fields
+from io import DEFAULT_BUFFER_SIZE
 from itertools import compress, islice
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -172,28 +173,60 @@ def _line_blocks(fh, size: Callable[[], int]
     """``(number of its first line, lines)`` for each block of the UTF-8
     text on the binary stream ``fh``, in order.
 
-    A block is the text of the next ``size()`` byte lines, each ending just
-    after a ``b"\\n"``, split by ``str.splitlines``. A block ends on a whole
-    line break and UTF-8 sequence, so the blocks hold the lines of
-    ``read().splitlines()`` in text mode (which also breaks at ``\\r``,
-    ``\\x0c``, ``\\x85``, ``\\u2028`` and the like). After the lines before
-    its line, a byte that is not UTF-8 ends in a :class:`RecordingParseError`
-    naming line 1 + the count of ``b"\\n"`` before it.
+    A block is the text of the next ``size()`` byte lines, split by
+    ``str.splitlines``. A byte line ends just after a ``b"\\n"``; on a stream
+    that cannot seek, also just after a ``b"\\r"`` (:func:`_pipe_lines`), and
+    a ``b"\\r\\n"`` that two of its byte lines split is one line break. A
+    block ends on a whole line break and UTF-8 sequence, so the blocks hold
+    the lines of ``read().splitlines()`` in text mode (which also breaks at
+    ``\\r``, ``\\x0c``, ``\\x85``, ``\\u2028`` and the like). After the lines
+    before its line, a byte that is not UTF-8 ends in a
+    :class:`RecordingParseError` naming line 1 + the count of ``b"\\n"``
+    before it.
     """
-    number, newlines = 1, 0
-    while raw := b"".join(islice(fh, size())):
+    source = fh if fh.seekable() else _pipe_lines(fh)
+    number, newlines, after_cr = 1, 0, False
+
+    def split(raw: bytes) -> list[str]:
+        text = raw.decode("utf-8")
+        if after_cr and text[:1] == "\n":    # the end of a split "\r\n"
+            text = text[1:]
+        return text.splitlines()
+
+    while raw := b"".join(islice(source, size())):
         try:
-            lines = raw.decode("utf-8").splitlines()
+            lines = split(raw)
         except UnicodeDecodeError as exc:
-            if good := raw.rfind(b"\n", 0, exc.start) + 1:
-                yield number, raw[:good].decode("utf-8").splitlines()
+            if lines := split(raw[:raw.rfind(b"\n", 0, exc.start) + 1]):
+                yield number, lines
             line = newlines + raw.count(b"\n", 0, exc.start) + 1
             raise RecordingParseError(f"not UTF-8 text: {exc.reason}",
                                       line=line) from exc
         newlines += raw.count(b"\n")
+        after_cr = raw.endswith(b"\r")
         del raw    # while the block is parsed, its text is held once
-        yield number, lines
-        number += len(lines)
+        if lines:
+            yield number, lines
+            number += len(lines)
+
+
+def _pipe_lines(fh) -> Iterator[bytes]:
+    """The byte lines of the binary stream ``fh``, each ending just after a
+    ``b"\\n"``, ``b"\\r\\n"`` or ``b"\\r"``, or at the end of the stream.
+
+    A line is yielded as soon as its end has been read, and ``fh`` is not
+    read again until the next line is asked for. A ``b"\\r"`` that ends the
+    bytes read so far ends its line at once, so a ``b"\\n"`` read after it
+    starts the next line.
+    """
+    read = getattr(fh, "read1", fh.read)
+    rest = b""
+    while chunk := read(DEFAULT_BUFFER_SIZE):
+        lines = (rest + chunk).splitlines(keepends=True)
+        rest = b"" if lines[-1].endswith((b"\n", b"\r")) else lines.pop()
+        yield from lines
+    if rest:
+        yield rest
 
 
 @contextmanager
@@ -239,9 +272,9 @@ def read_strides(fh, channels: int, stride: int) -> Iterator[np.ndarray]:
     blocks of :data:`ROW_BLOCK` rows (``stride`` rows if that is more): each
     read tops the rows held up to a block. Any other stream is read only as
     far as the current stride needs: a row counts as read when the
-    ``b"\\n"`` that ends it, or the end of the stream, arrives. A live writer
-    should end rows with ``\\n`` or ``\\r\\n``, since rows ended by a lone
-    ``\\r`` wait until the stream closes.
+    ``b"\\n"`` or ``b"\\r"`` that ends it, or the end of the stream, arrives.
+    A row ended by a rarer break of ``str.splitlines``, such as ``\\x0c``,
+    waits for the next of those.
     """
     size = max(ROW_BLOCK, stride) if fh.seekable() else stride
     held = np.empty((0, channels))

@@ -11,12 +11,9 @@ one per time step ``t`` of the window: ``g(t) = |f(t) - f(t - stride)|^2``,
 the squared difference of the feature column at ``t`` and the column one
 stride earlier, summed down the column (:func:`difference`). The value at
 ``n`` is the square root of the pairwise sum of the ``map_width`` terms that
-end at ``n``. The engine computes the terms of each stride's new columns and
-sums the newest ``map_width`` of them; calibration computes the terms of a
-whole recording in blocks of :data:`SERIES_BLOCK` columns, so that it never
-holds more than one block's feature matrix, and sums each window at the
-engine's cadence (:func:`difference_series`). Both give the same bits at the
-same index, so the threshold is fitted on the signal it is compared against.
+end at ``n``. The engine and calibration form it with one front end,
+:class:`~tmagest.engine.DifferenceSignal`, so the threshold is fitted on the
+signal it is compared against.
 
 The threshold is calibrated from labeled recordings: the population standard
 deviation of the difference signal is computed per gesture (over all points
@@ -33,16 +30,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import check_field_types
 from .errors import CalibrationError, StructuralError
-from .tma import feature_matrix
-
-# Columns per feature-matrix block of difference_series: a block's features
-# and their differences stay near 1.5 MB each at 44 feature rows, where the
-# whole recording's would grow with its length.
-SERIES_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -84,45 +74,6 @@ def difference(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
         # wider block; sum a doubled one so that every column sums alike
         delta = np.repeat(delta, 2, axis=1)
     return np.einsum("ij,ij->j", delta, delta)[:k]
-
-
-def difference_series(envelopes: np.ndarray, map_width: int, map_stride: int,
-                      min_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Difference signal over a whole envelope recording, vectorized.
-
-    Gives the values the streaming engine compares against the threshold,
-    bit for bit: the column terms (:func:`difference`) are computed once for
-    the recording, in blocks of :data:`SERIES_BLOCK` columns, and each point
-    sums the ``map_width`` of them that its window covers. A column's term
-    does not depend on its neighbours, so the blocks give the bits of one
-    whole-recording call. Points fall where the engine evaluates:
-    at the last sample of each stride (``n % map_stride == map_stride - 1``)
-    from ``map_width + map_stride - 1`` on, where two full maps exist.
-
-    Args:
-        envelopes: (samples, channels) envelope block.
-        map_width: Activation-map window length.
-        map_stride: Gap between the two maps being compared.
-        min_index: Skip points with n below this (e.g. the filter warm-up).
-
-    Returns:
-        ``(ns, values)``: int map indices and the difference at each.
-    """
-    start = max(map_width + map_stride - 1, min_index)
-    start += -(start + 1) % map_stride      # round up to a stride's last sample
-    ns = np.arange(start, envelopes.shape[0], map_stride)
-    if ns.size == 0:
-        return ns, np.empty(0)
-    # term k is sample k + stride's; the map pair at n covers the terms
-    # n - stride - width + 1 .. n - stride, so none before `first` is read
-    first = start - map_stride - map_width + 1
-    terms = np.empty(envelopes.shape[0] - map_stride)
-    for a in range(first, terms.size, SERIES_BLOCK):
-        b = min(a + SERIES_BLOCK, terms.size)
-        feats = feature_matrix(envelopes[a:b + map_stride])
-        terms[a:b] = difference(feats[:, map_stride:], feats[:, :-map_stride])
-    windows = sliding_window_view(terms, map_width)[first::map_stride]
-    return ns, np.sqrt(windows.sum(axis=-1))
 
 
 @dataclass

@@ -12,6 +12,7 @@ code path used live and scores the emitted events against the ground truth.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -19,9 +20,8 @@ import numpy as np
 from .cnn import CnnModel, TrainingExample
 from .config import SessionConfig
 from .dsp import design_butterworth_lowpass, envelope_stream
-from .engine import Prediction, iter_batches, run_replay
+from .engine import Prediction, difference_series, iter_batches, run_replay
 from .errors import ConfigError, UsageError
-from .onset import difference_series
 from .recording import PHASE_FLEXION, PHASE_REST, PHASE_RETURN, Recording
 from .tma import (NormalizationBounds, TmaMap, feature_matrix,
                   fit_normalization, normalize_array)
@@ -227,21 +227,25 @@ class EvaluationReport:
 
 def _match_events(event_ns: list[int], truth_ns: list[int],
                   tolerance: int) -> dict[int, int]:
-    """Greedy nearest matching event->truth within a tolerance, one-to-one."""
+    """Greedy nearest matching event->truth within a tolerance, one-to-one.
+
+    Each event in turn takes the nearest unused truth within the tolerance;
+    of two as near, the one earlier in ``truth_ns``. The truths within
+    reach of an event are found by bisection in the truths sorted by sample,
+    so the cost grows with the events times the truths within reach of one.
+    """
+    order = sorted(range(len(truth_ns)), key=truth_ns.__getitem__)
+    sorted_ns = [truth_ns[ti] for ti in order]
     matches: dict[int, int] = {}
     used = set()
     for ei, en in enumerate(event_ns):
-        best = None
-        best_gap = tolerance + 1
-        for ti, tn in enumerate(truth_ns):
-            if ti in used:
-                continue
-            gap = abs(en - tn)
-            if gap <= tolerance and gap < best_gap:
-                best, best_gap = ti, gap
-        if best is not None:
-            matches[ei] = best
-            used.add(best)
+        lo = bisect_left(sorted_ns, en - tolerance)
+        hi = bisect_right(sorted_ns, en + tolerance)
+        near = [(abs(en - truth_ns[ti]), ti) for ti in order[lo:hi]
+                if ti not in used]
+        if near:
+            matches[ei] = min(near)[1]
+            used.add(matches[ei])
     return matches
 
 

@@ -4,20 +4,24 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmagest import engine as engine_mod
 from tmagest.cnn import CnnArchitecture, CnnModel, initial_params
 from tmagest.dsp import design_butterworth_lowpass, envelope_stream
 from tmagest.engine import (
+    DifferenceSignal,
     Engine,
     Prediction,
     SuppressedOnset,
+    difference_series,
     event_to_dict,
     iter_batches,
     run_replay,
 )
 from tmagest.errors import ConfigError, StructuralError, UsageError
-from tmagest.onset import OnsetDetector, difference_series
+from tmagest.onset import OnsetDetector
 from tmagest.tma import feature_matrix
 
 
@@ -201,6 +205,46 @@ class TestStep:
             envelope_stream(samples, coeffs, stride), width, stride)
         assert len(seen) > 100
         assert seen == list(zip(ns.tolist(), values.tolist()))
+
+
+class TestDifferenceSignal:
+    """Any split of the pushed columns into whole strides gives the bits of
+    a push per stride and of difference_series."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 12), stride=st.integers(1, 6),
+           strides=st.integers(1, 14), channels=st.integers(1, 3),
+           cuts=st.lists(st.integers(1, 13), max_size=5),
+           seed=st.integers(0, 2**16))
+    @example(width=12, stride=2, strides=14, channels=2, cuts=[1],
+             seed=0)    # W > 2S, a first push of one stride
+    @example(width=7, stride=3, strides=9, channels=1, cuts=[1, 4],
+             seed=1)    # S does not divide W
+    @example(width=5, stride=1, strides=14, channels=3, cuts=[1, 2, 9],
+             seed=2)    # S = 1
+    def test_any_split_gives_the_bits_of_one_stride_at_a_time(
+            self, width, stride, strides, channels, cuts, seed):
+        env = np.random.default_rng(seed).random((strides * stride,
+                                                   channels))
+        cols = feature_matrix(env)
+        signal = DifferenceSignal(width, stride)
+        each = [p for k in range(strides)
+                for p in signal.push(cols[:, k * stride:(k + 1) * stride])]
+        edges = [0, *sorted({c for c in cuts if c < strides}), strides]
+        signal = DifferenceSignal(width, stride)
+        split = [p for a, b in zip(edges, edges[1:])
+                 for p in signal.push(cols[:, a * stride:b * stride])]
+        assert split == each
+        assert [n for n, _ in each] == list(
+            range(width + stride - 1 + -(width) % stride,
+                  strides * stride, stride))
+        ns, values = difference_series(env, width, stride)
+        assert each == list(zip(ns.tolist(), values.tolist()))
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_a_partial_stride_is_refused(self, k):
+        with pytest.raises(StructuralError, match="whole strides of 2"):
+            DifferenceSignal(4, 2).push(np.zeros((5, k)))
 
 
 class TestReplay:

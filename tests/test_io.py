@@ -1,11 +1,14 @@
 import dataclasses
 import io as std_io
 import json
+import os
 import re
 import struct
 import sys
 import tempfile
+import threading
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -903,11 +906,37 @@ def text_stdin_outcome(data, channels, stride):
     return strides, None
 
 
-def stride_outcome(data, channels, stride, seekable=False):
+class ChunkWriter(std_io.RawIOBase):
+    """The read end of a pipe whose writer sends the bytes between the given
+    cut points, one piece at a time."""
+
+    def __init__(self, data, cuts):
+        self._pieces = [data[a:b] for a, b in zip([0, *cuts],
+                                                  [*cuts, len(data)])]
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        while self._pieces and not self._pieces[0]:
+            self._pieces.pop(0)
+        if not self._pieces:
+            return 0
+        piece = self._pieces[0][:len(buffer)]
+        self._pieces[0] = self._pieces[0][len(piece):]
+        buffer[:len(piece)] = piece
+        return len(piece)
+
+
+def stride_outcome(data, channels, stride, seekable=False, cuts=None):
     """:func:`text_stdin_outcome` for ``read_strides``, on a seekable stream
-    or on the read end of a pipe."""
-    stream = (std_io.BytesIO(data) if seekable
-              else std_io.BufferedReader(LineWriter(data)))
+    or on the read end of a pipe whose writer sends a line at a time or,
+    given ``cuts``, the bytes between them."""
+    if seekable:
+        stream = std_io.BytesIO(data)
+    else:
+        stream = std_io.BufferedReader(LineWriter(data) if cuts is None
+                                       else ChunkWriter(data, cuts))
     assert stream.seekable() == seekable
     strides = []
     try:
@@ -993,6 +1022,17 @@ class TestReadStrides:
                 assert stride_outcome(data, channels, stride,
                                       seekable=True) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(stdin_streams(), st.lists(st.integers(0, 200), max_size=8))
+    @example((b"0,1.0\r\n1,2.0\r\n2,x\n", 1, 1), [6, 13])    # "\r" | "\n"
+    @example((b"0,1.0\r\n1,\xff\n", 1, 1), [6])
+    def test_strides_do_not_depend_on_where_a_pipe_cuts_its_bytes(
+            self, case, cuts):
+        data, channels, stride = case
+        assert stride_outcome(data, channels, stride,
+                              cuts=sorted(cuts)) == \
+            text_stdin_outcome(data, channels, stride)
+
     @pytest.mark.parametrize("faults", [
         [(5000, b"nan")], [(5000, b"\xff")], [(5000, None)],
         [(4100, b"inf"), (8000, None)],    # an inf before a gap: stream order
@@ -1037,7 +1077,17 @@ class TestReadStrides:
         assert stride_outcome(data, 1, 1)[1] == (
             "not UTF-8 text: invalid start byte", line)
 
-    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+    def test_a_cr_row_before_bytes_not_utf8_comes_only_from_a_pipe(self):
+        # a pipe hands out the row its "\r" ends before the bad byte
+        # arrives; a file's blocks end at b"\n", so a file gives none of the
+        # rows on the bad byte's b"\n" line; the error is the same
+        data = b"0,1.0\r1,\xff\n"
+        error = ("not UTF-8 text: invalid start byte", 1)
+        assert stride_outcome(data, 1, 1) == (
+            [np.array([1.0]).tobytes()], error)
+        assert stride_outcome(data, 1, 1, seekable=True) == ([], error)
+
+    @pytest.mark.parametrize("brk",["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                                      "\x85", "\u2028", "\u2029"])
     def test_rare_line_breaks_split_rows_as_in_a_file(self, brk):
         data = f"0,1.0{brk}1,2.0\n2,nan\n".encode()
@@ -1047,13 +1097,18 @@ class TestReadStrides:
 
 
 class CountingStream(std_io.BytesIO):
-    """The read end of a pipe, which cannot seek, counting the lines it has
-    handed out."""
+    """The read end of a pipe whose writer sends one line at a time, which
+    cannot seek, counting the lines it has handed out."""
 
     handed = 0
 
     def seekable(self):
         return False
+
+    def read1(self, size=-1):
+        line = self.readline(size)
+        self.handed += bool(line)
+        return line
 
     def __next__(self):
         line = super().__next__()
@@ -1088,6 +1143,30 @@ def test_a_stride_is_yielded_before_the_next_line_is_read(stride):
         assert stream.handed == rows[(k + 1) * stride - 1]
         assert batch[-1, 0] == (k + 1) * stride - 0.5
     assert k == 3
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_rows_ended_by_a_lone_cr_are_read_from_an_open_pipe(stride):
+    # "\r" ends the rows, so they are read before the writer closes the
+    # pipe; the "\n" of a "\r\n" sent later starts no new line
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as fh, os.fdopen(w, "wb", buffering=0) as writer:
+        writer.write(b"0,1.0\r1,2.0\r")
+        strides = tmio.read_strides(fh, 1, stride)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.extend(islice(strides, 2 // stride)))
+        reader.start()
+        reader.join(timeout=10)
+        waited = reader.is_alive()
+        writer.write(b"\n2,x\n")
+        writer.close()
+        reader.join()
+        assert not waited
+        np.testing.assert_array_equal(np.concatenate(got), [[1.0], [2.0]])
+        with pytest.raises(RecordingParseError) as err:
+            list(strides)
+        assert err.value.line == 3
 
 
 def lines_read_per_stride(data, stride, block):

@@ -7,14 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tmagest import onset
+from tmagest import engine
+from tmagest.engine import difference_series
 from tmagest.errors import CalibrationError, StructuralError
-from tmagest.onset import (
-    OnsetDetector,
-    calibrate_threshold,
-    difference,
-    difference_series,
-)
+from tmagest.onset import OnsetDetector, calibrate_threshold, difference
 from tmagest.tma import feature_matrix
 
 
@@ -156,8 +152,8 @@ class TestDifferenceSeries:
 
 
 def whole_matrix_series(envelopes, map_width, map_stride, min_index=0):
-    """The whole-recording formula that difference_series computes in
-    column blocks: one feature matrix and one difference() call."""
+    """The whole-recording formula that difference_series computes a slice
+    at a time: one feature matrix and one difference() call."""
     start = max(map_width + map_stride - 1, min_index)
     start += -(start + 1) % map_stride
     ns = np.arange(start, envelopes.shape[0], map_stride)
@@ -171,10 +167,11 @@ def whole_matrix_series(envelopes, map_width, map_stride, min_index=0):
 
 
 class TestDifferenceSeriesBlocks:
-    """Column blocks must give the whole-matrix formula's bits."""
+    """Slices of any SERIES_BLOCK must give the whole-matrix formula's
+    bits."""
 
     @settings(max_examples=300, deadline=None)
-    @given(block=st.sampled_from([1, 2, 3, 7, onset.SERIES_BLOCK]),
+    @given(block=st.sampled_from([1, 2, 3, 7, engine.SERIES_BLOCK]),
            width=st.integers(1, 12), stride=st.integers(1, 6),
            min_index=st.sampled_from([0, 1, 13, 40, 500]),
            channels=st.integers(1, 4), blocks=st.integers(0, 3),
@@ -182,10 +179,9 @@ class TestDifferenceSeriesBlocks:
     def test_blocks_equal_the_whole_matrix(self, block, width, stride,
                                            min_index, channels, blocks,
                                            extra, seed):
-        # The terms from the first one a window reads to the last fill
-        # `blocks` whole blocks plus `extra` columns: lengths around block
-        # multiples, a last block of one column (extra = 1) and, below
-        # zero, recordings too short for any point.
+        # Lengths around multiples of `block` past the first term a window
+        # reads and, below zero, recordings too short for any point; the
+        # slices start at sample 0, so their edges fall anywhere in these.
         start = max(width + stride - 1, min_index)
         start += -(start + 1) % stride
         first = start - stride - width + 1
@@ -193,7 +189,7 @@ class TestDifferenceSeriesBlocks:
         env = np.random.default_rng(seed).random((samples, channels))
         want_ns, want = whole_matrix_series(env, width, stride, min_index)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(onset, "SERIES_BLOCK", block)
+            mp.setattr(engine, "SERIES_BLOCK", block)
             ns, values = difference_series(env, width, stride, min_index)
         assert ns.tolist() == want_ns.tolist()
         assert values.tobytes() == want.tobytes()

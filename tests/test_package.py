@@ -33,6 +33,16 @@ def test_per_sample_api_is_gone():
     assert not hasattr(tma.FrameRing, "newest_index")
 
 
+def test_one_difference_signal():
+    # the engine's front end forms the signal for calibration too; the
+    # block series and its window view are gone from onset
+    from tmagest import engine, onset
+    for name in ("difference_series", "SERIES_BLOCK", "sliding_window_view",
+                 "feature_matrix"):
+        assert not hasattr(onset, name), name
+    assert tmagest.difference_series is engine.difference_series
+
+
 @pytest.mark.parametrize("module", ["tmagest", "tmagest.cli"])
 def test_import_does_not_load_scipy(module):
     # scipy is a test oracle only; loading it costs about 1.3 s and 70 MiB

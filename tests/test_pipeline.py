@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from tmagest import cnn, io, pipeline, synth
 from tmagest.config import SessionConfig
 from tmagest.dsp import design_butterworth_lowpass, envelope_stream
+from tmagest.engine import difference_series
 from tmagest.errors import ConfigError, UsageError
-from tmagest.onset import calibrate_threshold, difference_series
+from tmagest.onset import calibrate_threshold
 from tmagest.pipeline import (
     calibration_segments,
     evaluate,
@@ -472,3 +473,44 @@ class TestMissedOnsetAccounting:
         assert report.confusion[:, -1].sum() == 1
         assert report.classification_accuracy < 1.0
         assert report.onset_recall < 1.0
+
+
+def quadratic_match_events(event_ns, truth_ns, tolerance):
+    """The matching rule, one scan of every truth per event: each event in
+    turn takes the nearest unused truth within the tolerance, the earlier
+    truth on a tie."""
+    matches = {}
+    used = set()
+    for ei, en in enumerate(event_ns):
+        best = None
+        best_gap = tolerance + 1
+        for ti, tn in enumerate(truth_ns):
+            if ti in used:
+                continue
+            gap = abs(en - tn)
+            if gap <= tolerance and gap < best_gap:
+                best, best_gap = ti, gap
+        if best is not None:
+            matches[ei] = best
+            used.add(best)
+    return matches
+
+
+class TestMatchEvents:
+    @settings(max_examples=500, deadline=None)
+    @given(events=st.lists(st.integers(0, 60), max_size=30),
+           truths=st.lists(st.integers(0, 60), max_size=30),
+           tolerance=st.integers(0, 12), sort_truths=st.booleans())
+    def test_equals_the_quadratic_scan(self, events, truths, tolerance,
+                                       sort_truths):
+        # small ranges give repeated samples, so ties at equal gaps and
+        # equal truths are common; events come in any order
+        if sort_truths:
+            truths = sorted(truths)
+        assert pipeline._match_events(events, truths, tolerance) == \
+            quadratic_match_events(events, truths, tolerance)
+
+    def test_a_tie_goes_to_the_earlier_truth(self):
+        assert pipeline._match_events([10, 10, 10], [7, 13, 7], 3) == \
+            {0: 0, 1: 1, 2: 2}
+        assert pipeline._match_events([10], [13, 7], 3) == {0: 0}
