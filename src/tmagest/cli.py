@@ -29,7 +29,7 @@ import numpy as np
 from . import cnn, io, pipeline, synth
 from .config import SessionConfig
 from .engine import Engine, event_to_dict, iter_batches, run_replay
-from .errors import RecordingParseError, TmagestError, UsageError
+from .errors import TmagestError, UsageError
 from .onset import ThresholdCalibration, calibrate_threshold
 from .recording import Recording
 
@@ -189,18 +189,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.no_suppression:
         config = dataclasses.replace(config, suppress_alternate_onsets=False)
     path = None if args.input == "-" else args.input
-    with open(path, "rb") if path else nullcontext(sys.stdin.buffer) as fh:
+    with (open(path, "rb") if path else nullcontext(sys.stdin.buffer) as fh,
+          io.named(path)):
         strides = io.read_strides(fh, config.channels, config.map_stride)
-        try:
-            # a file starts with its header, as for eval; a pipe, named or
-            # stdin, need not
-            if path and fh.seekable():
-                io.read_header(fh, config.channels)
-            for event in run_replay(strides, model, config, args.pacing):
-                print(json.dumps(event_to_dict(
-                    event, include_timing=not args.no_timing)), flush=True)
-        except RecordingParseError as exc:    # a file's errors name it
-            raise RecordingParseError(exc.reason, exc.line, path) from exc
+        # a file starts with its header, as for eval; a pipe, named or
+        # stdin, need not
+        if path and fh.seekable():
+            io.read_header(fh, config.channels)
+        for event in run_replay(strides, model, config, args.pacing):
+            print(json.dumps(event_to_dict(
+                event, include_timing=not args.no_timing)), flush=True)
     return 0
 
 
@@ -228,15 +226,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     bench_config = dataclasses.replace(config, refractory=config.map_stride,
                                        suppress_alternate_onsets=False)
     engine = Engine(model, bench_config, threshold=-1.0)
+    # The first stride to classify is the first whose end has a difference
+    # point and lies past the filter warm-up; the noise holds the strides
+    # before it and --iterations more.
+    first = max(config.map_width + config.map_stride - 1,
+                config.warmup_samples)
+    strides = first // config.map_stride + args.iterations
     rng = np.random.default_rng(config.seed)
-    noise = rng.normal(size=(config.map_stride * (args.iterations + 20),
-                             config.channels))
+    noise = rng.normal(size=(config.map_stride * strides, config.channels))
     timings = []
     for batch in iter_batches(noise, config.map_stride):
         event = engine.step(batch)
         if event is not None:
             timings.append(event.compute_micros)
-    timings = np.array(timings[-args.iterations:])
+    timings = np.array(timings)
     print(f"predictions: {timings.size}")
     print(f"mean  {timings.mean():10.1f} us")
     print(f"p50   {np.percentile(timings, 50):10.1f} us")

@@ -10,9 +10,9 @@ columns - unless the config's ``suppress_alternate_onsets`` is set and this
 onset is the expected return to neutral, which is reported unclassified.
 
 The engine owns all mutable state - the filter memory, a ring of the newest
-feature columns, the difference signal, the detector and the suppression
-flag - and must be stepped by one caller in order. Emitted events are
-immutable values.
+feature columns, the difference signal's newest terms, the detector and the
+suppression flag - and must be stepped by one caller in order. Emitted
+events are immutable values.
 """
 
 from __future__ import annotations
@@ -58,40 +58,39 @@ class SuppressedOnset:
 
 
 class DifferenceSignal:
-    """The difference signal of a stream of feature columns: a ring holds the
-    newest ``map_width`` terms (:func:`~tmagest.onset.difference`) against
-    the columns one stride earlier, and each stride end ``n >= map_width +
-    map_stride - 1`` gets the square root of the ring's window sum. A term
-    does not depend on the columns pushed with it, so any split into whole
-    strides gives the same bits. Single-owner, sequential use.
+    """The difference signal of a stream of feature columns: at each stride
+    end ``n >= map_width + map_stride - 1``, the square root of the sum of
+    the newest ``map_width`` terms (:func:`~tmagest.onset.difference`) of a
+    column against the one a stride earlier. It keeps the last stride's
+    columns and the newest ``map_width - 1`` terms; a term does not depend on
+    the columns pushed with it and a window is one contiguous slice, so any
+    split into whole strides gives the same bits. Single-owner, sequential use.
     """
 
     def __init__(self, map_width: int, map_stride: int):
-        self._stride = map_stride
-        self._terms = FrameRing(map_width, 1, map_stride)
+        self._width, self._stride = map_width, map_stride
         self._prev: np.ndarray | None = None    # the last stride's columns
+        self._terms = np.empty(0)
         self._count = 0
 
     def push(self, cols: np.ndarray) -> list[tuple[int, float]]:
         """Take the (rows, k) feature columns of the next k samples, k a
         positive whole number of strides (else a :class:`StructuralError`);
         returns the ``(n, d)`` point of each stride end that has one."""
-        S, k, t = self._stride, cols.shape[1], self._count
+        W, S, k = self._width, self._stride, cols.shape[1]
         if k == 0 or k % S:
             raise StructuralError(f"{k} columns are not whole strides of {S}")
         self._count += k
         prev, self._prev = self._prev, cols[:, k - S:]
         if prev is None:
-            cols, prev, t = cols[:, S:], cols[:, :-S], t + S
+            cols, prev = cols[:, S:], cols[:, :-S]
         elif k > S:
             prev = np.concatenate((prev, cols[:, :-S]), axis=1)
-        terms = difference(cols, prev)
-        points = []
-        for a in range(0, terms.size, S):
-            self._terms.push_values(t + a, terms[a:a + S, None])
-            if self._terms.is_full:
-                points.append((t + a + S - 1,
-                               math.sqrt(self._terms.window().sum())))
+        terms = np.concatenate((self._terms, difference(cols, prev)))
+        n0 = self._count - terms.size    # terms[e] is sample n0 + e
+        points = [(n0 + e, math.sqrt(terms[e - W + 1:e + 1].sum()))
+                  for e in range(W - 1 + (terms.size - W) % S, terms.size, S)]
+        self._terms = terms[max(terms.size - W + 1, 0):]
         return points
 
 

@@ -118,7 +118,7 @@ def read_recording(path: str | Path, sample_rate: float,
             any byte is read; :func:`read_strides` streams one.
     """
     path = Path(path)
-    with _named(path), open(path, "rb") as fh:
+    with named(path), open(path, "rb") as fh:
         if not fh.seekable():    # read_header seeks back to line 1
             raise RecordingParseError(
                 "cannot seek; a recording is read from a regular file")
@@ -230,11 +230,14 @@ def _pipe_lines(fh) -> Iterator[bytes]:
 
 
 @contextmanager
-def _named(path: Path):
-    """Name ``path`` in a :class:`RecordingParseError` raised in the block."""
+def named(path: Path | str | None):
+    """Name ``path`` in a :class:`RecordingParseError` raised in the block;
+    ``None`` (stdin) names nothing."""
     try:
         yield
     except RecordingParseError as exc:
+        if path is None:
+            raise
         raise RecordingParseError(exc.reason, exc.line, path) from exc
 
 
@@ -400,7 +403,7 @@ def read_annotations(path: str | Path, num_samples: int) -> list[Annotation]:
     samples; a :class:`RecordingParseError` names the file and the offending
     line, also of an annotation outside the recording."""
     path = Path(path)
-    with _named(path), open(path, "rb") as fh:
+    with named(path), open(path, "rb") as fh:
         # a sidecar holds a few rows per gesture, so it is read whole
         lines = [line for _, block in _line_blocks(fh, lambda: ROW_BLOCK)
                  for line in block]

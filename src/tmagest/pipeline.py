@@ -263,17 +263,23 @@ def evaluate(model: CnnModel, recording: Recording,
     Raises:
         ConfigError: If model and config disagree on map geometry, or the
             recording's sampling rate differs from the config's.
-        UsageError: If the model is missing bounds or labels.
+        UsageError: If the model is missing bounds or labels, or a flexion
+            annotation names a gesture that the model does not know.
     """
     model.require_ready()
     if recording.sample_rate != config.sample_rate:
         raise ConfigError(f"recording at {recording.sample_rate} Hz, config "
                           f"expects {config.sample_rate} Hz")
     gestures = model.labels
+    flexions = recording.onsets(PHASE_FLEXION)
+    for a in flexions:
+        if a.gesture not in gestures:
+            raise UsageError(
+                f"annotation at sample {a.n} names gesture {a.gesture!r}, "
+                f"which the model does not know ({', '.join(gestures)})")
     events = list(run_replay(iter_batches(recording.samples, config.map_stride),
                              model, config, pacing="fast"))
 
-    flexions = recording.onsets(PHASE_FLEXION)
     returns = recording.onsets(PHASE_RETURN)
     truths = sorted(flexions + returns, key=lambda a: a.n)
     tolerance = int(round(MATCH_TOLERANCE_S * config.sample_rate))

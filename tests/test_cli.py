@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io as std_io
 import json
 import math
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 
 import tmagest
 from tmagest import engine as engine_mod
+from tmagest import pipeline
 from tmagest.cli import main
 from tmagest.config import SessionConfig
-from tmagest.io import ROW_BLOCK, annotations_path, read_model, read_recording
+from tmagest.io import (ROW_BLOCK, annotations_path, read_model,
+                        read_recording, write_model)
 
 from conftest import SMALL_CONFIG_KWARGS, rewrite_header
 
@@ -583,6 +586,22 @@ class TestEval:
         rows = np.array(data["confusion"])
         assert rows.sum() == 9
 
+    def test_a_gesture_the_model_does_not_know_is_refused_before_replay(
+            self, workspace, tmp_path, monkeypatch):
+        path = tmp_path / "eval.csv"
+        path.write_bytes(workspace["eval_csv"].read_bytes())
+        annotations_path(path).write_text(
+            "n,gesture,phase\n500,zzz,flexion-onset\n")
+        monkeypatch.setattr(pipeline, "run_replay",
+                            lambda *a, **k: pytest.fail("replayed"))
+        rc, out, err = run_quietly(["eval", *workspace["base"], "--model",
+                                    str(workspace["model"]),
+                                    "--input", str(path)])
+        assert (rc, out) == (1, "")
+        assert err == ("error: annotation at sample 500 names gesture "
+                       "'zzz', which the model does not know "
+                       "(grip, point, spread)\n")
+
 
 class TestBench:
     def test_reports_latency_stats(self, workspace, capsys):
@@ -606,6 +625,17 @@ class TestBench:
         for row in (single, batched):
             assert float(row[2]) > 0 and row[3] == "us/map"
 
+    def test_every_iteration_is_timed_past_a_long_warmup(self, workspace,
+                                                         tmp_path):
+        # at a 0.5 Hz cutoff the filter settles for 800 samples, 80 strides
+        path = tmp_path / "no-config.tma"
+        write_model(dataclasses.replace(read_model(workspace["model"]),
+                                        config=None), path)
+        rc, out, err = run_quietly(["bench", *workspace["base"], "--model",
+                                    str(path), "--cutoff", "0.5",
+                                    "--iterations", "3"])
+        assert (rc, err) == (0, "")
+        assert "predictions: 3\n" in out and "quiet strides: 3\n" in out
 
     @pytest.mark.parametrize("iterations", ["0", "-5", "-30"])
     def test_iterations_below_one_is_error_exit_1(self, workspace,

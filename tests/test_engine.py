@@ -222,6 +222,12 @@ class TestDifferenceSignal:
              seed=1)    # S does not divide W
     @example(width=5, stride=1, strides=14, channels=3, cuts=[1, 2, 9],
              seed=2)    # S = 1
+    @example(width=1, stride=3, strides=6, channels=2, cuts=[2, 3],
+             seed=3)    # W = 1: no terms are kept
+    @example(width=3, stride=5, strides=8, channels=2, cuts=[1, 4],
+             seed=4)    # W < S
+    @example(width=4, stride=2, strides=14, channels=2, cuts=[],
+             seed=5)    # one push of many strides spans several windows
     def test_any_split_gives_the_bits_of_one_stride_at_a_time(
             self, width, stride, strides, channels, cuts, seed):
         env = np.random.default_rng(seed).random((strides * stride,
