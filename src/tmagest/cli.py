@@ -240,14 +240,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if event is not None:
             timings.append(event.compute_micros)
     timings = np.array(timings)
-    print(f"predictions: {timings.size}")
-    print(f"mean  {timings.mean():10.1f} us")
-    print(f"p50   {np.percentile(timings, 50):10.1f} us")
-    print(f"p95   {np.percentile(timings, 95):10.1f} us")
-    print(f"max   {timings.max():10.1f} us")
     budget_us = config.map_stride / config.sample_rate * 1e6
-    print(f"stride budget {budget_us:.0f} us; "
-          f"mean uses {timings.mean() / budget_us * 100:.1f}% of it")
     # Second pass over the same noise with a threshold nothing crosses: every
     # stride is quiet (filter, ring, the stride's own feature columns and
     # difference terms, the window sum and the detector; no full map).
@@ -258,9 +251,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         quiet_engine.step(batch)
         quiet.append((time.perf_counter_ns() - start) / 1000.0)
     quiet = np.array(quiet[-args.iterations:])
-    print(f"quiet strides: {quiet.size}")
-    print(f"quiet p50 {np.percentile(quiet, 50):10.1f} us")
-    print(f"quiet p95 {np.percentile(quiet, 95):10.1f} us")
     # The network alone on seeded random maps: one SGD step of batch_size
     # maps in training's precision, and the forward cost per map alone and
     # in a batch of 256.
@@ -275,9 +265,43 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sgd_params, arch, sgd_maps, labels[:size]), repeats=5)
     single_us = _median_us(lambda: cnn.forward(model, maps[0]), repeats=50)
     batched_us = _median_us(lambda: cnn.forward_batch(model, maps), repeats=3)
-    print(f"sgd batch {size} {sgd_us / 1000:10.2f} ms fwd+bwd")
-    print(f"forward B=1   {single_us:10.1f} us/map")
-    print(f"forward B={maps.shape[0]} {batched_us / maps.shape[0]:10.1f} us/map")
+
+    report = {
+        "predictions": int(timings.size),
+        "mean_us": float(timings.mean()),
+        "p50_us": float(np.percentile(timings, 50)),
+        "p95_us": float(np.percentile(timings, 95)),
+        "max_us": float(timings.max()),
+        "stride_budget_us": budget_us,
+        "budget_share": float(timings.mean() / budget_us),
+        "quiet_strides": int(quiet.size),
+        "quiet_p50_us": float(np.percentile(quiet, 50)),
+        "quiet_p95_us": float(np.percentile(quiet, 95)),
+        "sgd_batch_size": size,
+        "sgd_step_ms": sgd_us / 1000,
+        "forward_us_per_map": single_us,
+        "forward_batch_size": maps.shape[0],
+        "forward_batched_us_per_map": batched_us / maps.shape[0],
+    }
+    if args.json:
+        print(json.dumps(report))
+        return 0
+    r = report
+    print(f"predictions: {r['predictions']}")
+    print(f"mean  {r['mean_us']:10.1f} us")
+    print(f"p50   {r['p50_us']:10.1f} us")
+    print(f"p95   {r['p95_us']:10.1f} us")
+    print(f"max   {r['max_us']:10.1f} us")
+    print(f"stride budget {r['stride_budget_us']:.0f} us; "
+          f"mean uses {r['budget_share'] * 100:.1f}% of it")
+    print(f"quiet strides: {r['quiet_strides']}")
+    print(f"quiet p50 {r['quiet_p50_us']:10.1f} us")
+    print(f"quiet p95 {r['quiet_p95_us']:10.1f} us")
+    print(f"sgd batch {r['sgd_batch_size']} "
+          f"{r['sgd_step_ms']:10.2f} ms fwd+bwd")
+    print(f"forward B=1   {r['forward_us_per_map']:10.1f} us/map")
+    print(f"forward B={r['forward_batch_size']} "
+          f"{r['forward_batched_us_per_map']:10.1f} us/map")
     return 0
 
 
@@ -354,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--model", required=True, type=Path)
     p.add_argument("--iterations", type=int, default=200)
+    p.add_argument("--json", action="store_true",
+                   help="print the numbers as one JSON object")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -15,10 +15,11 @@ from their inputs, so one step serves both precisions. conv1 is one GEMM
 over the 4x4 input patch of each pooling window, conv2 is nine GEMMs on
 shifted views of its input, and max pooling routes gradients to the first
 maximum of each window through a stored argmax. An SGD step runs the conv
-layers in chunks of a few maps so their arrays stay in cache. Training is
-plain SGD over seeded shuffled mini-batches; identical seeds give
-bit-identical models, on one BLAS thread or more. Gradients are exact,
-which the finite-difference tests check in float64.
+layers in tiles of eight maps, one numpy call per layer for the tile, and
+takes every sum over maps per chunk of four, so a tile gives the bits of two
+chunks run apart. Training is plain SGD over seeded shuffled mini-batches;
+identical seeds give bit-identical models, on one BLAS thread or more.
+Gradients are exact, which the finite-difference tests check in float64.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import hashlib
 import math
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -225,13 +227,19 @@ def initial_params(arch: CnnArchitecture, rng: np.random.Generator) -> dict[str,
 #   is exact: a window's first maximum equals its pooled value, and a window
 #   whose maximum is not positive passes no gradient.
 
-# Maps per chunk of the conv layers. At 44x80 in float32 one chunk's largest
-# arrays (conv1 output 0.4 MB, conv2 output and its tap buffer 0.2 MB each)
-# fit a 2 MiB per-core L2 together; a whole batch of 32 needs 3-7 MB per
-# array. On a 2-core Xeon with OpenBLAS on one thread a float32 32-map SGD
-# step took 11-16, 9-12, 11-15 and 16-22 ms with chunks of 2, 4, 8 and 16
-# maps (medians of 30 steps, three runs each).
+# The conv layers of an SGD step work in tiles of TILE_MAPS maps. Every sum
+# whose bits depend on how many maps it covers (the bias sums, conv2's
+# weight-gradient GEMMs, conv1's weight-gradient blocks and the accumulation
+# into the gradients) runs per chunk of CHUNK_MAPS maps, on column slices of
+# the tile's arrays. The rest (conv1's patches and GEMM, conv2's tap GEMMs
+# and shifted adds, pooling, ReLU masks, unpooling) sums across no maps and
+# runs once per tile. So a tile gives the bits of its chunks run apart and
+# pays each numpy call's fixed cost once for two chunks; sums over 8-map
+# chunks would change every model's bytes. On a 2-core Xeon with OpenBLAS on
+# one thread, tiles of 4, 8, 12 and 16 maps took 1.00, 0.98, 1.13 and 1.21
+# times as long per float32 32-map step (medians of 300 interleaved steps).
 CHUNK_MAPS = 4
+TILE_MAPS = 2 * CHUNK_MAPS
 
 # Columns per GEMM of conv1's weight gradient, summed in a fixed order. One
 # GEMM over a whole chunk's columns (a long inner dimension, 3276 at 44x80)
@@ -274,13 +282,6 @@ def _conv1_kernel(params) -> np.ndarray:
     return k.reshape(-1, 16)
 
 
-def _conv1(params, inputs: np.ndarray) -> np.ndarray:
-    """conv1 pre-activations at the four window positions: (4, f1, B*h*w)."""
-    a = (_conv1_kernel(params) @ inputs).reshape(4, -1, inputs.shape[1])
-    a += params["conv1_b"][:, None]
-    return a
-
-
 def _conv2_taps(params, arch: CnnArchitecture):
     """conv2's nine (flat shift, (f2, f1) kernel slice) pairs on p1's grid."""
     w = arch.pool1_shape[1]
@@ -288,7 +289,30 @@ def _conv2_taps(params, arch: CnnArchitecture):
     return [(di * w + dj, k[di, dj]) for di in range(3) for dj in range(3)]
 
 
-def _conv2(params, arch: CnnArchitecture, p1: np.ndarray) -> np.ndarray:
+class ConvWeights(NamedTuple):
+    """The conv layers' weights in the layouts their GEMMs read, built once
+    per step or forward pass."""
+
+    conv1: np.ndarray
+    conv1_b: np.ndarray
+    conv2_taps: list
+    conv2_b: np.ndarray
+
+
+def _conv_weights(params, arch: CnnArchitecture) -> ConvWeights:
+    return ConvWeights(_conv1_kernel(params), params["conv1_b"],
+                       _conv2_taps(params, arch), params["conv2_b"])
+
+
+def _conv1(weights: ConvWeights, inputs: np.ndarray) -> np.ndarray:
+    """conv1 pre-activations at the four window positions: (4, f1, B*h*w)."""
+    a = (weights.conv1 @ inputs).reshape(4, -1, inputs.shape[1])
+    a += weights.conv1_b[:, None]
+    return a
+
+
+def _conv2(weights: ConvWeights, arch: CnnArchitecture,
+           p1: np.ndarray) -> np.ndarray:
     """conv2 pre-activations on the whole pooled grid: (f2, B, h, w).
 
     Tap s adds column r + s of ``K_s @ p1`` to column r. Columns inside the
@@ -296,14 +320,14 @@ def _conv2(params, arch: CnnArchitecture, p1: np.ndarray) -> np.ndarray:
     sums across map and row edges and are never pooled. The shifted adds run
     on the flattened arrays, where they are one contiguous pass each.
     """
-    taps = _conv2_taps(params, arch)
+    taps = weights.conv2_taps
     out = taps[0][1] @ p1
     tmp = np.empty_like(out)
     flat_out, flat_tmp = out.reshape(-1), tmp.reshape(-1)
     for s, k in taps[1:]:
         np.matmul(k, p1, out=tmp)
         flat_out[:-s] += flat_tmp[s:]
-    out += params["conv2_b"][:, None]
+    out += weights.conv2_b[:, None]
     return out.reshape(out.shape[0], -1, *arch.pool1_shape)
 
 
@@ -360,64 +384,92 @@ def _dense_forward(params, flat: np.ndarray):
     return a3, a4, log_probs
 
 
-def _chunks(n: int) -> list[slice]:
-    return [slice(s, s + CHUNK_MAPS) for s in range(0, n, CHUNK_MAPS)]
+def _tiles(n: int) -> list[slice]:
+    return [slice(s, s + TILE_MAPS) for s in range(0, n, TILE_MAPS)]
 
 
-def _conv_forward(params, arch: CnnArchitecture, x: np.ndarray) -> dict:
-    """Training forward pass of the conv layers on a (B, rows, cols) chunk.
+def _conv_forward(weights: ConvWeights, arch: CnnArchitecture,
+                  x: np.ndarray) -> dict:
+    """Training forward pass of the conv layers on a (B, rows, cols) tile.
 
     Keeps conv1's (16, B*h*w) input patches, which its weight gradient reads
     again, and otherwise only pooled-resolution arrays: p1 (f1, B*h*w),
     p2 (f2, B, h, w) and the window positions of both pools.
     """
     inputs = _conv1_inputs(x, arch)
-    p1, arg1 = _pool_relu_argmax(_conv1(params, inputs))
+    p1, arg1 = _pool_relu_argmax(_conv1(weights, inputs))
     p2, arg2 = _pool_relu_argmax(
-        _windows(_conv2(params, arch, p1), arch.pool2_shape))
+        _windows(_conv2(weights, arch, p1), arch.pool2_shape))
     return dict(inputs=inputs, p1=p1, arg1=arg1, p2=p2, arg2=arg2)
 
 
-def _conv_backward(params, arch: CnnArchitecture, cache, dflat: np.ndarray,
-                   grads: dict) -> None:
-    """Add a chunk's conv-layer gradients into ``grads``, given d loss/d flat."""
-    p1, p2 = cache["p1"], cache["p2"]
-    f1, f2 = p1.shape[0], p2.shape[0]
+def _conv2_input_gradient(weights: ConvWeights, da2: np.ndarray) -> np.ndarray:
+    """d loss/d p1 from conv2's (f2, B*h*w) output gradient: the transpose of
+    _conv2, tap s adding column r of ``K_s.T @ da2`` to column r + s.
+
+    da2 is zero outside the valid corner, so the columns that the flattened
+    shifted adds carry across rows and maps add exact zeros.
+    """
+    taps = weights.conv2_taps
+    dp1 = taps[0][1].T @ da2
+    tmp = np.empty_like(dp1)
+    flat_dp1, flat_tmp = dp1.reshape(-1), tmp.reshape(-1)
+    for s, k in taps[1:]:
+        np.matmul(k.T, da2, out=tmp)
+        flat_dp1[s:] += flat_tmp[:-s]
+    return dp1
+
+
+def _conv_backward(weights: ConvWeights, arch: CnnArchitecture, cache,
+                   dflat: np.ndarray, grads: dict) -> None:
+    """Add a tile's conv-layer gradients into ``grads``, given d loss/d flat.
+
+    The gradients flowing back run on the whole tile; the sums over maps run
+    per chunk of ``CHUNK_MAPS`` maps, in chunk order.
+    """
+    p1, p2, inputs = cache["p1"], cache["p2"], cache["inputs"]
+    f1, f2, maps = p1.shape[0], p2.shape[0], p2.shape[1]
+    n = p1.shape[1]
+    cols = n // maps
+    chunks = [(slice(s, s + CHUNK_MAPS), s * cols,
+               min(s + CHUNK_MAPS, maps) * cols)
+              for s in range(0, maps, CHUNK_MAPS)]
+
     dp2 = np.empty_like(p2)
     np.multiply(dflat.reshape(*p2.shape[1:], f2).transpose(3, 0, 1, 2),
                 p2 > 0.0, out=dp2)
-    grads["conv2_b"] += dp2.reshape(f2, -1).sum(axis=1)
-    n = p1.shape[1]
-    da2 = np.zeros((f2, n), dtype=dp2.dtype)
-    _unpool(dp2, cache["arg2"],
-            _windows(da2.reshape(f2, -1, *arch.pool1_shape), arch.pool2_shape))
-
-    # da2 is zero outside the valid corner, so the columns that the
-    # flattened shifted adds carry across rows add exact zeros
-    dp1 = np.zeros_like(p1)
-    tmp = np.empty_like(p1)
-    flat_dp1, flat_tmp = dp1.reshape(-1), tmp.reshape(-1)
+    # unpooling writes every row and column that a pooling window covers
+    h, w = arch.pool2_shape
+    da2 = np.empty((f2, maps, *arch.pool1_shape), dtype=dp2.dtype)
+    da2[:, :, 2 * h:] = 0.0
+    da2[:, :, :2 * h, 2 * w:] = 0.0
+    _unpool(dp2, cache["arg2"], _windows(da2, arch.pool2_shape))
+    da2 = da2.reshape(f2, n)
+    dp1 = _conv2_input_gradient(weights, da2)
     dk2 = np.empty((3, 3, f2, f1), dtype=p1.dtype)
-    for (s, k), dk in zip(_conv2_taps(params, arch), dk2.reshape(9, f2, f1)):
-        np.matmul(da2[:, :n - s], p1[:, s:].T, out=dk)
-        np.matmul(k.T, da2, out=tmp)
-        flat_dp1[s:] += flat_tmp[:flat_tmp.size - s]
-    grads["conv2_w"] += dk2.transpose(2, 3, 0, 1)
+    for chunk, lo, hi in chunks:
+        grads["conv2_b"] += dp2[:, chunk].reshape(f2, -1).sum(axis=1)
+        for (s, _), dk in zip(weights.conv2_taps, dk2.reshape(9, f2, f1)):
+            np.matmul(da2[:, lo:hi - s], p1[:, lo + s:hi].T, out=dk)
+        grads["conv2_w"] += dk2.transpose(2, 3, 0, 1)
+    # da1 is the tile's largest array; da2 goes before it is made
+    del da2
 
     dp1 *= p1 > 0.0
-    grads["conv1_b"] += dp1.sum(axis=1)
     da1 = np.empty((4, f1, n), dtype=dp1.dtype)
     _unpool(dp1, cache["arg1"], da1)
-    da1, inputs = da1.reshape(4 * f1, n), cache["inputs"]
-    dk1 = np.zeros((4 * f1, 16), dtype=da1.dtype)
-    for s in range(0, n, CONV1_GRAD_COLUMNS):
-        cols = slice(s, s + CONV1_GRAD_COLUMNS)
-        dk1 += da1[:, cols] @ inputs[:, cols].T
-    dk1 = dk1.reshape(2, 2, f1, 4, 4)
+    da1 = da1.reshape(4 * f1, n)
     dw1 = grads["conv1_w"][:, 0]
-    for pi in (0, 1):
-        for pj in (0, 1):
-            dw1 += dk1[pi, pj, :, pi:pi + 3, pj:pj + 3]
+    for _, lo, hi in chunks:
+        grads["conv1_b"] += dp1[:, lo:hi].sum(axis=1)
+        dk1 = np.zeros((4 * f1, 16), dtype=da1.dtype)
+        for s in range(lo, hi, CONV1_GRAD_COLUMNS):
+            block = slice(s, min(s + CONV1_GRAD_COLUMNS, hi))
+            dk1 += da1[:, block] @ inputs[:, block].T
+        dk1 = dk1.reshape(2, 2, f1, 4, 4)
+        for pi in (0, 1):
+            for pj in (0, 1):
+                dw1 += dk1[pi, pj, :, pi:pi + 3, pj:pj + 3]
 
 
 def _dense_backward(params, flat, a3, a4, dlogits, grads: dict) -> np.ndarray:
@@ -439,17 +491,19 @@ def batch_loss_and_gradients(params, arch: CnnArchitecture,
                              x: np.ndarray, y_idx: np.ndarray):
     """Mean cross-entropy and its gradients for a (B, rows, cols) batch.
 
-    The conv layers run forward and backward in chunks of ``CHUNK_MAPS``
-    maps, keeping only pooled-resolution arrays between the passes; the
-    dense layers run on the whole batch. Chunk gradients are summed in chunk
-    order, so a batch always gives the same bits.
+    The conv layers run forward and backward in tiles of ``TILE_MAPS`` maps,
+    keeping only pooled-resolution arrays between the passes; the dense
+    layers run on the whole batch. The conv gradients are summed per chunk
+    of ``CHUNK_MAPS`` maps in chunk order, so a batch always gives the same
+    bits, the bits of chunk-sized tiles.
     """
     bsz = x.shape[0]
-    chunks = _chunks(bsz)
-    caches = [_conv_forward(params, arch, x[c]) for c in chunks]
+    weights = _conv_weights(params, arch)
+    tiles = _tiles(bsz)
+    caches = [_conv_forward(weights, arch, x[t]) for t in tiles]
     flat = np.empty((bsz, arch.flat_size), dtype=x.dtype)
-    for c, cache in zip(chunks, caches):
-        flat[c] = _flatten(cache["p2"])
+    for t, cache in zip(tiles, caches):
+        flat[t] = _flatten(cache["p2"])
     a3, a4, log_probs = _dense_forward(params, flat)
     rows = np.arange(bsz)
     loss = float(-log_probs[rows, y_idx].mean())
@@ -459,10 +513,11 @@ def batch_loss_and_gradients(params, arch: CnnArchitecture,
     dlogits /= bsz
     grads: dict[str, np.ndarray] = {}
     dflat = _dense_backward(params, flat, a3, a4, dlogits, grads)
+    del flat  # freed before the conv backward makes its tile arrays
     for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b"):
         grads[name] = np.zeros_like(params[name])
-    for c, cache in zip(chunks, caches):
-        _conv_backward(params, arch, cache, dflat[c], grads)
+    for t, cache in zip(tiles, caches):
+        _conv_backward(weights, arch, cache, dflat[t], grads)
     return loss, grads
 
 
@@ -488,11 +543,12 @@ def forward_batch(model: CnnModel, normalized_maps: np.ndarray) -> np.ndarray:
     data = np.asarray(normalized_maps, dtype=params["conv1_w"].dtype)
     if data.ndim != 3:
         raise StructuralError(f"expected a (B, rows, cols) stack, got shape {data.shape}")
+    weights = _conv_weights(params, arch)
     flat = np.empty((data.shape[0], arch.flat_size), dtype=data.dtype)
-    for c in _chunks(data.shape[0]):
-        p1 = _pool_relu(_conv1(params, _conv1_inputs(data[c], arch)))
-        p2 = _pool_relu(_windows(_conv2(params, arch, p1), arch.pool2_shape))
-        flat[c] = _flatten(p2)
+    for t in _tiles(data.shape[0]):
+        p1 = _pool_relu(_conv1(weights, _conv1_inputs(data[t], arch)))
+        p2 = _pool_relu(_windows(_conv2(weights, arch, p1), arch.pool2_shape))
+        flat[t] = _flatten(p2)
     return np.exp(_dense_forward(params, flat)[2])
 
 

@@ -103,7 +103,7 @@ def calibrate_threshold(segments: list[tuple[str, np.ndarray]],
     Raises:
         CalibrationError: On empty input, a segment with fewer than 2 points
             or a NaN or infinite value, or (when ``expected_gestures`` is
-            given) a gesture with no data.
+            given) a gesture with no data or one that it does not list.
     """
     if not segments:
         raise CalibrationError("no calibration segments supplied")
@@ -120,6 +120,11 @@ def calibrate_threshold(segments: list[tuple[str, np.ndarray]],
                 f"{int(np.argmin(np.isfinite(series)))} is not finite")
         pools.setdefault(gesture, []).append(series)
     if expected_gestures is not None:
+        unknown = [g for g in pools if g not in expected_gestures]
+        if unknown:
+            raise CalibrationError(
+                f"calibration data for gestures not in the configuration: "
+                f"{unknown} (configured: {', '.join(expected_gestures)})")
         missing = [g for g in expected_gestures if g not in pools]
         if missing:
             raise CalibrationError(f"no calibration data for gestures: {missing}")

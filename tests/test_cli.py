@@ -180,6 +180,24 @@ class TestCalibrate:
             f"error: c.annotations.csv: line 3: annotation at {n} outside "
             "recording of 2 samples\n")
 
+    @pytest.mark.parametrize("command", ["calibrate", "train"])
+    def test_a_gesture_the_config_does_not_know_is_error_exit_1(
+            self, workspace, tmp_path, command):
+        # train without --calibration calibrates from its recordings first
+        path = tmp_path / "train.csv"
+        path.write_bytes(workspace["train_csv"].read_bytes())
+        sidecar = annotations_path(workspace["train_csv"]).read_text()
+        annotations_path(path).write_text(
+            sidecar.replace(",point,", ",zzz,", 1))
+        argv = [command, *workspace["base"], "--recording", str(path)]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "unused.tma")]
+        rc, out, err = run_quietly(argv)
+        assert (rc, out) == (1, "")
+        assert err == ("error: calibration data for gestures not in the "
+                       "configuration: ['zzz'] (configured: grip, point, "
+                       "spread)\n")
+
 
 class TestTrain:
     def test_model_is_ready_and_carries_calibration(self, workspace):
@@ -624,6 +642,31 @@ class TestBench:
         assert sgd[4:] == ["ms", "fwd+bwd"]
         for row in (single, batched):
             assert float(row[2]) > 0 and row[3] == "us/map"
+
+    def test_json_holds_the_text_lines_numbers(self, workspace):
+        rc, out, err = run_quietly(["bench", *workspace["base"], "--model",
+                                    str(workspace["model"]), "--iterations",
+                                    "30", "--json"])
+        assert (rc, err) == (0, "")
+        assert out.count("\n") == 1
+        report = json.loads(out)
+        assert set(report) == {
+            "predictions", "mean_us", "p50_us", "p95_us", "max_us",
+            "stride_budget_us", "budget_share", "quiet_strides",
+            "quiet_p50_us", "quiet_p95_us", "sgd_batch_size", "sgd_step_ms",
+            "forward_us_per_map", "forward_batch_size",
+            "forward_batched_us_per_map"}
+        assert report["predictions"] == report["quiet_strides"] == 30
+        assert report["sgd_batch_size"] == 16
+        assert report["forward_batch_size"] == 256
+        assert report["stride_budget_us"] == 50_000  # 10 samples at 200 Hz
+        assert 0 < report["p50_us"] <= report["p95_us"] <= report["max_us"]
+        assert 0 < report["quiet_p50_us"] <= report["quiet_p95_us"]
+        assert report["budget_share"] == pytest.approx(
+            report["mean_us"] / report["stride_budget_us"])
+        for key in ("sgd_step_ms", "forward_us_per_map",
+                    "forward_batched_us_per_map"):
+            assert report[key] > 0
 
     def test_every_iteration_is_timed_past_a_long_warmup(self, workspace,
                                                          tmp_path):

@@ -1,21 +1,33 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tmagest
 from tmagest.cnn import (
     CHUNK_MAPS,
+    CONV1_GRAD_COLUMNS,
     PARAM_ORDER,
     SGD_DTYPE,
     CnnArchitecture,
     CnnModel,
     TrainingExample,
+    _conv1_inputs,
+    _conv1_kernel,
+    _conv2_taps,
     _conv_forward,
+    _conv_weights,
+    _dense_backward,
+    _dense_forward,
+    _flatten,
     _pool_relu_argmax,
     _unpool,
     _windows,
@@ -130,8 +142,9 @@ class TestForward:
         x_shift = np.zeros((10, 12))
         x_shift[:, 2:] = x[:, :-2]
         h, w = TINY.pool1_shape
-        a = _conv_forward(params, TINY, x[None])["p1"].reshape(-1, h, w)
-        b = _conv_forward(params, TINY, x_shift[None])["p1"].reshape(-1, h, w)
+        weights = _conv_weights(params, TINY)
+        a = _conv_forward(weights, TINY, x[None])["p1"].reshape(-1, h, w)
+        b = _conv_forward(weights, TINY, x_shift[None])["p1"].reshape(-1, h, w)
         np.testing.assert_allclose(b[:, :, 1:], a[:, :, :-1], atol=1e-12)
 
     @pytest.mark.parametrize("arch", [TINY, ODD], ids=["even", "odd"])
@@ -232,6 +245,154 @@ class TestGradients:
         assert (arg > 0).any()
 
 
+def chunked_conv_forward(params, arch, x):
+    """The conv layers' training forward pass on one chunk of maps, with
+    the kernels built for the chunk."""
+    inputs = _conv1_inputs(x, arch)
+    a1 = (_conv1_kernel(params) @ inputs).reshape(4, -1, inputs.shape[1])
+    a1 += params["conv1_b"][:, None]
+    p1, arg1 = _pool_relu_argmax(a1)
+    taps = _conv2_taps(params, arch)
+    a2 = taps[0][1] @ p1
+    tmp = np.empty_like(a2)
+    for s, k in taps[1:]:
+        np.matmul(k, p1, out=tmp)
+        a2.reshape(-1)[:-s] += tmp.reshape(-1)[s:]
+    a2 += params["conv2_b"][:, None]
+    p2, arg2 = _pool_relu_argmax(_windows(
+        a2.reshape(a2.shape[0], -1, *arch.pool1_shape), arch.pool2_shape))
+    return dict(inputs=inputs, p1=p1, arg1=arg1, p2=p2, arg2=arg2)
+
+
+def chunked_conv_backward(params, arch, cache, dflat, grads):
+    """Add one chunk's conv gradients into ``grads``, every array sized to
+    the chunk."""
+    p1, p2 = cache["p1"], cache["p2"]
+    f1, f2 = p1.shape[0], p2.shape[0]
+    dp2 = dflat.reshape(*p2.shape[1:], f2).transpose(3, 0, 1, 2) * (p2 > 0.0)
+    grads["conv2_b"] += dp2.reshape(f2, -1).sum(axis=1)
+    n = p1.shape[1]
+    da2 = np.zeros((f2, n), dtype=dp2.dtype)
+    _unpool(dp2, cache["arg2"],
+            _windows(da2.reshape(f2, -1, *arch.pool1_shape), arch.pool2_shape))
+    dp1 = np.zeros_like(p1)
+    tmp = np.empty_like(p1)
+    dk2 = np.empty((3, 3, f2, f1), dtype=p1.dtype)
+    for (s, k), dk in zip(_conv2_taps(params, arch), dk2.reshape(9, f2, f1)):
+        np.matmul(da2[:, :n - s], p1[:, s:].T, out=dk)
+        np.matmul(k.T, da2, out=tmp)
+        dp1.reshape(-1)[s:] += tmp.reshape(-1)[:tmp.size - s]
+    grads["conv2_w"] += dk2.transpose(2, 3, 0, 1)
+    dp1 *= p1 > 0.0
+    grads["conv1_b"] += dp1.sum(axis=1)
+    da1 = np.empty((4, f1, n), dtype=dp1.dtype)
+    _unpool(dp1, cache["arg1"], da1)
+    da1, inputs = da1.reshape(4 * f1, n), cache["inputs"]
+    dk1 = np.zeros((4 * f1, 16), dtype=da1.dtype)
+    for s in range(0, n, CONV1_GRAD_COLUMNS):
+        cols = slice(s, s + CONV1_GRAD_COLUMNS)
+        dk1 += da1[:, cols] @ inputs[:, cols].T
+    dk1 = dk1.reshape(2, 2, f1, 4, 4)
+    for pi in (0, 1):
+        for pj in (0, 1):
+            grads["conv1_w"][:, 0] += dk1[pi, pj, :, pi:pi + 3, pj:pj + 3]
+
+
+def chunked_loss_and_gradients(params, arch, x, y_idx):
+    """Reference SGD step: the conv layers run forward and backward on one
+    chunk of CHUNK_MAPS maps at a time, and the chunks' gradients are added
+    in chunk order."""
+    bsz = x.shape[0]
+    chunks = [slice(s, s + CHUNK_MAPS) for s in range(0, bsz, CHUNK_MAPS)]
+    caches = [chunked_conv_forward(params, arch, x[c]) for c in chunks]
+    flat = np.concatenate([_flatten(cache["p2"]) for cache in caches])
+    a3, a4, log_probs = _dense_forward(params, flat)
+    rows = np.arange(bsz)
+    loss = float(-log_probs[rows, y_idx].mean())
+    dlogits = np.exp(log_probs)
+    dlogits[rows, y_idx] -= 1.0
+    dlogits /= bsz
+    grads = {}
+    dflat = _dense_backward(params, flat, a3, a4, dlogits, grads)
+    for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b"):
+        grads[name] = np.zeros_like(params[name])
+    for c, cache in zip(chunks, caches):
+        chunked_conv_backward(params, arch, cache, dflat[c], grads)
+    return loss, grads
+
+
+class TestTiles:
+    @settings(max_examples=30, deadline=None)
+    @given(batch=st.integers(1, 40),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(batch=1, dtype=np.float32, seed=0)
+    @example(batch=3, dtype=np.float64, seed=1)
+    @example(batch=5, dtype=np.float32, seed=2)
+    @example(batch=9, dtype=np.float64, seed=3)
+    @example(batch=13, dtype=np.float32, seed=4)
+    @example(batch=33, dtype=np.float64, seed=5)
+    def test_tiled_step_gives_the_bits_of_chunked_steps(self, batch, dtype,
+                                                        seed):
+        # a tile of TILE_MAPS maps sums over each chunk of CHUNK_MAPS maps
+        # apart, so partial tiles and partial chunks keep the chunked bits
+        arch, _, _, _ = default_batch()
+        rng = np.random.default_rng(seed)
+        params = {k: v.astype(dtype)
+                  for k, v in initial_params(arch, rng).items()}
+        x = rng.random((batch, arch.input_rows, arch.input_cols)).astype(dtype)
+        y = rng.integers(0, arch.num_classes, batch)
+        loss, grads = batch_loss_and_gradients(params, arch, x, y)
+        want_loss, want = chunked_loss_and_gradients(params, arch, x, y)
+        assert loss.hex() == want_loss.hex()
+        for name in PARAM_ORDER:
+            assert grads[name].dtype == want[name].dtype, name
+            assert grads[name].tobytes() == want[name].tobytes(), name
+
+
+MIB = 1 << 20
+
+
+class TestWorkingSet:
+    # One default float32 step traced 5.57 MiB with chunk-sized arrays. A
+    # tile's transient arrays are twice a chunk's; the step stays below
+    # that by freeing fc1's input before the conv backward, and conv2's
+    # output gradient before conv1's.
+    STEP_PEAK = 5.6 * MIB
+    # cnn.train holds its float32 weights, a batch and the last step's
+    # batch and gradients beside a step: 8.0 MiB with chunk-sized arrays.
+    TRAIN_PEAK = 8.1 * MIB
+
+    @staticmethod
+    def traced_peak(call):
+        call()  # first-call set-up is not the working set
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sgd_step(self):
+        arch, params, x, y = default_batch(np.float32)
+        peak = self.traced_peak(
+            lambda: batch_loss_and_gradients(params, arch, x, y))
+        assert peak < self.STEP_PEAK
+
+    def test_train(self):
+        config = SessionConfig()
+        arch, _, _, _ = default_batch()
+        rng = np.random.default_rng(7)
+        labels = config.gestures
+        examples = [TrainingExample(TmaMap(0, m), labels[i % len(labels)])
+                    for i, m in enumerate(rng.random(
+                        (2 * config.batch_size, arch.input_rows,
+                         arch.input_cols)))]
+        config = dataclasses.replace(config, epochs=1)
+        peak = self.traced_peak(lambda: train(examples, config))
+        assert peak < self.TRAIN_PEAK
+
+
 class TestPrecision:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_gradients_keep_the_input_dtype(self, dtype):
@@ -262,7 +423,8 @@ class TestPrecision:
         maps = rng.random((2 * CHUNK_MAPS + 1, 10, 12))
         probs64 = forward_batch(tiny_model(params), maps)
         # float64 parameters give the reference result of the layers
-        flat = np.stack([_conv_forward(params, TINY, m[None])["p2"]
+        weights = _conv_weights(params, TINY)
+        flat = np.stack([_conv_forward(weights, TINY, m[None])["p2"]
                          .transpose(1, 2, 3, 0).reshape(-1) for m in maps])
         a3 = np.maximum(flat @ params["fc1_w"] + params["fc1_b"], 0.0)
         a4 = np.maximum(a3 @ params["fc2_w"] + params["fc2_b"], 0.0)

@@ -233,6 +233,15 @@ class TestCalibrate:
             calibrate_threshold([("a", np.array([1.0, 2.0]))], 4.0,
                                 expected_gestures=("a", "b"))
 
+    def test_gesture_not_expected(self):
+        with pytest.raises(CalibrationError,
+                           match=r"not in the configuration: \['zzz'\] "
+                                 r"\(configured: a, b\)"):
+            calibrate_threshold([("a", np.array([1.0, 2.0])),
+                                 ("zzz", np.array([1.0, 3.0])),
+                                 ("b", np.array([1.0, 2.0]))], 4.0,
+                                expected_gestures=("a", "b"))
+
     def test_short_series_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate_threshold([("a", np.array([1.0]))], 4.0)
