@@ -40,7 +40,8 @@ _CONFIG_FLAGS = (
     ("--map-width", "map_width", "activation-map window (samples)"),
     ("--map-stride", "map_stride", "map evaluation stride (samples)"),
     ("--refractory", "refractory", "detection pause (samples)"),
-    ("--extract-width", "extraction_width", "training window (samples)"),
+    ("--extract-width", "extraction_width",
+     "training maps per onset, from the onset on (samples)"),
     ("--threshold-multiplier", "threshold_multiplier", "calibration multiplier"),
     ("--conv1-filters", "conv1_filters", "first conv layer filters"),
     ("--conv2-filters", "conv2_filters", "second conv layer filters"),

@@ -494,8 +494,10 @@ def batch_loss_and_gradients(params, arch: CnnArchitecture,
     The conv layers run forward and backward in tiles of ``TILE_MAPS`` maps,
     keeping only pooled-resolution arrays between the passes; the dense
     layers run on the whole batch. The conv gradients are summed per chunk
-    of ``CHUNK_MAPS`` maps in chunk order, so a batch always gives the same
-    bits, the bits of chunk-sized tiles.
+    of ``CHUNK_MAPS`` maps in chunk order, so they hold the bits of
+    chunk-sized tiles. A float32 batch, as training runs, gives the same bits
+    on one or more OpenBLAS threads; a float64 batch of more than 32 maps
+    need not, since OpenBLAS may split its dense-layer GEMMs across threads.
     """
     bsz = x.shape[0]
     weights = _conv_weights(params, arch)

@@ -2,8 +2,8 @@
 
 The defaults describe the reference setup this engine was built around: an
 8-channel armband sampled at 200 Hz, 2 Hz envelope smoothing, 0.4 s activation
-maps advanced every 0.1 s, a 2 s detection refractory, and 0.6 s training
-windows around each onset.
+maps advanced every 0.1 s, a 2 s detection refractory, and 0.3 s training
+windows from each onset.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ class SessionConfig:
         map_width: Activation-map window length in samples.
         map_stride: Samples between consecutive map evaluations.
         refractory: Detection pause after an onset, in samples.
-        extraction_width: Training window width around an onset, in samples.
+        extraction_width: Training maps per onset: one map ends at the onset
+            and at each of the next ``extraction_width - 1`` samples, the
+            detection delays the classifier is trained for.
         threshold_multiplier: Scale applied to the mean per-gesture spread of
             the difference signal when calibrating the onset threshold.
         gestures: Ordered gesture label names; their count fixes the number
@@ -90,7 +92,7 @@ class SessionConfig:
     map_width: int = 80
     map_stride: int = 20
     refractory: int = 400
-    extraction_width: int = 120
+    extraction_width: int = 60
     threshold_multiplier: float = 4.0
     gestures: tuple[str, ...] = DEFAULT_GESTURES
     conv1_filters: int = 8

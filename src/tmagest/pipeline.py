@@ -3,10 +3,11 @@
 Extraction mirrors how the classifier is used online: the envelope stream is
 computed causally in filter blocks of ``map_stride`` samples, the engine's
 stride, and is therefore bit-identical to the streaming envelopes; one
-activation map is taken at every sample time inside a window centered on each
-labeled onset, and features are computed only for the frames those maps
-cover. Evaluation replays a recording through the very same engine
-code path used live and scores the emitted events against the ground truth.
+activation map is taken at every sample time inside a window from each
+labeled onset, over the detection delays at which the engine classifies, and
+features are computed only for the frames those maps cover. Evaluation
+replays a recording through the very same engine code path used live and
+scores the emitted events against the ground truth.
 """
 
 from __future__ import annotations
@@ -61,30 +62,28 @@ def _extract(recording: Recording, config: SessionConfig,
             )
     n_samples = recording.num_samples
     width = config.extraction_width
-    half = width // 2
     map_w = config.map_width
     span = map_w + width - 1
     kept = []
     for a in onsets:
-        lo = a.n - half
-        if lo - map_w + 1 < 0 or lo + width - 1 >= n_samples:
+        if a.n - map_w + 1 < 0 or a.n + width - 1 >= n_samples:
             logger.warning(
                 "dropping onset at %d: extraction window leaves the recording",
                 a.n,
             )
             continue
-        kept.append((lo, a.gesture))
-    firsts = np.array([lo - map_w + 1 for lo, _ in kept], dtype=np.intp)
+        kept.append((a.n, a.gesture))
+    firsts = np.array([n0 - map_w + 1 for n0, _ in kept], dtype=np.intp)
     frames = (firsts[:, None] + np.arange(span)).ravel()
     feats = feature_matrix(_envelopes(recording, config)[frames])
     shared = feats.view()
     shared.flags.writeable = False
     examples: list[TrainingExample] = []
-    for i, (lo, gesture) in enumerate(kept):
+    for i, (n0, gesture) in enumerate(kept):
         col = i * span
         for k in range(width):
             examples.append(TrainingExample(
-                map=TmaMap(end_index=lo + k,
+                map=TmaMap(end_index=n0 + k,
                            data=shared[:, col + k:col + k + map_w]),
                 label=gesture,
             ))
@@ -93,15 +92,17 @@ def _extract(recording: Recording, config: SessionConfig,
 
 def extract_training_set(recording: Recording,
                          config: SessionConfig) -> list[TrainingExample]:
-    """Unnormalized training examples around every labeled onset.
+    """Unnormalized training examples from every labeled onset.
 
     For an onset at ``n0`` one map is taken at each sample time in
-    ``[n0 - w/2, n0 + w/2)`` where ``w`` is the extraction width - exactly
-    ``w`` maps per onset, all labeled with the onset's gesture. Onsets whose
-    window (including map history) would leave the recording are dropped with
-    a warning. The returned maps are read-only views into one shared matrix
-    that holds only the feature columns they cover, each onset's span of
-    ``map_width + w - 1`` columns after the one before.
+    ``[n0, n0 + w)`` where ``w`` is the extraction width - exactly ``w`` maps
+    per onset, all labeled with the onset's gesture. They are the maps the
+    engine classifies when it detects the onset 0 to ``w - 1`` samples late;
+    a map that ends before the onset holds only rest and is not taken.
+    Onsets whose window (including map history) would leave the recording
+    are dropped with a warning. The returned maps are read-only views into
+    one shared matrix that holds only the feature columns they cover, each
+    onset's span of ``map_width + w - 1`` columns after the one before.
 
     Raises:
         UsageError: If the recording has no labeled onsets, or labeled onsets

@@ -63,15 +63,19 @@ def run_python(code: str, **env) -> str:
                           capture_output=True, text=True, timeout=300).stdout
 
 
-def rewrite_header(path, change):
-    """Re-frame a written model after ``change(header)`` edits its header."""
-    blob = path.read_bytes()
+def reframe_header(blob, change):
+    """The bytes of a model after ``change(header)`` edits its header."""
     (header_len,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12:12 + header_len])
     change(header)
     text = json.dumps(header).encode("utf-8")
-    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
-                     + blob[12 + header_len:])
+    return (blob[:8] + struct.pack("<I", len(text)) + text
+            + blob[12 + header_len:])
+
+
+def rewrite_header(path, change):
+    """Re-frame a written model after ``change(header)`` edits its header."""
+    path.write_bytes(reframe_header(path.read_bytes(), change))
 
 
 def make_templates(config, hold_s=1.2):

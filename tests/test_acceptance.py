@@ -80,7 +80,7 @@ def test_criterion_1_reported_numbers_not_reproducible():
 
 def test_criterion_2_synthetic_end_to_end(full_scale):
     r = full_scale.report
-    ok = (full_scale.n_examples == 20 * 5 * 120
+    ok = (full_scale.n_examples == 20 * 5 * 60
           and r.n_true_onsets == 300
           and r.onset_recall >= 0.95
           and r.onset_false_positive_rate <= 0.05

@@ -43,6 +43,8 @@ from tmagest.config import SessionConfig
 from tmagest.errors import StructuralError, TrainingError, UsageError
 from tmagest.tma import NormalizationBounds, TmaMap
 
+from conftest import run_python
+
 TINY = CnnArchitecture(input_rows=10, input_cols=12, conv1_filters=2,
                        conv2_filters=3, num_classes=3, fc1_units=7,
                        fc2_units=5)
@@ -496,6 +498,39 @@ def test_gradients_and_model_do_not_depend_on_blas_threads():
             [sys.executable, "-c", BLAS_THREAD_RUN], env=env, check=True,
             capture_output=True, text=True, timeout=300).stdout)
     assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
+
+
+BLAS_THREAD_SIZES_RUN = """
+import hashlib
+import numpy as np
+from tmagest.cnn import (PARAM_ORDER, CnnArchitecture,
+                         batch_loss_and_gradients, initial_params)
+from tmagest.config import SessionConfig
+
+config = SessionConfig()
+arch = CnnArchitecture(config.feature_rows, config.map_width,
+                       config.conv1_filters, config.conv2_filters,
+                       len(config.gestures))
+rng = np.random.default_rng(2025)
+params = {k: v.astype(np.float32)
+          for k, v in initial_params(arch, rng).items()}
+x = rng.random((64, arch.input_rows, arch.input_cols)).astype(np.float32)
+y = rng.integers(0, arch.num_classes, 64)
+for size in range(1, 65):
+    loss, grads = batch_loss_and_gradients(params, arch, x[:size], y[:size])
+    print(size, loss.hex(),
+          *(hashlib.sha256(grads[name]).hexdigest() for name in PARAM_ORDER))
+"""
+
+
+def test_float32_gradients_do_not_depend_on_blas_threads_at_any_batch_size():
+    # float64 batches of 33 maps or more took other bits on two threads,
+    # from the dense layers on; training runs in float32
+    outputs = [run_python(BLAS_THREAD_SIZES_RUN, OPENBLAS_NUM_THREADS=threads,
+                          OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+               for threads in ("1", "2")]
+    assert len(outputs[0].splitlines()) == 64
     assert outputs[0] == outputs[1]
 
 

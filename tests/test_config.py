@@ -18,7 +18,7 @@ REFERENCE_DEFAULTS = {
     "map_width": 80,
     "map_stride": 20,
     "refractory": 400,
-    "extraction_width": 120,
+    "extraction_width": 60,
     "threshold_multiplier": 4.0,
     "learning_rate": 0.001,
     "epochs": 15,
@@ -48,7 +48,7 @@ class TestDefaults:
         assert config.refractory / config.sample_rate == 2.0
         assert config.map_width / config.sample_rate == 0.4
         assert config.map_stride / config.sample_rate == 0.1
-        assert config.extraction_width / config.sample_rate == 0.6
+        assert config.extraction_width / config.sample_rate == 0.3
 
 
 class TestValidation:

@@ -50,7 +50,7 @@ from tmagest.onset import ThresholdCalibration
 from tmagest.recording import Annotation, Recording
 from tmagest.tma import NormalizationBounds
 
-from conftest import rewrite_header
+from conftest import reframe_header, rewrite_header
 
 
 def sample_recording(rng, n=50, channels=3, annotated=True):
@@ -566,9 +566,11 @@ def test_arbitrary_header_values_load_or_raise_model_io_error(
         else:
             header[key] = value
 
-    path = model_file.with_name("fuzzed.tma")
-    path.write_bytes(model_file.read_bytes())
-    rewrite_header(path, change)
+    # each example goes to a new file: truncating and rewriting one file
+    # per example was slow on some file systems
+    fd, path = tempfile.mkstemp(suffix=".tma", dir=model_file.parent)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(reframe_header(model_file.read_bytes(), change))
     try:
         model = read_model(path)
     except ModelIOError:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from tmagest import cnn, io, pipeline, synth
 from tmagest.config import SessionConfig
 from tmagest.dsp import design_butterworth_lowpass, envelope_stream
-from tmagest.engine import difference_series
+from tmagest.engine import (Prediction, difference_series, iter_batches,
+                            run_replay)
 from tmagest.errors import ConfigError, UsageError
 from tmagest.onset import calibrate_threshold
 from tmagest.pipeline import (
@@ -39,15 +40,13 @@ class TestExtraction:
             per_gesture[a.gesture] += config.extraction_width
         assert by_label == per_gesture
 
-    def test_window_centering(self, trained_setup):
+    def test_window_starts_at_the_onset(self, trained_setup):
+        # maps end at each onset and at each of the next w - 1 samples
         config = trained_setup.config
         examples = extract_training_set(trained_setup.train_recording, config)
-        first_onset = trained_setup.train_recording.onsets(PHASE_FLEXION)[0]
-        half = config.extraction_width // 2
-        window = [ex.map.end_index for ex in examples
-                  if abs(ex.map.end_index - first_onset.n) <= half]
-        assert window == list(range(first_onset.n - half,
-                                    first_onset.n + half))
+        onsets = trained_setup.train_recording.onsets(PHASE_FLEXION)
+        assert [ex.map.end_index for ex in examples] == [
+            a.n + k for a in onsets for k in range(config.extraction_width)]
 
     def test_map_geometry(self, trained_setup):
         config = trained_setup.config
@@ -55,20 +54,28 @@ class TestExtraction:
         m = examples[0].map
         assert m.data.shape == (config.feature_rows, config.map_width)
 
-    def test_boundary_onset_dropped_with_warning(self, small_config, caplog):
+    @pytest.mark.parametrize("onsets,kept,dropped", [
+        ((38, 340), (340, "point"), 38),   # 38's first map starts before 0
+        ((39, 341), (39, "grip"), 341),    # 341's last map ends after 399
+    ])
+    def test_boundary_onset_dropped_with_warning(self, small_config, caplog,
+                                                 onsets, kept, dropped):
+        # map_width 40 and extraction_width 60 in 400 samples: an onset at
+        # n0 is kept exactly when 39 <= n0 <= 340
         rng = np.random.default_rng(0)
         samples = rng.normal(size=(400, small_config.channels))
         rec = Recording(
             sample_rate=200.0, samples=samples,
-            annotations=[Annotation(n=10, gesture="grip",
-                                    phase="flexion-onset"),
-                         Annotation(n=300, gesture="point",
-                                    phase="flexion-onset")])
+            annotations=[Annotation(n=n, gesture=g, phase="flexion-onset")
+                         for n, g in zip(onsets, ("grip", "point"))])
         with caplog.at_level(logging.WARNING):
             examples = extract_training_set(rec, small_config)
-        assert len(examples) == small_config.extraction_width
-        assert all(ex.label == "point" for ex in examples)
-        assert any("dropping onset" in r.message for r in caplog.records)
+        n0, label = kept
+        assert [(ex.label, ex.map.end_index) for ex in examples] == [
+            (label, n0 + k) for k in range(small_config.extraction_width)]
+        assert [r.message for r in caplog.records] == [
+            f"dropping onset at {dropped}: extraction window leaves the "
+            "recording"]
 
     def test_unannotated_recording_rejected(self, small_config):
         rec = Recording(sample_rate=200.0,
@@ -190,11 +197,10 @@ def whole_matrix_extract(recording, config):
     shared.flags.writeable = False
     n_samples = recording.num_samples
     width = config.extraction_width
-    half = width // 2
     map_w = config.map_width
     spans, examples = [], []
     for a in onsets:
-        lo = a.n - half
+        lo = a.n
         if lo - map_w + 1 < 0 or lo + width - 1 >= n_samples:
             pipeline.logger.warning(
                 "dropping onset at %d: extraction window leaves the recording",
@@ -409,6 +415,20 @@ class TestEvaluate:
         assert report.confusion.sum() == 9
         assert all(report.confusion[i].sum() == 3
                    for i in range(len(report.gestures)))
+
+    def test_classified_flexions_fall_inside_the_training_window(
+            self, trained_setup):
+        # the model learns the maps that end 0 to w - 1 samples after an
+        # onset, so the engine has to classify each flexion at such a delay
+        config, rec = trained_setup.config, trained_setup.eval_recording
+        events = run_replay(iter_batches(rec.samples, config.map_stride),
+                            trained_setup.model, config, pacing="fast")
+        predicted = [e.n for e in events if isinstance(e, Prediction)]
+        flexions = rec.onsets(PHASE_FLEXION)
+        assert len(predicted) == len(flexions) == 9
+        delays = [min(predicted, key=lambda n: abs(n - a.n)) - a.n
+                  for a in flexions]
+        assert all(0 <= d < config.extraction_width for d in delays), delays
 
     def test_deterministic_modulo_latency(self, trained_setup):
         r1 = evaluate(trained_setup.model, trained_setup.eval_recording,
