@@ -56,8 +56,8 @@ import numpy as np
 
 from .errors import ConfigError, StructuralError
 
-# rows that envelope_stream rectifies and filters at a time, rounded down to
-# whole filter blocks
+# rows of a block_slices slice, rounded down to whole filter blocks: what
+# envelope_stream and the synthetic carrier filter at a time
 _SLICE_ROWS = 4096
 
 _SQRT2 = math.sqrt(2.0)
@@ -294,16 +294,24 @@ def envelope_stream(raw: np.ndarray, coeffs: BiquadCoefficients,
     With ``block_size`` equal to the engine's map stride the result equals,
     bit for bit, the envelopes the engine computes stride by stride.
 
-    The recording is rectified and filtered into one output array in slices
-    of whole filter blocks: the most blocks that fit in :data:`_SLICE_ROWS`
-    rows, at least one. Beside the input and the output only a slice is
-    held, and by :class:`EnvelopeFilter`'s block contract the result equals
+    The recording is rectified and filtered into one output array in the
+    slices of whole filter blocks that :func:`block_slices` gives. Beside
+    the input and the output only a slice is held, and the result equals
     one call over the whole rectified recording.
     """
     raw = np.asarray(raw, dtype=np.float64)
     filt = EnvelopeFilter(coeffs, raw.shape[1], block_size)
     out = np.empty_like(raw)
-    step = block_size * max(1, _SLICE_ROWS // block_size)
-    for start in range(0, raw.shape[0], step):
-        out[start:start + step] = filt.process(np.abs(raw[start:start + step]))
+    for rows in block_slices(raw.shape[0], block_size):
+        out[rows] = filt.process(np.abs(raw[rows]))
     return out
+
+
+def block_slices(n: int, block_size: int) -> list[slice]:
+    """Slices of ``n`` rows in order, each the most whole filter blocks of
+    ``block_size`` rows that fit in :data:`_SLICE_ROWS` rows, at least one;
+    the last may be shorter. By :class:`EnvelopeFilter`'s block contract,
+    one filter run over these slices in turn gives the bits of one call
+    over all ``n`` rows."""
+    step = block_size * max(1, _SLICE_ROWS // block_size)
+    return [slice(start, start + step) for start in range(0, n, step)]

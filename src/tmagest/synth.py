@@ -189,6 +189,13 @@ def _carrier(rng: np.random.Generator, n: int, channels: int,
     Gaussian noise confined to the sEMG band by a fourth-order Butterworth
     band-pass, then amplitude-compressed (``sign(x) * |x|**a``) and rescaled
     to unit standard deviation.
+
+    The noise becomes the carrier in place: one filter runs over the
+    :func:`tmagest.dsp.block_slices` slices in turn, and each slice's output
+    goes back into its own rows and is compressed there, so beside the
+    carrier only slice-sized arrays are held. The values are those of one
+    filter call, compression and ``std(axis=0)`` over the whole noise, bit
+    for bit.
     """
     low, high = _CARRIER_BAND_HZ
     nyq = sample_rate / 2.0
@@ -197,17 +204,48 @@ def _carrier(rng: np.random.Generator, n: int, channels: int,
     if low >= high:
         raise ConfigError(f"a sample rate of {sample_rate:g} Hz leaves no room "
                           f"for the carrier band above {low:g} Hz")
-    noise = rng.standard_normal((n, channels))
+    carrier = rng.standard_normal((n, channels))
     band = dsp.design_butterworth_bandpass(low, high, sample_rate)
-    shaped = dsp.EnvelopeFilter(band, channels, _CARRIER_BLOCK).process(noise)
-    del noise    # before the compression's temporaries raise the peak
-    if compression != 1.0:
-        # sign(x) * |x|**a, in place
-        magnitude = np.abs(shaped)
-        magnitude **= compression
-        shaped = np.copysign(magnitude, shaped, out=magnitude)
-    shaped /= shaped.std(axis=0)
-    return shaped
+    filt = dsp.EnvelopeFilter(band, channels, _CARRIER_BLOCK)
+    slices = dsp.block_slices(n, _CARRIER_BLOCK)
+    for rows in slices:
+        shaped = carrier[rows]
+        shaped[:] = filt.process(shaped)
+        if compression != 1.0:
+            magnitude = np.abs(shaped)
+            magnitude **= compression
+            np.copysign(magnitude, shaped, out=shaped)
+    carrier /= _std(carrier, slices)
+    return carrier
+
+
+def _std(x: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """``x.std(axis=0)``, bit for bit, in two passes over the row
+    ``slices`` of ``x``, which cover it in order.
+
+    numpy adds the rows of a C-contiguous array's axis-0 reduction one
+    after another, so each slice's sum starts from the running total;
+    per-slice sums added afterwards would round otherwise. A single column
+    is summed pairwise instead, so it is reduced whole.
+    """
+    if x.shape[1] == 1:
+        return x.std(axis=0)
+
+    def total(parts):
+        acc = None
+        for part in parts:
+            if acc is not None:
+                part = np.concatenate((acc[None], part))
+            acc = part.sum(axis=0)
+        return acc
+
+    def squares(mean):
+        for rows in slices:
+            deviation = x[rows] - mean
+            yield np.square(deviation, out=deviation)
+
+    mean = total(x[rows] for rows in slices) / x.shape[0]
+    return np.sqrt(total(squares(mean)) / x.shape[0])
 
 
 def _term(t: np.ndarray, lo: int, hi: int, amp: float, gains: np.ndarray,
@@ -231,9 +269,10 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
     multiplied by the noise floor and each span by its own span-sized
     ``amp * profile * gains + floor`` (a sample that two spans share by
     rounding takes both terms, in event order). Every sample is still
-    ``carrier * (floor + terms)`` rounded as before, so beside the samples
-    the render holds span-sized arrays only; the peak, about twice the
-    samples, is the carrier's band-pass and compression.
+    ``carrier * (floor + terms)`` rounded as before. The carrier, too, is
+    made in place (:func:`_carrier`), so beside the samples the render holds
+    the sample times, an eighth of their size, and slice- and span-sized
+    arrays only.
 
     Raises:
         ConfigError: On an unknown gesture id, overlapping activations,
@@ -317,7 +356,8 @@ def generate(script: SessionScript, templates: dict[str, GestureTemplate],
     except MemoryError as exc:
         raise ConfigError(f"rendering {n} samples of {channels} channels "
                           "needs more memory than is available") from exc
-    if not np.isfinite(samples).all():
+    # a NaN or infinity shows in the extremes: no array of flags is made
+    if not (math.isfinite(samples.min()) and math.isfinite(samples.max())):
         raise ConfigError("noise_floor, snr_db and burst_gain must be small "
                           "enough that every sample is finite")
     return Recording(sample_rate=fs, samples=samples, annotations=annotations)

@@ -861,7 +861,8 @@ class TestCorruptedRows:
     @settings(max_examples=100, deadline=None)
     @given(faults=st.lists(ROW_FAULTS, min_size=1, max_size=3))
     @example(faults=[("bytes", 7, 3, b"")])
-    @example(faults=[("value", 4096, 1, b"1e999")])    # in the second block
+    # row ROW_BLOCK is on line ROW_BLOCK + 2, in the second block of lines
+    @example(faults=[("value", ROW_BLOCK, 1, b"1e999")])
     def test_calibrate_never_raises(self, workspace, faults):
         lines = workspace["train_csv"].read_bytes().splitlines()
         sidecar = workspace["root"] / "train.annotations.csv"

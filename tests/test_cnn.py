@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from tmagest.config import SessionConfig
 from tmagest.errors import StructuralError, TrainingError, UsageError
 from tmagest.tma import NormalizationBounds, TmaMap
 
-from conftest import run_python
+from conftest import run_python, traced_peak
 
 TINY = CnnArchitecture(input_rows=10, input_cols=12, conv1_filters=2,
                        conv2_filters=3, num_classes=3, fc1_units=7,
@@ -366,18 +365,13 @@ class TestWorkingSet:
     TRAIN_PEAK = 8.1 * MIB
 
     @staticmethod
-    def traced_peak(call):
+    def working_set(call):
         call()  # first-call set-up is not the working set
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(call)[1]
 
     def test_sgd_step(self):
         arch, params, x, y = default_batch(np.float32)
-        peak = self.traced_peak(
+        peak = self.working_set(
             lambda: batch_loss_and_gradients(params, arch, x, y))
         assert peak < self.STEP_PEAK
 
@@ -391,7 +385,7 @@ class TestWorkingSet:
                         (2 * config.batch_size, arch.input_rows,
                          arch.input_cols)))]
         config = dataclasses.replace(config, epochs=1)
-        peak = self.traced_peak(lambda: train(examples, config))
+        peak = self.working_set(lambda: train(examples, config))
         assert peak < self.TRAIN_PEAK
 
 

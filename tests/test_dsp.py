@@ -1,14 +1,15 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from conftest import traced_peak
 from tmagest import synth
 from tmagest.config import SessionConfig
 from tmagest.dsp import (
     EnvelopeFilter,
+    block_slices,
     design_butterworth_bandpass,
     design_butterworth_lowpass,
     envelope_stream,
@@ -163,6 +164,14 @@ class TestFilterStep:
             np.testing.assert_array_equal(strides, whole)
             np.testing.assert_array_equal(envelope_stream(x, c, size), whole)
 
+    @pytest.mark.parametrize("n,size", [(0, 7), (9003, 7), (9003, 128),
+                                        (4096, 4096), (9003, 5000)])
+    def test_block_slices_cover_the_rows_in_whole_blocks(self, n, size):
+        rows = [np.arange(n)[s] for s in block_slices(n, size)]
+        assert sum(map(list, rows), []) == list(range(n))
+        assert all(len(r) % size == 0 and len(r) <= max(4096, size)
+                   for r in rows[:-1])
+
     def test_slices_equal_one_call(self, rng):
         # envelope_stream works through 4096-row slices of whole blocks:
         # 9003 rows end in a partial slice and a short final block
@@ -176,12 +185,7 @@ class TestFilterStep:
         # rectified a slice at a time: no second recording-sized array
         c = design_butterworth_lowpass(2.0, 200.0)
         raw = rng.normal(size=(60_000, 8))
-        tracemalloc.start()
-        try:
-            env = envelope_stream(raw, c, S)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        env, peak = traced_peak(lambda: envelope_stream(raw, c, S))
         assert peak < 1.2 * env.nbytes + (1 << 20)
 
     def test_matches_scipy_lfilter(self, rng):

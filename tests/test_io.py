@@ -7,7 +7,6 @@ import struct
 import sys
 import tempfile
 import threading
-import tracemalloc
 from itertools import islice
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from tmagest.errors import (
     ModelTruncatedError,
     ModelVersionError,
     RecordingParseError,
+    StructuralError,
     TmagestError,
 )
 from tmagest.io import (
@@ -50,7 +50,7 @@ from tmagest.onset import ThresholdCalibration
 from tmagest.recording import Annotation, Recording
 from tmagest.tma import NormalizationBounds
 
-from conftest import reframe_header, rewrite_header
+from conftest import reframe_header, rewrite_header, traced_peak
 
 
 def sample_recording(rng, n=50, channels=3, annotated=True):
@@ -80,6 +80,44 @@ class TestRecordingCsv:
         write_recording(rec, path)
         back = read_recording(path, sample_rate=200.0)
         np.testing.assert_array_equal(back.samples, rec.samples)
+
+    @pytest.mark.parametrize("n", [50, 20])
+    def test_an_unannotated_write_removes_a_stale_sidecar(self, tmp_path, rng,
+                                                         n):
+        # the old annotations (at 10 and 30) lie inside the new recording
+        # (n = 50) or past its end (n = 20): either way the read gives none
+        path = tmp_path / "session.csv"
+        write_recording(sample_recording(rng, n=50), path)
+        plain = sample_recording(rng, n=n, annotated=False)
+        write_recording(plain, path)
+        assert not annotations_path(path).exists()
+        back = read_recording(path, sample_rate=200.0)
+        assert back.annotations == []
+        np.testing.assert_array_equal(back.samples, plain.samples)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_is_refused_before_the_file_opens(
+            self, tmp_path, rng, value):
+        samples = rng.normal(size=(3 * tmio.ROW_BLOCK, 3))
+        samples[tmio.ROW_BLOCK + 7, 2] = value
+        samples[2 * tmio.ROW_BLOCK, 0] = np.nan
+        path = tmp_path / "bad.csv"
+        with pytest.raises(StructuralError) as err:
+            write_recording(Recording(sample_rate=200.0, samples=samples),
+                            path)
+        assert str(err.value) == (f"sample {tmio.ROW_BLOCK + 7} ch2 is "
+                                  f"{value}, expected a finite value")
+        assert not path.exists()
+
+    def test_write_peak_memory_does_not_grow_with_the_length(self, tmp_path,
+                                                             rng):
+        # one block's floats, strings and text, 0.7 MiB at 1024 rows and
+        # 2.8 MiB at 4096: 60 000 rows of 8 channels are 3.7 MiB of samples
+        # and over 10 MiB of text
+        rec = Recording(sample_rate=200.0,
+                        samples=rng.normal(size=(60_000, 8)))
+        _, peak = traced_peak(lambda: write_recording(rec, tmp_path / "w.csv"))
+        assert peak < 1.5 * (1 << 20)
 
     def test_header_only_is_empty_recording(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -832,12 +870,8 @@ class TestLineBlocks:
         path = tmp_path / "long.csv"
         write_recording(Recording(sample_rate=200.0,
                                   samples=rng.normal(size=(60_000, 8))), path)
-        tracemalloc.start()
-        try:
-            samples = read_recording(path, sample_rate=200.0).samples
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rec, peak = traced_peak(lambda: read_recording(path, sample_rate=200.0))
+        samples = rec.samples
         # the block arrays and their join, and one block's text and lines
         assert peak < 2.5 * samples.nbytes + (4 << 20)
 
@@ -1036,9 +1070,12 @@ class TestReadStrides:
             text_stdin_outcome(data, channels, stride)
 
     @pytest.mark.parametrize("faults", [
-        [(5000, b"nan")], [(5000, b"\xff")], [(5000, None)],
-        [(4100, b"inf"), (8000, None)],    # an inf before a gap: stream order
-        [(9000, b"1e999"), (4096 + 20, None)],
+        [(tmio.ROW_BLOCK + 904, b"nan")], [(tmio.ROW_BLOCK + 904, b"\xff")],
+        [(tmio.ROW_BLOCK + 904, None)],
+        # an inf before a gap in the same block: stream order
+        [(tmio.ROW_BLOCK + 4, b"inf"), (2 * tmio.ROW_BLOCK - 96, None)],
+        # a later block's error after an earlier block's gap
+        [(2 * tmio.ROW_BLOCK + 808, b"1e999"), (tmio.ROW_BLOCK + 20, None)],
     ])
     def test_an_error_in_the_second_row_block(self, faults):
         # a seekable stream gives the strides and the first error of a pipe,

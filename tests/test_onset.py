@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import traced_peak
 from tmagest import engine
 from tmagest.engine import difference_series
 from tmagest.errors import CalibrationError, StructuralError
@@ -197,12 +197,8 @@ class TestDifferenceSeriesBlocks:
     def test_peak_memory_below_one_feature_matrix(self, rng):
         env = rng.random((60_000, 8))
         matrix_bytes = feature_matrix(env[:1]).shape[0] * env.shape[0] * 8
-        tracemalloc.start()
-        try:
-            difference_series(env, 80, 20, min_index=177)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: difference_series(env, 80, 20, min_index=177))
         assert peak < matrix_bytes
 
 

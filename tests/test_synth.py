@@ -1,14 +1,17 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_python
+from conftest import run_python, traced_peak
 from tmagest import synth
 from tmagest.config import SessionConfig
-from tmagest.dsp import design_butterworth_lowpass, envelope_stream
+from tmagest.dsp import (
+    EnvelopeFilter,
+    design_butterworth_bandpass,
+    design_butterworth_lowpass,
+    envelope_stream,
+)
 from tmagest.errors import ConfigError
 from tmagest.recording import PHASE_FLEXION, PHASE_RETURN, Annotation, Recording
 from tmagest.synth import (
@@ -318,6 +321,21 @@ class TestGenerate:
         rec = generate(script, templates, config)
         assert rec.num_samples > 0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_carrier_sample_rejected(self, monkeypatch, value):
+        # the closing check reads the extremes, which a NaN also spoils
+        carrier = synth._carrier
+
+        def spoiled(*args):
+            out = carrier(*args)
+            out[len(out) // 2, 1] = value
+            return out
+
+        monkeypatch.setattr(synth, "_carrier", spoiled)
+        config, templates, script = tiny_setup()
+        with pytest.raises(ConfigError, match="every sample is finite"):
+            generate(script, templates, config)
+
 
 BLAS_THREAD_SYNTH = """
 import hashlib
@@ -339,6 +357,44 @@ def test_recording_does_not_depend_on_blas_threads():
                for threads in ("1", "2")]
     assert outputs[0].startswith("(")
     assert outputs[0] == outputs[1]
+
+
+def whole_array_carrier(rng, n, channels, fs, compression):
+    """Reference carrier: one filter call, compression and ``std(axis=0)``
+    over the whole noise, each a new recording-sized array."""
+    band = design_butterworth_bandpass(*synth._CARRIER_BAND_HZ, fs)
+    shaped = EnvelopeFilter(band, channels, synth._CARRIER_BLOCK).process(
+        rng.standard_normal((n, channels)))
+    if compression != 1.0:
+        shaped = np.sign(shaped) * np.abs(shaped) ** compression
+    return shaped / shaped.std(axis=0)
+
+
+class TestCarrier:
+    @pytest.mark.parametrize("n", [2, 127, 128, 4096, 4097, 9000])
+    @pytest.mark.parametrize("compression", [1.0, 0.2])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_in_place_equals_the_whole_array(self, n, compression, channels):
+        # the slices end mid-slice, on a block edge and inside a short
+        # final block
+        got = synth._carrier(np.random.default_rng(n), n, channels, 1000.0,
+                             compression)
+        want = whole_array_carrier(np.random.default_rng(n), n, channels,
+                                   1000.0, compression)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 3000), cols=st.integers(1, 9),
+           step=st.integers(1, 5000), scale=st.sampled_from([1e-3, 1.0, 1e6]),
+           offset=st.sampled_from([0.0, 1.0, -1e3]), seed=st.integers(0, 99))
+    @example(rows=1, cols=1, step=1, scale=1.0, offset=0.0, seed=0)
+    @example(rows=21, cols=1, step=1, scale=1e-3, offset=0.0, seed=0)
+    def test_two_pass_std_equals_numpy(self, rows, cols, step, scale, offset,
+                                       seed):
+        x = np.random.default_rng(seed).standard_normal((rows, cols))
+        x = x * scale + offset
+        slices = [slice(s, s + step) for s in range(0, rows, step)]
+        assert synth._std(x, slices).tobytes() == x.std(axis=0).tobytes()
 
 
 class TestScripts:
@@ -620,18 +676,24 @@ class TestSpanRendering:
         assert spans(script, templates, config)[-1][1] == rec.num_samples
         assert_renders_equal(script, templates, config)
 
-    def test_peak_memory_bounded_by_the_samples(self):
-        # the carrier is modulated in place: the peak is its band-pass and
-        # compression, two arrays of the samples' size, not three
+    @staticmethod
+    def traced_session():
         config = SessionConfig()
         templates = default_template_set(config.channels, config.gestures)
         script = balanced_sequence_script(
             config.gestures, templates, 30, np.random.default_rng(5), seed=5)
-        tracemalloc.start()
-        try:
-            samples = generate(script, templates, config).samples
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert samples.shape == (63_300, 8)
+        rec, peak = traced_peak(lambda: generate(script, templates, config))
+        assert rec.samples.shape == (63_300, 8)
+        return rec.samples, peak
+
+    def test_peak_memory_bounded_by_the_samples(self):
+        # the carrier is modulated in place: not three arrays of the
+        # samples' size
+        samples, peak = self.traced_session()
         assert peak < 2.2 * samples.nbytes + (1 << 20)
+
+    def test_peak_memory_one_recording(self):
+        # the carrier is filtered, compressed and scaled in place: beside
+        # the samples, their times (an eighth) and slice-sized arrays
+        samples, peak = self.traced_session()
+        assert peak < 1.3 * samples.nbytes + (1 << 20)
