@@ -57,7 +57,7 @@ import numpy as np
 from .errors import ConfigError, StructuralError
 
 # rows of a block_slices slice, rounded down to whole filter blocks: what
-# envelope_stream and the synthetic carrier filter at a time
+# envelope_stream, difference_series and the synthetic carrier filter at a time
 _SLICE_ROWS = 4096
 
 _SQRT2 = math.sqrt(2.0)

@@ -1,16 +1,16 @@
 """The streaming recognition loop and its difference signal.
 
-Per iteration the engine waits for one stride of new raw samples, extends
-the envelopes, builds the stride's new feature columns only and pushes them
-to a :class:`DifferenceSignal`, the front end that calibration runs whole
-recordings through too (:func:`difference_series`). When the difference
-crosses the calibrated threshold outside the refractory window, the engine
-classifies the map ending at the newest sample, the newest ``map_width``
-columns - unless the config's ``suppress_alternate_onsets`` is set and this
-onset is the expected return to neutral, which is reported unclassified.
+Per iteration the engine pushes one stride of new raw samples to a
+:class:`DifferenceSignal`, the one front end from raw samples to the
+difference signal, which calibration runs whole recordings through too
+(:func:`difference_series`). When the difference crosses the calibrated
+threshold outside the refractory window, the engine classifies the map
+ending at the newest sample, the newest ``map_width`` columns - unless the
+config's ``suppress_alternate_onsets`` is set and this onset is the expected
+return to neutral, which is reported unclassified.
 
-The engine owns all mutable state - the filter memory, a ring of the newest
-feature columns, the difference signal's newest terms, the detector and the
+The engine owns all mutable state - the front end's filter memory, columns
+and terms, a ring of the newest feature columns, the detector and the
 suppression flag - and must be stepped by one caller in order. Emitted
 events are immutable values.
 """
@@ -27,15 +27,12 @@ import numpy as np
 
 from .cnn import CnnModel, predict
 from .config import SessionConfig
-from .dsp import EnvelopeFilter, design_butterworth_lowpass
+from .dsp import EnvelopeFilter, block_slices, design_butterworth_lowpass
 from .errors import ConfigError, StructuralError, UsageError
 from .onset import OnsetDetector, difference
 from .tma import FrameRing, feature_matrix
 
 logger = logging.getLogger(__name__)
-
-# Samples per feature-matrix slice of difference_series, in whole strides.
-SERIES_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -58,55 +55,67 @@ class SuppressedOnset:
 
 
 class DifferenceSignal:
-    """The difference signal of a stream of feature columns: at each stride
-    end ``n >= map_width + map_stride - 1``, the square root of the sum of
+    """The difference signal of a stream of raw samples: each push is
+    rectified, filtered by the config's envelope low-pass in blocks of
+    ``map_stride`` and made feature columns. At each stride end ``n >=
+    map_width + map_stride - 1`` the value is the square root of the sum of
     the newest ``map_width`` terms (:func:`~tmagest.onset.difference`) of a
-    column against the one a stride earlier. It keeps the last stride's
-    columns and the newest ``map_width - 1`` terms; a term does not depend on
-    the columns pushed with it and a window is one contiguous slice, so any
-    split into whole strides gives the same bits. Single-owner, sequential use.
+    column against the one a stride earlier. It keeps the filter memory, the
+    last stride's columns (``newest``) and the newest ``map_width - 1``
+    terms; a column or a term depends only on its own samples and a window
+    is one contiguous slice, so any split into whole strides gives the same
+    bits. Single-owner, sequential use.
     """
 
-    def __init__(self, map_width: int, map_stride: int):
-        self._width, self._stride = map_width, map_stride
-        self._prev: np.ndarray | None = None    # the last stride's columns
+    def __init__(self, config: SessionConfig):
+        self._width, self._stride = config.map_width, config.map_stride
+        coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
+                                            config.sample_rate)
+        self._filter = EnvelopeFilter(coeffs, config.channels, config.map_stride)
+        self.newest: np.ndarray | None = None    # the last stride's columns
+        self.samples = 0                         # samples pushed
         self._terms = np.empty(0)
-        self._count = 0
 
-    def push(self, cols: np.ndarray) -> list[tuple[int, float]]:
-        """Take the (rows, k) feature columns of the next k samples, k a
-        positive whole number of strides (else a :class:`StructuralError`);
-        returns the ``(n, d)`` point of each stride end that has one."""
-        W, S, k = self._width, self._stride, cols.shape[1]
+    def push(self, samples: np.ndarray) -> list[tuple[int, float]]:
+        """Take the (k, channels) raw samples that come next, k a positive
+        whole number of strides, else a :class:`StructuralError` that leaves
+        the signal as it was, as does a NaN or infinite sample, which it
+        names; returns the ``(n, d)`` point of each stride end that has one."""
+        W, S, k = self._width, self._stride, samples.shape[0]
         if k == 0 or k % S:
-            raise StructuralError(f"{k} columns are not whole strides of {S}")
-        self._count += k
-        prev, self._prev = self._prev, cols[:, k - S:]
+            raise StructuralError(f"{k} samples are not whole strides of {S}")
+        rectified = np.abs(samples)
+        if not rectified.max() < np.inf:    # also false for NaN
+            n = self.samples + int(
+                np.flatnonzero(~np.isfinite(samples).all(axis=1))[0])
+            raise StructuralError(f"stride starting at sample {n - n % S} "
+                                  f"holds a non-finite value at sample {n}")
+        cols = feature_matrix(self._filter.process(rectified))
+        self.samples += k
+        prev, self.newest = self.newest, cols[:, k - S:]
         if prev is None:
             cols, prev = cols[:, S:], cols[:, :-S]
         elif k > S:
             prev = np.concatenate((prev, cols[:, :-S]), axis=1)
         terms = np.concatenate((self._terms, difference(cols, prev)))
-        n0 = self._count - terms.size    # terms[e] is sample n0 + e
+        n0 = self.samples - terms.size    # terms[e] is sample n0 + e
         points = [(n0 + e, math.sqrt(terms[e - W + 1:e + 1].sum()))
                   for e in range(W - 1 + (terms.size - W) % S, terms.size, S)]
         self._terms = terms[max(terms.size - W + 1, 0):]
         return points
 
 
-def difference_series(envelopes: np.ndarray, map_width: int, map_stride: int,
+def difference_series(samples: np.ndarray, config: SessionConfig,
                       min_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The ``(ns, values)`` arrays of the difference signal of a (samples,
-    channels) envelope block at ``n >= min_index`` (e.g. past the filter
-    warm-up), from a :class:`DifferenceSignal` pushed the feature columns of
-    :data:`SERIES_BLOCK` samples at a time, so that it holds one slice's
-    feature matrix. A trailing partial stride is dropped."""
-    signal = DifferenceSignal(map_width, map_stride)
-    step = max(SERIES_BLOCK - SERIES_BLOCK % map_stride, map_stride)
-    env = envelopes[:envelopes.shape[0] - envelopes.shape[0] % map_stride]
-    points = [p for a in range(0, env.shape[0], step)
-              for p in signal.push(feature_matrix(env[a:a + step]))
-              if p[0] >= min_index]
+    channels) raw recording at ``n >= min_index`` (e.g. past the filter
+    warm-up), from a :class:`DifferenceSignal` pushed the recording's
+    :func:`~tmagest.dsp.block_slices`, so that it holds one slice's
+    envelopes and feature matrix. A trailing partial stride is dropped."""
+    signal = DifferenceSignal(config)
+    whole = samples[:samples.shape[0] - samples.shape[0] % config.map_stride]
+    points = [p for rows in block_slices(whole.shape[0], config.map_stride)
+              for p in signal.push(whole[rows]) if p[0] >= min_index]
     return (np.array([n for n, _ in points], dtype=np.int64),
             np.array([d for _, d in points], dtype=np.float64))
 
@@ -166,20 +175,16 @@ class Engine:
         self.model = model
         self.config = config
         self.threshold = float(threshold)
-        coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
-                                            config.sample_rate)
-        self._filter = EnvelopeFilter(coeffs, config.channels, config.map_stride)
+        self._signal = DifferenceSignal(config)
         self._cols = FrameRing(config.map_width, config.feature_rows,
                                config.map_stride)
-        self._signal = DifferenceSignal(config.map_width, config.map_stride)
         self._detector = OnsetDetector(self.threshold, config.refractory,
                                        warmup_end=config.warmup_samples)
         self._expect_flexion = True
-        self._count = 0
 
     @property
     def samples_consumed(self) -> int:
-        return self._count
+        return self._signal.samples
 
     def step(self, batch: np.ndarray):
         """Consume exactly one stride of raw samples.
@@ -199,19 +204,9 @@ class Engine:
                 f"expected a ({cfg.map_stride}, {cfg.channels}) batch, "
                 f"got {batch.shape}"
             )
-        rectified = np.abs(batch)
-        if not rectified.max() < np.inf:    # also false for NaN
-            row = int(np.flatnonzero(~np.isfinite(batch).all(axis=1))[0])
-            raise StructuralError(
-                f"stride starting at sample {self._count} holds a non-finite "
-                f"value at sample {self._count + row}"
-            )
-        frames = self._filter.process(rectified)
-        t = self._count
-        self._count += cfg.map_stride
-        cols = feature_matrix(frames)
-        self._cols.push_values(t, cols.T)
-        points = self._signal.push(cols)
+        signal = self._signal
+        points = signal.push(batch)
+        self._cols.push_values(signal.samples - cfg.map_stride, signal.newest.T)
         if not points:
             return None
         hit = self._detector.step(*points[0])

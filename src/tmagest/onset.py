@@ -11,9 +11,9 @@ one per time step ``t`` of the window: ``g(t) = |f(t) - f(t - stride)|^2``,
 the squared difference of the feature column at ``t`` and the column one
 stride earlier, summed down the column (:func:`difference`). The value at
 ``n`` is the square root of the pairwise sum of the ``map_width`` terms that
-end at ``n``. The engine and calibration form it with one front end,
-:class:`~tmagest.engine.DifferenceSignal`, so the threshold is fitted on the
-signal it is compared against.
+end at ``n``. The engine and calibration form it from raw samples with one
+front end, :class:`~tmagest.engine.DifferenceSignal`, so the threshold is
+fitted on the signal it is compared against.
 
 The threshold is calibrated from labeled recordings: the population standard
 deviation of the difference signal is computed per gesture (over all points

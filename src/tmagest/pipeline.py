@@ -32,10 +32,10 @@ logger = logging.getLogger(__name__)
 MATCH_TOLERANCE_S = 1.0
 
 
-def _envelopes(recording: Recording, config: SessionConfig) -> np.ndarray:
-    coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
-                                        config.sample_rate)
-    return envelope_stream(recording.samples, coeffs, config.map_stride)
+def _check_sample_rate(recording: Recording, config: SessionConfig) -> None:
+    if recording.sample_rate != config.sample_rate:
+        raise ConfigError(f"recording at {recording.sample_rate} Hz, config "
+                          f"expects {config.sample_rate} Hz")
 
 
 def _extract(recording: Recording, config: SessionConfig,
@@ -50,6 +50,7 @@ def _extract(recording: Recording, config: SessionConfig,
     map holds the bits it would take from the whole recording's matrix. The
     maps are read-only views into the compact matrix, which itself stays
     writeable."""
+    _check_sample_rate(recording, config)
     onsets = recording.onsets(PHASE_FLEXION)
     if not onsets:
         raise UsageError("recording has no labeled onsets to extract around")
@@ -75,7 +76,10 @@ def _extract(recording: Recording, config: SessionConfig,
         kept.append((a.n, a.gesture))
     firsts = np.array([n0 - map_w + 1 for n0, _ in kept], dtype=np.intp)
     frames = (firsts[:, None] + np.arange(span)).ravel()
-    feats = feature_matrix(_envelopes(recording, config)[frames])
+    coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
+                                        config.sample_rate)
+    feats = feature_matrix(envelope_stream(recording.samples, coeffs,
+                                           config.map_stride)[frames])
     shared = feats.view()
     shared.flags.writeable = False
     examples: list[TrainingExample] = []
@@ -105,6 +109,7 @@ def extract_training_set(recording: Recording,
     onset's span of ``map_width + w - 1`` columns after the one before.
 
     Raises:
+        ConfigError: If the recording's sampling rate is not the config's.
         UsageError: If the recording has no labeled onsets, or labeled onsets
             are closer together than the extraction width.
     """
@@ -123,7 +128,7 @@ def training_set(recordings: list[Recording], config: SessionConfig,
 
     Raises:
         ConfigError: If no recording yields an example.
-        UsageError: As :func:`extract_training_set`.
+        ConfigError, UsageError: As :func:`extract_training_set`.
     """
     extracted = [_extract(rec, config) for rec in recordings]
     examples = [ex for _, exs in extracted for ex in exs]
@@ -155,13 +160,15 @@ def calibration_segments(recording: Recording, config: SessionConfig,
     margin above steady-state excursions.
 
     Raises:
+        ConfigError: If the recording's sampling rate is not the config's.
+        StructuralError: If a sample of a whole stride is NaN or infinite.
         UsageError: If the recording has no labeled onsets.
     """
+    _check_sample_rate(recording, config)
     onsets = recording.onsets(PHASE_FLEXION)
     if not onsets:
         raise UsageError("recording has no labeled onsets to calibrate from")
-    env = _envelopes(recording, config)
-    ns, values = difference_series(env, config.map_width, config.map_stride,
+    ns, values = difference_series(recording.samples, config,
                                    min_index=config.warmup_samples)
     if ns.size == 0:
         return []
@@ -268,9 +275,7 @@ def evaluate(model: CnnModel, recording: Recording,
             annotation names a gesture that the model does not know.
     """
     model.require_ready()
-    if recording.sample_rate != config.sample_rate:
-        raise ConfigError(f"recording at {recording.sample_rate} Hz, config "
-                          f"expects {config.sample_rate} Hz")
+    _check_sample_rate(recording, config)
     gestures = model.labels
     flexions = recording.onsets(PHASE_FLEXION)
     for a in flexions:

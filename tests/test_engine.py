@@ -4,11 +4,12 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tmagest import engine as engine_mod
 from tmagest.cnn import CnnArchitecture, CnnModel, initial_params
+from tmagest.config import SessionConfig
 from tmagest.dsp import design_butterworth_lowpass, envelope_stream
 from tmagest.engine import (
     DifferenceSignal,
@@ -23,6 +24,8 @@ from tmagest.engine import (
 from tmagest.errors import ConfigError, StructuralError, UsageError
 from tmagest.onset import OnsetDetector
 from tmagest.tma import feature_matrix
+
+from test_onset import whole_matrix_series
 
 
 def drive(engine, samples):
@@ -199,16 +202,20 @@ class TestStep:
         monkeypatch.setattr(OnsetDetector, "step", record)
         samples = trained_setup.eval_recording.samples
         drive(Engine(model, config, threshold=float("inf")), samples)
-        coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
-                                            config.sample_rate)
-        ns, values = difference_series(
-            envelope_stream(samples, coeffs, stride), width, stride)
+        ns, values = difference_series(samples, config)
         assert len(seen) > 100
         assert seen == list(zip(ns.tolist(), values.tolist()))
+        # and both are the whole-recording formula over the offline envelopes
+        coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
+                                            config.sample_rate)
+        want_ns, want = whole_matrix_series(
+            envelope_stream(samples, coeffs, stride), width, stride)
+        assert ns.tolist() == want_ns.tolist()
+        assert values.tobytes() == want.tobytes()
 
 
 class TestDifferenceSignal:
-    """Any split of the pushed columns into whole strides gives the bits of
+    """Any split of the pushed samples into whole strides gives the bits of
     a push per stride and of difference_series."""
 
     @settings(max_examples=300, deadline=None)
@@ -222,35 +229,59 @@ class TestDifferenceSignal:
              seed=1)    # S does not divide W
     @example(width=5, stride=1, strides=14, channels=3, cuts=[1, 2, 9],
              seed=2)    # S = 1
-    @example(width=1, stride=3, strides=6, channels=2, cuts=[2, 3],
+    @example(width=1, stride=1, strides=6, channels=2, cuts=[2, 3],
              seed=3)    # W = 1: no terms are kept
-    @example(width=3, stride=5, strides=8, channels=2, cuts=[1, 4],
-             seed=4)    # W < S
+    @example(width=5, stride=5, strides=8, channels=2, cuts=[1, 4],
+             seed=4)    # W = S
     @example(width=4, stride=2, strides=14, channels=2, cuts=[],
              seed=5)    # one push of many strides spans several windows
     def test_any_split_gives_the_bits_of_one_stride_at_a_time(
             self, width, stride, strides, channels, cuts, seed):
-        env = np.random.default_rng(seed).random((strides * stride,
-                                                   channels))
-        cols = feature_matrix(env)
-        signal = DifferenceSignal(width, stride)
+        assume(stride <= width)    # as a config must
+        raw = np.random.default_rng(seed).standard_normal((strides * stride,
+                                                           channels))
+        config = SessionConfig(channels=channels, map_width=width,
+                               map_stride=stride)
+        signal = DifferenceSignal(config)
         each = [p for k in range(strides)
-                for p in signal.push(cols[:, k * stride:(k + 1) * stride])]
+                for p in signal.push(raw[k * stride:(k + 1) * stride])]
         edges = [0, *sorted({c for c in cuts if c < strides}), strides]
-        signal = DifferenceSignal(width, stride)
+        signal = DifferenceSignal(config)
         split = [p for a, b in zip(edges, edges[1:])
-                 for p in signal.push(cols[:, a * stride:b * stride])]
+                 for p in signal.push(raw[a * stride:b * stride])]
         assert split == each
         assert [n for n, _ in each] == list(
             range(width + stride - 1 + -(width) % stride,
                   strides * stride, stride))
-        ns, values = difference_series(env, width, stride)
+        ns, values = difference_series(raw, config)
         assert each == list(zip(ns.tolist(), values.tolist()))
 
     @pytest.mark.parametrize("k", [0, 3, 9])
     def test_a_partial_stride_is_refused(self, k):
+        signal = DifferenceSignal(SessionConfig(channels=5, map_width=4,
+                                                map_stride=2))
         with pytest.raises(StructuralError, match="whole strides of 2"):
-            DifferenceSignal(4, 2).push(np.zeros((5, k)))
+            signal.push(np.zeros((k, 5)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_is_named_and_leaves_no_trace(self, rng,
+                                                               value):
+        config = SessionConfig(channels=2, map_width=6, map_stride=3)
+        raw = rng.standard_normal((30, 2))
+        clean = DifferenceSignal(config)
+        want = clean.push(raw[:9]) + clean.push(raw[9:])
+        signal = DifferenceSignal(config)
+        got = signal.push(raw[:9])
+        bad = raw[9:21].copy()
+        bad[7, 1] = value    # sample 16, in the stride that starts at 15
+        with pytest.raises(StructuralError, match=(
+                "^stride starting at sample 15 holds a non-finite value at "
+                "sample 16$")):
+            signal.push(bad)
+        assert signal.samples == 9
+        got += signal.push(raw[9:])
+        assert got == want
+        np.testing.assert_array_equal(signal.newest, clean.newest)
 
 
 class TestReplay:

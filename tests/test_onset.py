@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import traced_peak
-from tmagest import engine
+from tmagest import dsp
+from tmagest.config import SessionConfig
+from tmagest.dsp import design_butterworth_lowpass, envelope_stream
 from tmagest.engine import difference_series
 from tmagest.errors import CalibrationError, StructuralError
 from tmagest.onset import OnsetDetector, calibrate_threshold, difference
@@ -27,6 +29,17 @@ def brute_force_frobenius(a, b):
 def frobenius(a, b):
     """The Frobenius norm of ``a - b`` from its column terms."""
     return math.sqrt(difference(a, b).sum())
+
+
+def geometry(width, stride, channels):
+    """A default config with this map geometry and channel count."""
+    return SessionConfig(channels=channels, map_width=width, map_stride=stride)
+
+
+def envelopes(raw, config):
+    """The envelopes the difference signal of ``raw`` is formed from."""
+    return envelope_stream(raw, design_butterworth_lowpass(
+        config.envelope_cutoff_hz, config.sample_rate), config.map_stride)
 
 
 class TestDifference:
@@ -84,11 +97,12 @@ class TestDifference:
 
 class TestDifferenceSeries:
     def test_matches_per_map_computation(self, rng):
-        env = rng.random((400, 4))
+        raw = rng.random((400, 4))
         width, stride = 40, 10
-        ns, values = difference_series(env, width, stride)
+        config = geometry(width, stride, 4)
+        ns, values = difference_series(raw, config)
         assert ns.size == values.size > 0
-        feats = feature_matrix(env)
+        feats = feature_matrix(envelopes(raw, config))
         for n, value in zip(ns.tolist(), values):
             cur = feats[:, n - width + 1:n + 1]
             prev = feats[:, n - stride - width + 1:n - stride + 1]
@@ -97,14 +111,14 @@ class TestDifferenceSeries:
 
     def test_equals_per_point_loop_bit_for_bit(self, rng):
         # one difference() call per point, on the maps the engine compares
-        env = rng.random((407, 3))
+        raw = rng.random((407, 3))
         width, stride = 40, 10
-        feats = feature_matrix(env)
+        config = geometry(width, stride, 3)
+        feats = feature_matrix(envelopes(raw, config))
         first = width + stride - 1
         for min_index in (0, 49, 50, 58, 59, 60, 400, 406, 407):
-            ns, values = difference_series(env, width, stride,
-                                           min_index=min_index)
-            want_ns = [n for n in range(max(first, min_index), len(env))
+            ns, values = difference_series(raw, config, min_index=min_index)
+            want_ns = [n for n in range(max(first, min_index), len(raw))
                        if n % stride == stride - 1]
             want = [frobenius(feats[:, n - width + 1:n + 1],
                               feats[:, n - stride - width + 1:n - stride + 1])
@@ -113,8 +127,7 @@ class TestDifferenceSeries:
             assert values.tolist() == want
 
     def test_cadence_and_first_index(self, rng):
-        env = rng.random((300, 2))
-        ns, _ = difference_series(env, 40, 10)
+        ns, _ = difference_series(rng.random((300, 2)), geometry(40, 10, 2))
         assert ns[0] == 49
         assert (np.diff(ns) == 10).all()
         assert ns[-1] == 299
@@ -123,30 +136,33 @@ class TestDifferenceSeries:
             self, rng):
         # the engine compares maps at the last sample of each stride once
         # two full maps exist: 59, 69, ... for width 45 and stride 10
-        ns, _ = difference_series(rng.random((300, 2)), 45, 10)
+        ns, _ = difference_series(rng.random((300, 2)), geometry(45, 10, 2))
         assert ns[0] == 59
         assert (ns % 10 == 9).all()
         assert ns[-1] == 299
 
     def test_min_index_skips_warmup(self, rng):
-        env = rng.random((300, 2))
-        ns, values = difference_series(env, 40, 10, min_index=100)
+        raw = rng.random((300, 2))
+        config = geometry(40, 10, 2)
+        ns, values = difference_series(raw, config, min_index=100)
         assert ns[0] >= 100
         # still on the same cadence grid
         assert (ns[0] - 49) % 10 == 0
-        full_ns, full_values = difference_series(env, 40, 10)
+        full_ns, full_values = difference_series(raw, config)
         skipped = full_ns.size - ns.size
         np.testing.assert_array_equal(full_ns[skipped:], ns)
         np.testing.assert_array_equal(full_values[skipped:], values)
 
     def test_short_input_yields_empty(self, rng):
-        ns, values = difference_series(rng.random((30, 2)), 40, 10)
+        ns, values = difference_series(rng.random((30, 2)),
+                                       geometry(40, 10, 2))
         assert ns.size == 0 and values.size == 0
 
     def test_stationarity_null(self):
-        # constant envelopes: every map equals every other, d is 0
-        env = np.full((500, 3), 2.5)
-        ns, values = difference_series(env, 40, 10)
+        # a constant input: once the filter has settled every map equals
+        # every other, and d is 0 to rounding
+        ns, values = difference_series(np.full((2000, 3), -2.5),
+                                       geometry(40, 10, 3), min_index=1000)
         assert ns.size
         assert (values < 1e-9).all()
 
@@ -167,11 +183,10 @@ def whole_matrix_series(envelopes, map_width, map_stride, min_index=0):
 
 
 class TestDifferenceSeriesBlocks:
-    """Slices of any SERIES_BLOCK must give the whole-matrix formula's
-    bits."""
+    """Slices of any size must give the whole-matrix formula's bits."""
 
     @settings(max_examples=300, deadline=None)
-    @given(block=st.sampled_from([1, 2, 3, 7, engine.SERIES_BLOCK]),
+    @given(block=st.sampled_from([1, 2, 3, 7, dsp._SLICE_ROWS]),
            width=st.integers(1, 12), stride=st.integers(1, 6),
            min_index=st.sampled_from([0, 1, 13, 40, 500]),
            channels=st.integers(1, 4), blocks=st.integers(0, 3),
@@ -182,23 +197,26 @@ class TestDifferenceSeriesBlocks:
         # Lengths around multiples of `block` past the first term a window
         # reads and, below zero, recordings too short for any point; the
         # slices start at sample 0, so their edges fall anywhere in these.
+        assume(stride <= width)    # as a config must
         start = max(width + stride - 1, min_index)
         start += -(start + 1) % stride
         first = start - stride - width + 1
         samples = max(1, first + stride + blocks * block + extra)
-        env = np.random.default_rng(seed).random((samples, channels))
-        want_ns, want = whole_matrix_series(env, width, stride, min_index)
+        raw = np.random.default_rng(seed).standard_normal((samples, channels))
+        config = geometry(width, stride, channels)
+        want_ns, want = whole_matrix_series(envelopes(raw, config), width,
+                                            stride, min_index)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "SERIES_BLOCK", block)
-            ns, values = difference_series(env, width, stride, min_index)
+            mp.setattr(dsp, "_SLICE_ROWS", block)
+            ns, values = difference_series(raw, config, min_index)
         assert ns.tolist() == want_ns.tolist()
         assert values.tobytes() == want.tobytes()
 
     def test_peak_memory_below_one_feature_matrix(self, rng):
-        env = rng.random((60_000, 8))
-        matrix_bytes = feature_matrix(env[:1]).shape[0] * env.shape[0] * 8
-        _, peak = traced_peak(
-            lambda: difference_series(env, 80, 20, min_index=177))
+        raw = rng.standard_normal((60_000, 8))
+        matrix_bytes = feature_matrix(raw[:1]).shape[0] * raw.shape[0] * 8
+        _, peak = traced_peak(lambda: difference_series(
+            raw, geometry(80, 20, 8), min_index=177))
         assert peak < matrix_bytes
 
 

@@ -1,4 +1,5 @@
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -34,12 +35,16 @@ def test_per_sample_api_is_gone():
 
 
 def test_one_difference_signal():
-    # the engine's front end forms the signal for calibration too; the
-    # block series and its window view are gone from onset
-    from tmagest import engine, onset
+    # the engine's front end forms the signal from raw samples for
+    # calibration too; the block series and its window view are gone from
+    # onset, the engine's own slicing rule and calibration's whole-recording
+    # envelope from engine and pipeline
+    from tmagest import engine, onset, pipeline
     for name in ("difference_series", "SERIES_BLOCK", "sliding_window_view",
                  "feature_matrix"):
         assert not hasattr(onset, name), name
+    assert not hasattr(engine, "SERIES_BLOCK")
+    assert not hasattr(pipeline, "_envelopes")
     assert tmagest.difference_series is engine.difference_series
 
 
@@ -61,12 +66,17 @@ def test_synth_does_not_load_scipy(tmp_path):
 
 
 
+def perfbench_module(monkeypatch, name):
+    """A module of the benchmark, imported as its runner imports it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    return importlib.import_module(name)
+
+
 def test_perfbench_traced_names_resolve(monkeypatch):
     # the benchmark's traced run wraps each (owner, attribute) of its
     # TRACE_TARGETS, looked up as tracing.Tracer.patched does; a function
     # moved or renamed here would fail that run, so it fails this test first
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    protocol = importlib.import_module("protocol")
+    protocol = perfbench_module(monkeypatch, "protocol")
 
     def lookup(owner, attr):
         if isinstance(owner, type):
@@ -76,3 +86,24 @@ def test_perfbench_traced_names_resolve(monkeypatch):
     missing = [name for owner, attr, name, _ in protocol.TRACE_TARGETS
                if not callable(lookup(owner, attr))]
     assert missing == []
+
+
+def test_every_perfbench_layer_metric_fires(monkeypatch, tmp_path):
+    # a traced name that the program stops calling where the benchmark
+    # looks for it leaves its layer metric without a span, which the
+    # benchmark's traced run reports as null; one traced replay run shows
+    # every layer metric with a span and a finite value
+    protocol = perfbench_module(monkeypatch, "protocol")
+    tracing = perfbench_module(monkeypatch, "tracing")
+    tracer = tracing.Tracer()
+    with tracer.patched(protocol.TRACE_TARGETS):
+        run = protocol.run_protocol(protocol.WORKLOADS["replay"], 71, 0.0,
+                                    tmp_path, tracer)
+    assert run.failed == 0 and run.errors == []
+    spans = tracer.spans()
+    silent = []
+    for name, unit, span, parent, stat in protocol.LAYER_METRICS:
+        value, count = tracing.aggregate(spans, span, stat, unit, parent)
+        if count < 1 or not math.isfinite(value):
+            silent.append(name)
+    assert silent == []

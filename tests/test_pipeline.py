@@ -11,7 +11,7 @@ from tmagest.config import SessionConfig
 from tmagest.dsp import design_butterworth_lowpass, envelope_stream
 from tmagest.engine import (Prediction, difference_series, iter_batches,
                             run_replay)
-from tmagest.errors import ConfigError, UsageError
+from tmagest.errors import ConfigError, StructuralError, UsageError
 from tmagest.onset import calibrate_threshold
 from tmagest.pipeline import (
     calibration_segments,
@@ -23,7 +23,7 @@ from tmagest.recording import (PHASE_FLEXION, PHASE_REST, PHASE_RETURN,
                                Annotation, Recording)
 from tmagest.tma import TmaMap, feature_matrix, fit_normalization, normalize_array
 
-from conftest import SMALL_CONFIG_KWARGS, make_templates
+from conftest import SMALL_CONFIG_KWARGS, make_templates, traced_peak
 
 
 class TestExtraction:
@@ -192,7 +192,10 @@ def whole_matrix_extract(recording, config):
                 f"onsets at {a} and {b} are closer than the extraction "
                 f"width ({config.extraction_width}); labels would overlap"
             )
-    feats = feature_matrix(pipeline._envelopes(recording, config))
+    coeffs = design_butterworth_lowpass(config.envelope_cutoff_hz,
+                                        config.sample_rate)
+    feats = feature_matrix(envelope_stream(recording.samples, coeffs,
+                                           config.map_stride))
     shared = feats.view()
     shared.flags.writeable = False
     n_samples = recording.num_samples
@@ -347,9 +350,7 @@ class TestCalibrationSegments:
     def test_exclusion_window_removes_transition_points(self, trained_setup):
         config, rec = trained_setup.config, trained_setup.train_recording
         # oracle: the same series split at the same midpoints, nothing excluded
-        env = envelope_stream(rec.samples, design_butterworth_lowpass(
-            config.envelope_cutoff_hz, config.sample_rate), config.map_stride)
-        ns, values = difference_series(env, config.map_width, config.map_stride,
+        ns, values = difference_series(rec.samples, config,
                                        min_index=config.warmup_samples)
         onsets = rec.onsets(PHASE_FLEXION)
         mids = [(a.n + b.n) // 2 for a, b in zip(onsets, onsets[1:])]
@@ -380,6 +381,49 @@ class TestCalibrationSegments:
                         samples=np.zeros((400, small_config.channels)))
         with pytest.raises(UsageError):
             calibration_segments(rec, small_config)
+
+    @pytest.mark.parametrize("row,channel,value", [
+        (1234, 2, np.nan), (2000, 0, np.inf), (4099, 3, -np.inf)])
+    def test_a_non_finite_sample_is_named(self, trained_setup, row, channel,
+                                          value):
+        config, rec = trained_setup.config, trained_setup.train_recording
+        samples = rec.samples.copy()
+        samples[row, channel] = value
+        bad = dataclasses.replace(rec, samples=samples)
+        stride_start = row - row % config.map_stride
+        with pytest.raises(StructuralError, match=(
+                f"^stride starting at sample {stride_start} holds a "
+                f"non-finite value at sample {row}$")):
+            calibration_segments(bad, config)
+
+    def test_peak_memory_below_the_recording(self, rng):
+        # the raw samples go through the front end a slice at a time: no
+        # whole-recording envelope is held, only a slice's working set of
+        # about 5 MB, so the recording is long enough to stand above it
+        config = SessionConfig()
+        onsets = range(1_000, 150_000, 5_000)
+        rec = Recording(
+            sample_rate=config.sample_rate,
+            samples=rng.standard_normal((150_000, config.channels)),
+            annotations=[Annotation(n=n, gesture=config.gestures[i % 5],
+                                    phase=PHASE_FLEXION)
+                         for i, n in enumerate(onsets)])
+        segments, peak = traced_peak(lambda: calibration_segments(rec, config))
+        assert len(segments) == len(onsets)
+        assert peak < rec.samples.nbytes, peak / rec.samples.nbytes
+
+
+@pytest.mark.parametrize("call", [
+    calibration_segments, extract_training_set,
+    lambda rec, config: training_set([rec], config)])
+def test_a_recording_at_another_sample_rate_is_refused(trained_setup, call):
+    # the maps and the difference signal depend on the rate; evaluate's text
+    config = trained_setup.config
+    rec = dataclasses.replace(trained_setup.train_recording, sample_rate=1000.0)
+    with pytest.raises(ConfigError, match=(
+            f"^recording at 1000.0 Hz, config expects {config.sample_rate} "
+            "Hz$")):
+        call(rec, config)
 
 
 class TestEvaluate:
